@@ -12,7 +12,7 @@ from typing import Protocol
 import numpy as np
 
 from .data import ClientShard, FedConfig
-from .nn import ArchSpec, Batch, ParamSet, build_model, loss_and_grad, param_linear, sgd_step
+from .nn import ArchSpec, Batch, ParamSet, build_model, loss_and_grad, param_linear
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -85,7 +85,13 @@ def local_train(
         raise ValueError("epochs must be at least 1")
 
     inputs, labels = shard.dataset.inputs, shard.dataset.labels
-    params = global_params
+    lr = float(config.learning_rate)
+    where = f"round {round_index}, client {shard.client_id}"
+    # One working vector stepped in place: `w -= lr * g` equals sgd_step's
+    # 1.0*w + (-lr)*g bit for bit. The gradients are checked at every step,
+    # the weights once at the end: under this update a non-finite entry of w
+    # never becomes finite again.
+    w, params = global_params.working_copy()
     losses = []
     for epoch in range(epochs):
         rng = np.random.default_rng(
@@ -94,9 +100,16 @@ def local_train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = loss_and_grad(arch, params, Batch(inputs[idx], labels[idx]))
-            params = sgd_step(params, grads, config.learning_rate)
+            batch = Batch(inputs[idx], labels[idx])
+            try:
+                loss, grads = loss_and_grad(arch, params, batch)
+            except ValueError as exc:
+                raise ValueError(f"{where}, step {len(losses) + 1}: {exc}") from exc
+            w -= lr * grads.vector
             losses.append(loss)
+    bad = params.non_finite_tensor()
+    if bad is not None:
+        raise ValueError(f"{where}: tensor {bad!r} contains non-finite values")
     delta = param_linear(1.0, params, -1.0, global_params)
     return ClientUpdate(
         client_id=shard.client_id,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 ACTIVATIONS = ("none", "relu")
 
@@ -88,6 +89,12 @@ class ArchSpec:
                 )
                 shapes.append((f"layer{i}.bias", (layer.out_channels,)))
         return shapes
+
+    @cached_property
+    def param_layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """:meth:`param_shapes` as a tuple, computed once per spec; compares
+        equal to the ``shapes()`` of every conformant parameter set."""
+        return tuple(self.param_shapes())
 
     def num_params(self) -> int:
         total = 0

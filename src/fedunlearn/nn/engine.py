@@ -56,11 +56,11 @@ def build_model(arch: ArchSpec, seed: int) -> ParamSet:
             w = rng.uniform(-bound, bound, size=(layer.out_channels, layer.in_channels, k, k))
             items.append((f"layer{i}.weight", w))
             items.append((f"layer{i}.bias", np.zeros(layer.out_channels)))
-    return ParamSet(items, copy=False)
+    return ParamSet(items)
 
 
 def check_conformant_with_arch(arch: ArchSpec, params: ParamSet) -> None:
-    expected = tuple(arch.param_shapes())
+    expected = arch.param_layout
     if params.shapes() != expected:
         raise ValueError(
             f"parameters do not match architecture: {params.shapes()} vs {expected}"
@@ -102,8 +102,8 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
             dx = _pool_backward(layer, cache, dx)
         elif isinstance(layer, Flatten):
             dx = dx.reshape(cache)
-    grads = ParamSet(((name, grad_map[name]) for name in params.names), copy=False)
-    return loss, grads
+    flat = np.concatenate([grad_map[name].ravel() for name in params.names])
+    return loss, ParamSet._adopt(params._layout, flat)
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:

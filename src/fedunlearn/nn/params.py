@@ -2,12 +2,19 @@
 
 A :class:`ParamSet` is an ordered, immutable collection of named float64
 tensors. It represents a full model, a client update (delta between two
-models), or a gradient set. All arithmetic between parameter sets requires
-the two operands to be *conformant*: identical names, order, and shapes.
+models), or a gradient set. Its values live in one contiguous, read-only
+float64 vector; each named tensor is a reshaped view of a segment of it.
+The layout — the ``(name, shape)`` sequence and the segment of each tensor
+— is computed once, when a set is built from tensors or parsed, and shared
+by every set derived from it: whole-set arithmetic is one vector expression,
+and conformance between related sets is an identity check. All
+arithmetic between parameter sets requires the two operands to be
+*conformant*: identical names, order, and shapes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterable, Iterator
 
@@ -21,68 +28,130 @@ class ConformanceError(ValueError):
     """Two parameter sets do not share names, order, and shapes."""
 
 
-class ParamSet:
-    """Ordered collection of (name, float64 tensor) pairs.
+class _Layout:
+    """A ``(name, shape)`` sequence and the vector segments derived from it."""
 
-    Tensors are stored C-contiguous and marked read-only, so a ParamSet is
-    an immutable value that is safe to share across concurrent tasks.
-    """
+    __slots__ = ("shapes", "names", "index", "spans", "size")
 
-    __slots__ = ("_names", "_tensors", "_index")
-
-    def __init__(self, items: Iterable[tuple[str, np.ndarray]], *, copy: bool = True):
-        names: list[str] = []
-        tensors: list[np.ndarray] = []
-        for name, raw in items:
-            arr = np.asarray(raw, dtype=np.float64)
-            # copy(order="C") rather than ascontiguousarray: the latter
-            # promotes rank-0 tensors to rank 1.
-            if copy or not arr.flags.c_contiguous:
-                arr = arr.copy(order="C")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"tensor {name!r} contains non-finite values")
-            arr.flags.writeable = False
-            names.append(str(name))
-            tensors.append(arr)
+    def __init__(self, shapes: tuple[tuple[str, tuple[int, ...]], ...]):
+        names = tuple(name for name, _ in shapes)
         if len(set(names)) != len(names):
             raise ValueError("duplicate tensor names in parameter set")
-        self._names = tuple(names)
-        self._tensors = tuple(tensors)
-        self._index = {n: i for i, n in enumerate(names)}
+        spans = []
+        offset = 0
+        for _, shape in shapes:
+            end = offset + math.prod(shape)
+            spans.append((offset, end, shape))
+            offset = end
+        self.shapes = shapes
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+        self.spans = tuple(spans)
+        self.size = offset
+
+    def non_finite_tensor(self, vector: np.ndarray) -> str | None:
+        if np.isfinite(vector).all():
+            return None
+        return next(name for name, (start, end, _) in zip(self.names, self.spans)
+                    if not np.isfinite(vector[start:end]).all())
+
+
+class ParamSet:
+    """Ordered collection of (name, float64 tensor) pairs over one vector.
+
+    Construction copies the given tensors into the set's own C-contiguous
+    vector, checks that every value is finite, and marks the vector
+    read-only; each tensor is a reshaped read-only view of its segment. So a
+    ParamSet is an immutable value that is safe to share across concurrent
+    tasks.
+    """
+
+    __slots__ = ("_layout", "_vector", "_tensors")
+
+    def __init__(self, items: Iterable[tuple[str, np.ndarray]]):
+        names: list[str] = []
+        arrays: list[np.ndarray] = []
+        for name, raw in items:
+            names.append(str(name))
+            arrays.append(np.asarray(raw, dtype=np.float64))
+        layout = _Layout(tuple((name, arr.shape) for name, arr in zip(names, arrays)))
+        vector = np.empty(layout.size)
+        for (start, end, shape), arr in zip(layout.spans, arrays):
+            vector[start:end].reshape(shape)[...] = arr
+        _check_finite(layout, vector)
+        vector.flags.writeable = False
+        self._layout = layout
+        self._vector = vector
+        self._tensors = None
+
+    @classmethod
+    def _adopt(cls, layout: _Layout, vector: np.ndarray) -> ParamSet:
+        """A set over a fresh vector nothing else references (no copy)."""
+        _check_finite(layout, vector)
+        vector.flags.writeable = False
+        return cls._over(layout, vector)
+
+    @classmethod
+    def _over(cls, layout: _Layout, vector: np.ndarray) -> ParamSet:
+        ps = object.__new__(cls)
+        ps._layout = layout
+        ps._vector = vector
+        ps._tensors = None
+        return ps
+
+    def working_copy(self) -> tuple[np.ndarray, ParamSet]:
+        """A writable copy of the vector, and a set that views it read-only.
+
+        For loops that update parameters in place, such as local SGD: the
+        caller writes the returned vector, and the returned set, laid out
+        like this one, sees every write. Unlike every other set, it is not
+        checked for finiteness; the caller checks it with
+        :meth:`non_finite_tensor` once it is done writing.
+        """
+        vector = self._vector.copy()
+        view = vector.view()
+        view.flags.writeable = False
+        return vector, ParamSet._over(self._layout, view)
+
+    @property
+    def vector(self) -> np.ndarray:
+        """All values, tensor after tensor, as one read-only vector."""
+        return self._vector
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return self._layout.names
 
     @property
     def tensors(self) -> tuple[np.ndarray, ...]:
-        return self._tensors
+        tensors = self._tensors
+        if tensors is None:
+            vector = self._vector
+            tensors = self._tensors = tuple(
+                vector[start:end].reshape(shape) for start, end, shape in self._layout.spans
+            )
+        return tensors
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._tensors))
+        return iter(zip(self._layout.names, self.tensors))
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         return self.items()
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._layout.names)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[self._index[name]]
+        return self.tensors[self._layout.index[name]]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._layout.index
 
     def __eq__(self, other: object) -> bool:
         """Bit-exact equality: same names, shapes, and payload bytes."""
         if not isinstance(other, ParamSet):
             return NotImplemented
-        if self._names != other._names:
-            return False
-        return all(
-            a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in zip(self._tensors, other._tensors)
-        )
+        return self.conforms_to(other) and self._vector.tobytes() == other._vector.tobytes()
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -92,13 +161,23 @@ class ParamSet:
 
     @property
     def num_params(self) -> int:
-        return sum(t.size for t in self._tensors)
+        return self._vector.size
 
     def shapes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((n, t.shape) for n, t in self.items())
+        return self._layout.shapes
 
     def conforms_to(self, other: ParamSet) -> bool:
-        return self.shapes() == other.shapes()
+        return self._layout is other._layout or self._layout.shapes == other._layout.shapes
+
+    def non_finite_tensor(self) -> str | None:
+        """Name of the first tensor holding a NaN or an infinity, if any."""
+        return self._layout.non_finite_tensor(self._vector)
+
+
+def _check_finite(layout: _Layout, vector: np.ndarray) -> None:
+    bad = layout.non_finite_tensor(vector)
+    if bad is not None:
+        raise ValueError(f"tensor {bad!r} contains non-finite values")
 
 
 def require_conformant(x: ParamSet, y: ParamSet) -> None:
@@ -111,16 +190,11 @@ def require_conformant(x: ParamSet, y: ParamSet) -> None:
 def param_linear(a: float, x: ParamSet, b: float, y: ParamSet) -> ParamSet:
     """Element-wise linear combination a*x + b*y of conformant sets."""
     require_conformant(x, y)
-    a = float(a)
-    b = float(b)
-    return ParamSet(
-        ((name, a * tx + b * ty) for (name, tx), (_, ty) in zip(x.items(), y.items())),
-        copy=False,
-    )
+    return ParamSet._adopt(x._layout, float(a) * x._vector + float(b) * y._vector)
 
 
 def zeros_like(x: ParamSet) -> ParamSet:
-    return ParamSet(((name, np.zeros_like(t)) for name, t in x.items()), copy=False)
+    return ParamSet._adopt(x._layout, np.zeros(x.num_params))
 
 
 def layer_norms(delta: ParamSet) -> list[tuple[str, float]]:
@@ -153,7 +227,9 @@ def dump_param_bytes(params: ParamSet) -> bytes:
     return bytes(out)
 
 
-def parse_param_bytes(buf: bytes) -> ParamSet:
+def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
+    """Inverse of :func:`dump_param_bytes`; each tensor's data is copied once,
+    straight from the buffer into the set's vector."""
     if buf[:4] != MAGIC:
         raise ValueError("bad magic: not a parameter-set blob")
     try:
@@ -161,27 +237,32 @@ def parse_param_bytes(buf: bytes) -> ParamSet:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported parameter-set format version {version}")
         offset = 12
-        items: list[tuple[str, np.ndarray]] = []
+        shapes: list[tuple[str, tuple[int, ...]]] = []
+        data_offsets: list[int] = []
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", buf, offset)
             offset += 4
-            name = buf[offset : offset + name_len].decode("utf-8")
+            name = str(buf[offset : offset + name_len], "utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<I", buf, offset)
             offset += 4
             dims = struct.unpack_from(f"<{rank}I", buf, offset)
             offset += 4 * rank
-            size = 1
-            for d in dims:
-                size *= d
-            data = np.frombuffer(buf, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-            items.append((name, data.reshape(dims).astype(np.float64)))
+            shapes.append((name, dims))
+            data_offsets.append(offset)
+            offset += 8 * math.prod(dims)
     except struct.error as exc:
         raise ValueError(f"truncated parameter-set blob: {exc}") from None
+    if offset > len(buf):
+        raise ValueError("truncated parameter-set blob: tensor data runs past the end")
     if offset != len(buf):
         raise ValueError("trailing bytes after last tensor")
-    return ParamSet(items, copy=False)
+    layout = _Layout(tuple(shapes))
+    vector = np.empty(layout.size)
+    for (start, end, _), data_offset in zip(layout.spans, data_offsets):
+        vector[start:end] = np.frombuffer(buf, dtype="<f8", count=end - start,
+                                          offset=data_offset)
+    return ParamSet._adopt(layout, vector)
 
 
 def save_params(params: ParamSet, path) -> None:

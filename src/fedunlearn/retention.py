@@ -145,16 +145,18 @@ class RetentionStore:
                 f"no stored update for round {round_index} client {client_id}"
             )
         blob_path = self.root / entry["path"]
-        if not blob_path.exists():
+        try:
+            blob = blob_path.read_bytes()
+        except FileNotFoundError:
             raise IntegrityError(
                 f"missing blob for round {round_index} client {client_id}: {blob_path}"
-            )
-        blob = blob_path.read_bytes()
+            ) from None
         if len(blob) < 4:
             raise IntegrityError(
                 f"truncated blob for round {round_index} client {client_id}"
             )
-        payload, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+        # a view, not a copy: the parser copies the data once, into the set
+        payload, (stored_crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
         if zlib.crc32(payload) != stored_crc:
             raise IntegrityError(
                 f"checksum mismatch for round {round_index} client {client_id}"

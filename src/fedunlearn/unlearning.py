@@ -64,7 +64,7 @@ def calibrate_update(
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    if retained.names != fresh.names or retained.shapes() != fresh.shapes():
+    if not retained.conforms_to(fresh):
         raise ValueError("retained and fresh updates have different structure")
 
     if norm_mode == "global":

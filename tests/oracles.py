@@ -18,7 +18,9 @@ from fedunlearn.nn import (
     build_model,
     loss_and_grad,
     param_linear,
+    sgd_step,
 )
+from fedunlearn.seeds import derive_seed
 
 
 def perturb(params: ParamSet, name: str, flat_index: int, h: float) -> ParamSet:
@@ -117,3 +119,26 @@ def flat_weighted_mean(deltas: list[np.ndarray], counts: list[int]) -> np.ndarra
         for i in range(out.size):
             out[i] += vec[i] * (count / total)
     return out
+
+
+def reference_local_train(arch: ArchSpec, global_params: ParamSet, shard, config,
+                          round_index: int, epochs: int | None = None):
+    """Local SGD over immutable sets: a new ParamSet per step from sgd_step,
+    the same shuffles and batches as federation.local_train. Returns
+    (delta, mean train loss)."""
+    n = shard.sample_count
+    batch_size = min(config.batch_size, n)
+    epochs = config.local_epochs if epochs is None else epochs
+    inputs, labels = shard.dataset.inputs, shard.dataset.labels
+    params = global_params
+    losses = []
+    for epoch in range(epochs):
+        rng = np.random.default_rng(
+            derive_seed(config.seed, "local", shard.client_id, round_index, epoch))
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            loss, grads = loss_and_grad(arch, params, Batch(inputs[idx], labels[idx]))
+            params = sgd_step(params, grads, config.learning_rate)
+            losses.append(loss)
+    return param_linear(1.0, params, -1.0, global_params), float(np.mean(losses))

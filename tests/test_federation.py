@@ -12,11 +12,21 @@ from fedunlearn.federation import (
     local_train,
     run_fedavg,
 )
-from fedunlearn.nn import ParamSet, build_model, loss_and_grad, param_linear
+from fedunlearn.nn import (
+    ArchSpec,
+    Conv2d,
+    Dense,
+    Flatten,
+    MaxPool2d,
+    ParamSet,
+    build_model,
+    loss_and_grad,
+    param_linear,
+)
 from fedunlearn.nn.engine import Batch, check_conformant_with_arch
 
 from conftest import small_config
-from oracles import flat_weighted_mean
+from oracles import flat_weighted_mean, reference_local_train
 
 
 def constant_update(client_id, value, *, sample_count=1, round_index=1, shape=(2, 2)):
@@ -92,6 +102,62 @@ class TestLocalTrain:
     def test_rejects_bad_round_index(self, arch, config, shards):
         with pytest.raises(ValueError, match="round indices"):
             local_train(arch, build_model(arch, 0), shards[0], config, round_index=0)
+
+
+class TestInPlaceLocalTrain:
+    """The in-place loop against the immutable-set oracle, bit for bit."""
+
+    ARCHS = {
+        "dense": ArchSpec(layers=(Dense(6, 8, "relu"), Dense(8, 3)), input_shape=(6,)),
+        "conv": ArchSpec(
+            layers=(Conv2d(1, 2, 3, "relu"), MaxPool2d(2), Flatten(), Dense(8, 3)),
+            input_shape=(1, 6, 6),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    def test_bit_equal_to_oracle(self, kind):
+        arch = self.ARCHS[kind]
+        rng = np.random.default_rng(5)
+        # 23 samples at batch 8: two full batches and a ragged one of 7
+        shard = ClientShard(2, Dataset("s", rng.normal(size=(23, *arch.input_shape)),
+                                       rng.integers(0, 3, size=23), 3))
+        cfg = small_config(local_epochs=2, batch_size=8, learning_rate=0.3)
+        model = build_model(arch, 4)
+        update = local_train(arch, model, shard, cfg, round_index=3)
+        delta, train_loss = reference_local_train(arch, model, shard, cfg, round_index=3)
+        assert update.delta == delta
+        assert update.train_loss == train_loss
+        assert update.delta.vector.tobytes() == delta.vector.tobytes()
+
+    def test_global_model_is_not_modified(self, arch, config, shards):
+        model = build_model(arch, 2)
+        before = model.vector.tobytes()
+        local_train(arch, model, shards[0], config, round_index=1)
+        assert model.vector.tobytes() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestDivergence:
+    def test_diverging_step_names_round_and_client(self, arch, shards):
+        cfg = small_config(learning_rate=1e200)
+        with pytest.raises(ValueError, match="non-finite") as info:
+            run_fedavg(arch, shards, cfg)
+        assert str(info.value).startswith("round 1, client 1, step ")
+
+    def test_weights_overflowing_on_last_step_name_round_and_client(self, arch):
+        # One full-batch step on large inputs: finite gradients, but
+        # lr * gradient overflows, so only the final weights are non-finite.
+        rng = np.random.default_rng(3)
+        shard = ClientShard(2, Dataset("big", 1e3 * rng.normal(size=(8, 6)),
+                                       rng.integers(0, 3, size=8), 3))
+        cfg = small_config(learning_rate=1e308, local_epochs=1, batch_size=8)
+        with pytest.raises(ValueError) as info:
+            local_train(arch, build_model(arch, 0), shard, cfg, round_index=4)
+        assert str(info.value) == (
+            "round 4, client 2: tensor 'layer0.weight' contains non-finite values"
+        )
 
 
 class TestAggregate:

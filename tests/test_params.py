@@ -63,6 +63,38 @@ class TestParamSet:
         )
         assert a != nudged
 
+    def test_tensors_are_readonly_views_of_one_vector(self):
+        ps = make_set(seed=3, shapes=(("w", (3, 2)), ("b", (2,)), ("s", ())))
+        vector = ps.vector
+        assert vector.ndim == 1 and vector.size == ps.num_params == 9
+        assert vector.flags.c_contiguous and not vector.flags.writeable
+        offset = 0
+        for t in ps.tensors:
+            assert t.base is vector
+            assert not t.flags.writeable
+            np.testing.assert_array_equal(t.ravel(), vector[offset : offset + t.size])
+            offset += t.size
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+
+    def test_derived_sets_share_the_layout(self):
+        x, y = make_set(seed=1), make_set(seed=2)
+        z = param_linear(1.0, x, 2.0, y)
+        assert z.shapes() is x.shapes()
+        assert z.shapes() == y.shapes()
+
+    def test_working_copy_sees_writes_and_leaves_the_source(self):
+        ps = make_set(seed=4)
+        before = ps.vector.copy()
+        w, live = ps.working_copy()
+        w -= 1.0
+        np.testing.assert_array_equal(live.vector, before - 1.0)
+        np.testing.assert_array_equal(ps.vector, before)
+        assert not live["w"].flags.writeable
+        assert live.non_finite_tensor() is None
+        w[-1] = np.nan
+        assert live.non_finite_tensor() == "b"
+
     def test_conformance(self):
         a = make_set(seed=1)
         b = make_set(seed=2)
@@ -115,6 +147,20 @@ class TestParamLinear:
         y = ParamSet([("w", np.zeros((3, 2)))])
         with pytest.raises(ConformanceError):
             param_linear(1.0, x, 1.0, y)
+
+    @pytest.mark.parametrize("shapes", [
+        (("w", (2, 3)), ("b", (2,))),  # same size, other shape
+        (("v", (3, 2)), ("b", (2,))),  # other name
+        (("b", (2,)), ("w", (3, 2))),  # other order
+        (("w", (3, 2)), ("b", (2,)), ("c", (1,))),  # extra tensor
+    ])
+    def test_non_conformant_variants_rejected(self, shapes):
+        x = make_set()
+        y = make_set(shapes=shapes)
+        with pytest.raises(ConformanceError):
+            param_linear(1.0, x, 1.0, y)
+        with pytest.raises(ConformanceError):
+            param_linear(1.0, y, 1.0, x)
 
 
 class TestNorms:
