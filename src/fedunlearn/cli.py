@@ -88,13 +88,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """A fully validated run description (one INI file)."""
+class Scenario(FedConfig):
+    """A fully validated run description (one INI file): the federation
+    settings and their checks come from :class:`FedConfig`; these fields
+    describe the data, the model width, the evaluation and the output."""
 
     # [data]
-    dataset: str = "synthetic"
     path: str = ""
-    test_fraction: float = 0.2
     max_samples: int | None = None
     synthetic_samples: int = 1000
     synthetic_features: int = 20
@@ -103,19 +103,7 @@ class Scenario:
     purchase_items: int = 600
     purchase_classes: int = 2
     # [federation]
-    num_clients: int = 20
-    global_rounds: int = 20
-    local_epochs: int = 4
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    seed: int = 0
-    aggregation: str = "standard"
     hidden_units: int = 32
-    # [unlearning]
-    target_client: int = 1
-    retain_interval: int = 2
-    calibration_ratio: float = 0.5
-    norm_mode: str = "layer"
     # [evaluation]
     attack_epochs: int = 30
     attack_hidden: int = 16
@@ -124,20 +112,6 @@ class Scenario:
     per_neuron_angles: bool = False
     # [output]
     out_dir: str = "runs/latest"
-
-    def fed_config(self) -> FedConfig:
-        return FedConfig(
-            dataset=self.dataset,
-            num_clients=self.num_clients,
-            global_rounds=self.global_rounds,
-            local_epochs=self.local_epochs,
-            retain_interval=self.retain_interval,
-            calibration_ratio=self.calibration_ratio,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            target_client=self.target_client,
-        )
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -180,7 +154,8 @@ _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True
 
 def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None) -> Scenario:
     """Read and validate an INI scenario. Every unknown section, unknown key,
-    and unparsable value is reported together in one error."""
+    and unparsable value is reported together in one error; when there are
+    none, every out-of-range or unknown setting is."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -220,18 +195,10 @@ def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None)
 
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    scenario = Scenario(**values)
     try:
-        scenario.fed_config()  # surfaces range errors with one combined message
+        return Scenario(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if scenario.aggregation not in ("standard", "literal"):
-        raise ConfigError(f"{path}: unknown aggregation {scenario.aggregation!r}")
-    if scenario.norm_mode not in ("layer", "global"):
-        raise ConfigError(f"{path}: unknown norm_mode {scenario.norm_mode!r}")
-    if not 0.0 < scenario.test_fraction < 1.0:
-        raise ConfigError(f"{path}: test_fraction must be in (0, 1)")
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -286,100 +253,58 @@ def prepare_data(scenario: Scenario) -> tuple[Dataset, Dataset, list[ClientShard
     return train, test, shards
 
 
-def _fingerprint(scenario: Scenario, arch: ArchSpec) -> StoreFingerprint:
-    return StoreFingerprint(
-        arch_hash=arch.arch_hash(),
-        num_clients=scenario.num_clients,
-        global_rounds=scenario.global_rounds,
-        retain_interval=scenario.retain_interval,
-        seed=scenario.seed,
-    )
+@dataclass(frozen=True)
+class Run:
+    """What every stage of one command shares: the scenario, the directory
+    its artifacts live in, and the data and architecture, loaded once."""
+
+    scenario: Scenario
+    out_dir: Path
+    train: Dataset
+    test: Dataset
+    shards: list[ClientShard]
+    arch: ArchSpec
+
+    @classmethod
+    def build(cls, scenario: Scenario, out_dir: Path) -> Run:
+        train, test, shards = prepare_data(scenario)
+        return cls(scenario, Path(out_dir), train, test, shards, build_arch(scenario, train))
+
+    @property
+    def target_shard(self) -> ClientShard:
+        return next(s for s in self.shards if s.client_id == self.scenario.target_client)
+
+    def model_path(self, name: str) -> Path:
+        return self.out_dir / "models" / f"{name}.fesp"
+
+    def states_dir(self, method: str) -> Path:
+        return self.out_dir / "states" / method
+
+
+def _read_timings(out_dir: Path) -> dict[str, float]:
+    path = out_dir / "timings.csv"
+    if not path.exists():
+        return {}
+    with open(path, newline="") as fh:
+        return {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
 
 
 def _record_timing(out_dir: Path, name: str, seconds: float) -> None:
-    path = out_dir / "timings.csv"
-    rows: dict[str, str] = {}
-    if path.exists():
-        with open(path, newline="") as fh:
-            rows = {r["name"]: r["seconds"] for r in csv.DictReader(fh)}
-    rows[name] = format(seconds, ".6f")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("name", "seconds"))
-        writer.writeheader()
-        for key in sorted(rows):
-            writer.writerow({"name": key, "seconds": rows[key]})
-
-
-def _model_path(out_dir: Path, name: str) -> Path:
-    return out_dir / "models" / f"{name}.fesp"
-
-
-def _save_states(out_dir: Path, method: str, states) -> None:
-    state_dir = out_dir / "states" / method
-    state_dir.mkdir(parents=True, exist_ok=True)
-    for j, state in enumerate(states, start=1):
-        save_params(state, state_dir / f"state{j:04d}.fesp")
-
-
-def _load_states(out_dir: Path, method: str) -> list:
-    state_dir = out_dir / "states" / method
-    return [load_params(p) for p in sorted(state_dir.glob("state*.fesp"))]
+    rows = _read_timings(out_dir)
+    rows[name] = seconds
+    with open(out_dir / "timings.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("name", "seconds"))
+        writer.writerows((key, format(rows[key], ".6f")) for key in sorted(rows))
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stages. Each public run_* builds its own Run; run_scenario and run_sweep
+# build one and hand it to the stage bodies.
 
 def run_train(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
     """Federated training with retention; writes the initial and final model."""
-    train, test, shards = prepare_data(scenario)
-    arch = build_arch(scenario, train)
-    config = scenario.fed_config()
-    store_dir = out_dir / "retention"
-    done = (
-        _model_path(out_dir, "original").exists()
-        and _model_path(out_dir, "initial").exists()
-        and (store_dir / "manifest.json").exists()
-    )
-    if resume and done and RetentionStore.open(store_dir).is_complete():
-        logger.info("training artifacts already present; skipping")
-        return
-    if store_dir.exists():
-        shutil.rmtree(store_dir)
-    store = RetentionStore.create(store_dir, _fingerprint(scenario, arch))
-
-    initial = build_model(arch, config.seed)
-    start = time.perf_counter()
-    model, history = run_fedavg(
-        arch,
-        shards,
-        config,
-        initial_model=initial,
-        retention_sink=store,
-        aggregation_mode=scenario.aggregation,
-    )
-    train_seconds = time.perf_counter() - start
-
-    (out_dir / "models").mkdir(parents=True, exist_ok=True)
-    save_params(initial, _model_path(out_dir, "initial"))
-    save_params(model, _model_path(out_dir, "original"))
-    test_acc, test_loss = evaluate(arch, model, test, scenario.eval_batch_size)
-    manifest = {
-        "scenario": scenario.as_dict(),
-        "architecture": arch.describe(),
-        "arch_hash": arch.arch_hash(),
-        "num_parameters": arch.num_params(),
-        "retained_rounds": store.retained_rounds,
-        "retention_bytes": store.total_blob_bytes(),
-        "train_samples": train.num_samples,
-        "test_samples": test.num_samples,
-        "client_sample_counts": {s.client_id: s.sample_count for s in shards},
-        "final_train_loss": history.records[-1].mean_client_loss,
-        "original_test_accuracy": test_acc,
-        "original_test_loss": test_loss,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _record_timing(out_dir, "train", train_seconds)
-    logger.info("trained %d rounds; test accuracy %.4f", config.global_rounds, test_acc)
+    _train(Run.build(scenario, out_dir), resume)
 
 
 def run_unlearn(
@@ -387,76 +312,145 @@ def run_unlearn(
     methods: tuple[str, ...] = METHODS,
 ) -> None:
     """All requested reconstruction routes from the stored artifacts."""
+    _unlearn(Run.build(scenario, out_dir), resume, methods)
+
+
+def run_attack(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+    """Membership inference against every model present in the run."""
+    _attack(Run.build(scenario, out_dir), resume)
+
+
+def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+    """Final measurements: utility, divergence, angles, attack, timings."""
+    _report(Run.build(scenario, out_dir), resume)
+
+
+def run_scenario(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+    run = Run.build(scenario, out_dir)
+    _train(run, resume)
+    _unlearn(run, resume)
+    _attack(run, resume)
+    _report(run, resume)
+
+
+def _train(run: Run, resume: bool) -> None:
+    scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
+    store_dir = out_dir / "retention"
+    done = (
+        run.model_path("original").exists()
+        and run.model_path("initial").exists()
+        and (store_dir / "manifest.json").exists()
+    )
+    if resume and done and RetentionStore.open(store_dir).is_complete():
+        logger.info("training artifacts already present; skipping")
+        return
+    if store_dir.exists():
+        shutil.rmtree(store_dir)
+    store = RetentionStore.create(store_dir, StoreFingerprint.of(arch, scenario))
+
+    initial = build_model(arch, scenario.seed)
+    start = time.perf_counter()
+    model, history = run_fedavg(
+        arch,
+        run.shards,
+        scenario,
+        initial_model=initial,
+        retention_sink=store,
+        aggregation_mode=scenario.aggregation,
+    )
+    train_seconds = time.perf_counter() - start
+
+    (out_dir / "models").mkdir(parents=True, exist_ok=True)
+    save_params(initial, run.model_path("initial"))
+    save_params(model, run.model_path("original"))
+    test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
+    manifest = {
+        "scenario": scenario.as_dict(),
+        "architecture": arch.describe(),
+        "arch_hash": arch.arch_hash(),
+        "num_parameters": arch.num_params(),
+        "retained_rounds": store.retained_rounds,
+        "retention_bytes": store.total_blob_bytes(),
+        "train_samples": run.train.num_samples,
+        "test_samples": run.test.num_samples,
+        "client_sample_counts": {s.client_id: s.sample_count for s in run.shards},
+        "final_train_loss": history.records[-1].mean_client_loss,
+        "original_test_accuracy": test_acc,
+        "original_test_loss": test_loss,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _record_timing(out_dir, "train", train_seconds)
+    logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
+
+
+def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
-    if resume and all(_model_path(out_dir, m).exists() for m in methods):
+    if resume and all(run.model_path(m).exists() for m in methods):
         logger.info("unlearning artifacts already present; skipping")
         return
-    if not _model_path(out_dir, "initial").exists():
-        raise FileNotFoundError(f"no training artifacts under {out_dir}; run `train` first")
-    train, _, shards = prepare_data(scenario)
-    arch = build_arch(scenario, train)
-    config = scenario.fed_config()
-    initial = load_params(_model_path(out_dir, "initial"))
-    store = RetentionStore.open(out_dir / "retention")
+    if not run.model_path("initial").exists():
+        raise FileNotFoundError(f"no training artifacts under {run.out_dir}; run `train` first")
+    scenario, arch = run.scenario, run.arch
+    initial = load_params(run.model_path("initial"))
+    store = RetentionStore.open(run.out_dir / "retention")
 
     results: dict[str, UnlearnResult] = {}
     if "eraser" in methods:
         results["eraser"] = fed_eraser(
-            arch, initial, store, shards, config,
+            arch, initial, store, run.shards, scenario,
             norm_mode=scenario.norm_mode,
             aggregation_mode=scenario.aggregation,
             keep_states=True,
         )
     if "accum" in methods:
         results["accum"] = fed_accum(
-            arch, initial, store, config,
+            arch, initial, store, scenario,
             aggregation_mode=scenario.aggregation,
             keep_states=True,
         )
     if "retrain" in methods:
         results["retrain"] = fed_retrain(
-            arch, shards, config,
+            arch, run.shards, scenario,
             aggregation_mode=scenario.aggregation,
             keep_snapshots=True,
         )
     summary = {}
     for name, result in results.items():
-        save_params(result.model, _model_path(out_dir, name))
+        save_params(result.model, run.model_path(name))
         if result.states:
-            _save_states(out_dir, name, result.states)
-        _record_timing(out_dir, name, result.total_seconds)
+            state_dir = run.states_dir(name)
+            state_dir.mkdir(parents=True, exist_ok=True)
+            for j, state in enumerate(result.states, start=1):
+                save_params(state, state_dir / f"state{j:04d}.fesp")
+        _record_timing(run.out_dir, name, result.total_seconds)
         summary[name] = {
             "total_seconds": result.total_seconds,
             "round_timings": list(result.round_timings),
             "calibration_rounds": result.calibration_rounds,
         }
         logger.info("%s finished in %.2fs", name, result.total_seconds)
-    (out_dir / "unlearn.json").write_text(
+    (run.out_dir / "unlearn.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def run_attack(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
-    """Membership inference against every model present in the run."""
-    attack_path = out_dir / "attack.json"
+def _attack(run: Run, resume: bool) -> None:
+    scenario, arch, test = run.scenario, run.arch, run.test
+    attack_path = run.out_dir / "attack.json"
     if resume and attack_path.exists():
         logger.info("attack artifacts already present; skipping")
         return
-    if not _model_path(out_dir, "original").exists():
-        raise FileNotFoundError(f"no trained model under {out_dir}; run `train` first")
-    train, test, shards = prepare_data(scenario)
-    arch = build_arch(scenario, train)
-    original = load_params(_model_path(out_dir, "original"))
+    if not run.model_path("original").exists():
+        raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
+    original = load_params(run.model_path("original"))
 
-    target_shard = next(s for s in shards if s.client_id == scenario.target_client)
+    members = [s for s in run.shards if s.client_id != scenario.target_client]
     member_train = Dataset(
         "members",
-        np.concatenate([s.dataset.inputs for s in shards
-                        if s.client_id != scenario.target_client]),
-        np.concatenate([s.dataset.labels for s in shards
-                        if s.client_id != scenario.target_client]),
-        train.num_classes,
+        np.concatenate([s.dataset.inputs for s in members]),
+        np.concatenate([s.dataset.labels for s in members]),
+        run.train.num_classes,
     )
     rng = np.random.default_rng(derive_seed(scenario.seed, "attack-split"))
     order = rng.permutation(test.num_samples)
@@ -482,12 +476,12 @@ def run_attack(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
 
     results = {}
     for name in ("original",) + METHODS:
-        path = _model_path(out_dir, name)
+        path = run.model_path(name)
         if not path.exists():
             continue
         model = load_params(path)
         results[name] = attack_metrics(
-            attack, arch, model, target_shard.dataset, eval_holdout,
+            attack, arch, model, run.target_shard.dataset, eval_holdout,
             seed=scenario.seed,
         )
         logger.info(
@@ -497,25 +491,21 @@ def run_attack(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
     attack_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
-def _final_angle(arch: ArchSpec, model: ParamSet, reference: ParamSet) -> float:
-    return angle_deviation(last_dense_weight(arch, model),
-                           last_dense_weight(arch, reference))
+def _load_states(run: Run, method: str) -> list[ParamSet]:
+    return [load_params(p) for p in sorted(run.states_dir(method).glob("state*.fesp"))]
 
 
-def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
-    """Final measurements: utility, divergence, angles, attack, timings."""
+def _report(run: Run, resume: bool) -> None:
+    scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
     report_path = out_dir / "report.json"
     if resume and report_path.exists() and (out_dir / "metrics.csv").exists():
         logger.info("report already present; skipping")
         return
-    train, test, shards = prepare_data(scenario)
-    arch = build_arch(scenario, train)
-    config = scenario.fed_config()
-    target_shard = next(s for s in shards if s.client_id == scenario.target_client)
+    target = run.target_shard.dataset
 
     models = {}
     for name in ("original",) + METHODS:
-        path = _model_path(out_dir, name)
+        path = run.model_path(name)
         if path.exists():
             models[name] = load_params(path)
     if "original" not in models:
@@ -529,15 +519,14 @@ def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
 
     metrics: list[MethodMetrics] = []
     for name, model in models.items():
-        test_acc, test_loss = evaluate(arch, model, test, scenario.eval_batch_size)
-        tgt_acc, tgt_loss = evaluate(arch, model, target_shard.dataset,
-                                     scenario.eval_batch_size)
+        test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
+        tgt_acc, tgt_loss = evaluate(arch, model, target, scenario.eval_batch_size)
         pdiff = angle = None
         if retrain is not None and name != "retrain":
-            pdiff = prediction_difference(arch, model, retrain,
-                                          target_shard.dataset,
+            pdiff = prediction_difference(arch, model, retrain, target,
                                           scenario.eval_batch_size)
-            angle = _final_angle(arch, model, retrain)
+            angle = angle_deviation(last_dense_weight(arch, model),
+                                    last_dense_weight(arch, retrain))
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(
             method=name,
@@ -558,10 +547,10 @@ def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
     if (retention_dir / "manifest.json").exists():
         store = RetentionStore.open(retention_dir)
         storage["retention_bytes"] = store.total_blob_bytes()
-        retrain_snapshots = _load_states(out_dir, "retrain")
+        retrain_snapshots = _load_states(run, "retrain")
         if retrain_snapshots:
             for name in ("eraser", "accum"):
-                states = _load_states(out_dir, name)
+                states = _load_states(run, name)
                 if len(states) == len(store.retained_rounds):
                     series = last_layer_angles(
                         arch, states, retrain_snapshots, store.retained_rounds,
@@ -570,13 +559,9 @@ def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
                     angles[name] = series
                     angles[f"{name}_mean"] = float(np.mean(series))
 
-    timings: dict[str, float] = {}
-    timings_path = out_dir / "timings.csv"
-    if timings_path.exists():
-        with open(timings_path, newline="") as fh:
-            timings = {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
-    speedups = {"expected_speedup": expected_speedup(config.calibration_ratio,
-                                                     config.retain_interval)}
+    timings = _read_timings(out_dir)
+    speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,
+                                                     scenario.retain_interval)}
     if "retrain" in timings and timings.get("eraser", 0.0) > 0.0:
         speedups["measured_speedup"] = timings["retrain"] / timings["eraser"]
 
@@ -593,13 +578,6 @@ def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
     write_report_json(report_path, report)
     write_metrics_csv(out_dir / "metrics.csv", metrics)
     logger.info("report written to %s", report_path)
-
-
-def run_scenario(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
-    run_train(scenario, out_dir, resume)
-    run_unlearn(scenario, out_dir, resume)
-    run_attack(scenario, out_dir, resume)
-    run_report(scenario, out_dir, resume)
 
 
 # ---------------------------------------------------------------------------
@@ -643,21 +621,16 @@ def run_sweep(
         row["value"] = format(value, "g")
         try:
             point = _apply_sweep_value(scenario, param, value)
-            point_dir = out_dir / f"{param}_{format(value, 'g')}"
-            run_train(point, point_dir, resume=False)
-            run_unlearn(point, point_dir, resume=False, methods=("eraser", "retrain"))
+            run = Run.build(point, out_dir / f"{param}_{format(value, 'g')}")
+            _train(run, resume=False)
+            _unlearn(run, resume=False, methods=("eraser", "retrain"))
 
-            train, test, shards = prepare_data(point)
-            arch = build_arch(point, train)
-            target = next(s for s in shards if s.client_id == point.target_client)
-            config = point.fed_config()
-            timings = {}
-            with open(point_dir / "timings.csv", newline="") as fh:
-                timings = {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
+            timings = _read_timings(run.out_dir)
             for method in ("eraser", "retrain"):
-                model = load_params(_model_path(point_dir, method))
-                test_acc, _ = evaluate(arch, model, test, point.eval_batch_size)
-                tgt_acc, _ = evaluate(arch, model, target.dataset, point.eval_batch_size)
+                model = load_params(run.model_path(method))
+                test_acc, _ = evaluate(run.arch, model, run.test, point.eval_batch_size)
+                tgt_acc, _ = evaluate(run.arch, model, run.target_shard.dataset,
+                                      point.eval_batch_size)
                 row[f"{method}_test_accuracy"] = format(test_acc, ".10g")
                 row[f"{method}_target_accuracy"] = format(tgt_acc, ".10g")
                 row[f"{method}_seconds"] = format(timings[method], ".6f")
@@ -665,10 +638,10 @@ def run_sweep(
                 row["measured_speedup"] = format(
                     timings["retrain"] / timings["eraser"], ".6f")
             row["expected_speedup"] = format(
-                expected_speedup(config.calibration_ratio, config.retain_interval), ".6f")
+                expected_speedup(point.calibration_ratio, point.retain_interval), ".6f")
             # at full calibration the burst costs as much as ordinary local
             # training, so only the retention interval still saves anything
-            row["degenerate"] = str(config.calibration_epochs >= config.local_epochs).lower()
+            row["degenerate"] = str(point.calibration_epochs >= point.local_epochs).lower()
         except Exception as exc:  # noqa: BLE001 - a sweep records and continues
             logger.exception("sweep point %s=%s failed", param, value)
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -77,20 +77,31 @@ class ClientShard:
         return self.dataset.num_samples
 
 
+AGGREGATION_MODES = ("standard", "literal")
+NORM_MODES = ("layer", "global")
+
+
 @dataclass(frozen=True)
 class FedConfig:
-    """All hyperparameters of one federated training + unlearning run."""
+    """All hyperparameters of one federated training + unlearning run.
 
-    dataset: str
-    num_clients: int
-    global_rounds: int
-    local_epochs: int
-    retain_interval: int
-    calibration_ratio: float
-    learning_rate: float
-    batch_size: int
-    seed: int
-    target_client: int
+    Every range and enum check of a run's settings is made here, and all
+    problems are reported in one ``ValueError``.
+    """
+
+    dataset: str = "synthetic"
+    num_clients: int = 20
+    global_rounds: int = 20
+    local_epochs: int = 4
+    retain_interval: int = 2
+    calibration_ratio: float = 0.5
+    learning_rate: float = 0.05
+    batch_size: int = 32
+    seed: int = 0
+    target_client: int = 1
+    test_fraction: float = 0.2
+    aggregation: str = "standard"
+    norm_mode: str = "layer"
 
     def __post_init__(self):
         problems = []
@@ -110,6 +121,12 @@ class FedConfig:
             problems.append("batch_size must be at least 1")
         if not 1 <= self.target_client <= self.num_clients:
             problems.append("target_client must be in [1, num_clients]")
+        if not 0.0 < self.test_fraction < 1.0:
+            problems.append("test_fraction must be in (0, 1)")
+        if self.aggregation not in AGGREGATION_MODES:
+            problems.append(f"unknown aggregation {self.aggregation!r}")
+        if self.norm_mode not in NORM_MODES:
+            problems.append(f"unknown norm_mode {self.norm_mode!r}")
         if problems:
             raise ValueError("invalid federation config: " + "; ".join(problems))
 

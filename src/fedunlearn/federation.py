@@ -11,13 +11,12 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import ClientShard, FedConfig
+from .data import AGGREGATION_MODES, ClientShard, FedConfig
 from .nn import ArchSpec, Batch, ParamSet, build_model, loss_and_grad, param_linear
+from .nn.params import require_conformant
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
-
-AGGREGATION_MODES = ("standard", "literal")
 
 
 @dataclass(frozen=True)
@@ -140,18 +139,16 @@ def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamS
 
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = float(sum(u.sample_count for u in ordered))
-    combined = None
-    for u in ordered:
-        w = u.sample_count / total
-        combined = (
-            param_linear(w, u.delta, 0.0, u.delta)
-            if combined is None
-            else param_linear(1.0, combined, w, u.delta)
-        )
+    # One working vector, summed in client-id order: bit-equal to the chain
+    # param_linear(1.0, combined, w, delta), since 1.0 * x == x.
+    first = ordered[0].delta
+    combined = (ordered[0].sample_count / total) * first.vector
+    for u in ordered[1:]:
+        require_conformant(first, u.delta)
+        combined += (u.sample_count / total) * u.delta.vector
     if mode == "literal":
-        combined = param_linear(1.0 / len(ordered), combined, 0.0, combined)
-    return combined
-
+        combined *= 1.0 / len(ordered)
+    return ParamSet._adopt(first._layout, combined)
 
 def run_fedavg(
     arch: ArchSpec,

@@ -17,13 +17,10 @@ from .params import (
     ConformanceError,
     ParamSet,
     dump_param_bytes,
-    global_norm,
-    layer_norms,
     load_params,
     param_linear,
     parse_param_bytes,
     save_params,
-    zeros_like,
 )
 
 __all__ = [
@@ -41,8 +38,6 @@ __all__ = [
     "dense_arch",
     "dump_param_bytes",
     "forward",
-    "global_norm",
-    "layer_norms",
     "load_params",
     "loss_and_grad",
     "mnist_arch",
@@ -51,5 +46,4 @@ __all__ = [
     "purchase_arch",
     "save_params",
     "sgd_step",
-    "zeros_like",
 ]

@@ -193,20 +193,6 @@ def param_linear(a: float, x: ParamSet, b: float, y: ParamSet) -> ParamSet:
     return ParamSet._adopt(x._layout, float(a) * x._vector + float(b) * y._vector)
 
 
-def zeros_like(x: ParamSet) -> ParamSet:
-    return ParamSet._adopt(x._layout, np.zeros(x.num_params))
-
-
-def layer_norms(delta: ParamSet) -> list[tuple[str, float]]:
-    """Euclidean norm of each named tensor."""
-    return [(name, float(np.linalg.norm(t))) for name, t in delta.items()]
-
-
-def global_norm(delta: ParamSet) -> float:
-    """Euclidean norm of the whole set flattened into one vector."""
-    return float(np.sqrt(sum(float(np.sum(t * t)) for t in delta.tensors)))
-
-
 def dump_param_bytes(params: ParamSet) -> bytes:
     """Serialize to the binary format shared with the retention store.
 

@@ -16,8 +16,9 @@ import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .data import FedConfig
 from .federation import ClientUpdate
-from .nn import dump_param_bytes, parse_param_bytes
+from .nn import ArchSpec, dump_param_bytes, parse_param_bytes
 
 MANIFEST_NAME = "manifest.json"
 
@@ -46,6 +47,17 @@ class StoreFingerprint:
     global_rounds: int
     retain_interval: int
     seed: int
+
+    @classmethod
+    def of(cls, arch: ArchSpec, config: FedConfig) -> StoreFingerprint:
+        """The fingerprint of a run of `config` on `arch`."""
+        return cls(
+            arch_hash=arch.arch_hash(),
+            num_clients=config.num_clients,
+            global_rounds=config.global_rounds,
+            retain_interval=config.retain_interval,
+            seed=config.seed,
+        )
 
 
 class RetentionStore:

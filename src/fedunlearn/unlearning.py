@@ -18,19 +18,18 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .data import ClientShard, FedConfig
-from .federation import ClientUpdate, RoundHistory, aggregate, local_train, run_fedavg
+from .data import NORM_MODES, ClientShard, FedConfig
+from .federation import ClientUpdate, aggregate, local_train, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
 from .retention import RetentionStore, StoreFingerprint
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
-NORM_MODES = ("layer", "global")
 _ZERO_NORM_EPS = 1e-12
 
 
@@ -43,7 +42,6 @@ class UnlearnResult:
     calibration_rounds: int  # reconstruction steps walked (retained rounds,
     # or full training rounds for the retraining route)
     states: tuple[ParamSet, ...] | None = None  # model after each step, if kept
-    history: RoundHistory | None = None  # only the retraining route has one
 
 
 def calibrate_update(
@@ -84,22 +82,57 @@ def calibrate_update(
     return ParamSet(calibrated)
 
 
-def _check_store(store: RetentionStore, arch: ArchSpec, config: FedConfig) -> None:
-    expected = StoreFingerprint(
-        arch_hash=arch.arch_hash(),
-        num_clients=config.num_clients,
-        global_rounds=config.global_rounds,
-        retain_interval=config.retain_interval,
-        seed=config.seed,
-    )
+def _remaining_ids(config: FedConfig) -> list[int]:
+    return [c for c in range(1, config.num_clients + 1) if c != config.target_client]
+
+
+def _replay(
+    method: str,
+    arch: ArchSpec,
+    initial_model: ParamSet,
+    store: RetentionStore,
+    config: FedConfig,
+    aggregation_mode: str,
+    keep_states: bool,
+    calibrate: Callable[[ParamSet, ClientUpdate], ClientUpdate] | None = None,
+) -> UnlearnResult:
+    """Walk the retention schedule from the initial model, applying the
+    aggregate of the remaining clients' stored updates at each retained
+    round. With `calibrate`, every update after the first retained round is
+    first replaced by calibrate(current model, update), and each round is
+    logged; without it the replay is plain and silent."""
+    expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
         raise ValueError(
             f"store fingerprint {store.fingerprint} does not match run {expected}"
         )
-
-
-def _remaining_ids(config: FedConfig) -> list[int]:
-    return [c for c in range(1, config.num_clients + 1) if c != config.target_client]
+    remaining = _remaining_ids(config)
+    model = initial_model
+    states: list[ParamSet] = []
+    timings: list[float] = []
+    start = time.perf_counter()
+    for j, round_index in enumerate(store.retained_rounds):
+        step_start = time.perf_counter()
+        updates = store.load_round(round_index, client_ids=remaining)
+        if calibrate is not None and j >= 1:
+            updates = [calibrate(model, upd) for upd in updates]
+        model = param_linear(1.0, model, 1.0, aggregate(updates, aggregation_mode))
+        if keep_states:
+            states.append(model)
+        timings.append(time.perf_counter() - step_start)
+        if calibrate is not None:
+            logger.info(
+                "calibrated reconstruction %d/%d (round %d) in %.3fs",
+                j + 1, len(store.retained_rounds), round_index, timings[-1],
+            )
+    return UnlearnResult(
+        method=method,
+        model=model,
+        round_timings=tuple(timings),
+        total_seconds=time.perf_counter() - start,
+        calibration_rounds=len(store.retained_rounds),
+        states=tuple(states) if keep_states else None,
+    )
 
 
 def fed_eraser(
@@ -123,55 +156,25 @@ def fed_eraser(
     client's stored update along the fresh one, and applies the aggregate.
     The target client's shard and stored updates are never touched.
     """
-    _check_store(store, arch, config)
     by_id = {s.client_id: s for s in shards}
-    remaining = _remaining_ids(config)
-    missing = [c for c in remaining if c not in by_id]
+    missing = [c for c in _remaining_ids(config) if c not in by_id]
     if missing:
         raise ValueError(f"shards missing for clients {missing}")
-    cali_seed = derive_seed(config.seed, "cali")
-    cali_config = replace(config, seed=cali_seed)
+    cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
 
-    model = initial_model
-    states: list[ParamSet] = []
-    timings: list[float] = []
-    start = time.perf_counter()
-    for j, round_index in enumerate(store.retained_rounds):
-        step_start = time.perf_counter()
-        stored = store.load_round(round_index, client_ids=remaining)
-        if j == 0:
-            applied = stored
-        else:
-            applied = []
-            for upd in stored:
-                fresh = local_train(
-                    arch,
-                    model,
-                    by_id[upd.client_id],
-                    cali_config,
-                    round_index,
-                    epochs=config.calibration_epochs,
-                )
-                applied.append(
-                    replace(upd, delta=calibrate_update(
-                        upd.delta, fresh.delta, norm_mode, epsilon))
-                )
-        model = param_linear(1.0, model, 1.0, aggregate(applied, aggregation_mode))
-        if keep_states:
-            states.append(model)
-        timings.append(time.perf_counter() - step_start)
-        logger.info(
-            "calibrated reconstruction %d/%d (round %d) in %.3fs",
-            j + 1, len(store.retained_rounds), round_index, timings[-1],
+    def calibrate(model: ParamSet, upd: ClientUpdate) -> ClientUpdate:
+        fresh = local_train(
+            arch,
+            model,
+            by_id[upd.client_id],
+            cali_config,
+            upd.round_index,
+            epochs=config.calibration_epochs,
         )
-    return UnlearnResult(
-        method="eraser",
-        model=model,
-        round_timings=tuple(timings),
-        total_seconds=time.perf_counter() - start,
-        calibration_rounds=len(store.retained_rounds),
-        states=tuple(states) if keep_states else None,
-    )
+        return replace(upd, delta=calibrate_update(upd.delta, fresh.delta, norm_mode, epsilon))
+
+    return _replay("eraser", arch, initial_model, store, config, aggregation_mode,
+                   keep_states, calibrate)
 
 
 def fed_accum(
@@ -183,27 +186,8 @@ def fed_accum(
     keep_states: bool = False,
 ) -> UnlearnResult:
     """Plain replay of the retained non-target updates — no new training."""
-    _check_store(store, arch, config)
-    remaining = _remaining_ids(config)
-    model = initial_model
-    states: list[ParamSet] = []
-    timings: list[float] = []
-    start = time.perf_counter()
-    for round_index in store.retained_rounds:
-        step_start = time.perf_counter()
-        stored = store.load_round(round_index, client_ids=remaining)
-        model = param_linear(1.0, model, 1.0, aggregate(stored, aggregation_mode))
-        if keep_states:
-            states.append(model)
-        timings.append(time.perf_counter() - step_start)
-    return UnlearnResult(
-        method="accum",
-        model=model,
-        round_timings=tuple(timings),
-        total_seconds=time.perf_counter() - start,
-        calibration_rounds=len(store.retained_rounds),
-        states=tuple(states) if keep_states else None,
-    )
+    return _replay("accum", arch, initial_model, store, config, aggregation_mode,
+                   keep_states)
 
 
 def fed_retrain(
@@ -239,7 +223,6 @@ def fed_retrain(
         total_seconds=total,
         calibration_rounds=config.global_rounds,
         states=tuple(history.snapshots) if keep_snapshots else None,
-        history=history,
     )
 
 

@@ -53,16 +53,6 @@ def shards(split, config):
     return partition_iid(train, config.num_clients, config.seed)
 
 
-def fingerprint_for(arch: ArchSpec, config: FedConfig) -> StoreFingerprint:
-    return StoreFingerprint(
-        arch_hash=arch.arch_hash(),
-        num_clients=config.num_clients,
-        global_rounds=config.global_rounds,
-        retain_interval=config.retain_interval,
-        seed=config.seed,
-    )
-
-
 @pytest.fixture(scope="session")
 def trained_run(tmp_path_factory):
     """One complete small training run with retention, shared by read-only
@@ -74,7 +64,7 @@ def trained_run(tmp_path_factory):
     train, test = train_test_split(ds, 0.2, seed=11)
     shard_list = partition_iid(train, config.num_clients, config.seed)
     store = RetentionStore.create(
-        tmp_path_factory.mktemp("store"), fingerprint_for(arch, config)
+        tmp_path_factory.mktemp("store"), StoreFingerprint.of(arch, config)
     )
     initial = build_model(arch, config.seed)
     model, history = run_fedavg(

@@ -121,6 +121,21 @@ def flat_weighted_mean(deltas: list[np.ndarray], counts: list[int]) -> np.ndarra
     return out
 
 
+def reference_aggregate(updates, mode: str = "standard") -> ParamSet:
+    """Weighted sum as a chain of immutable sets, one param_linear per client
+    in client-id order, then the literal-mode division."""
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    total = float(sum(u.sample_count for u in ordered))
+    combined = None
+    for u in ordered:
+        w = u.sample_count / total
+        combined = (param_linear(w, u.delta, 0.0, u.delta) if combined is None
+                    else param_linear(1.0, combined, w, u.delta))
+    if mode == "literal":
+        combined = param_linear(1.0 / len(ordered), combined, 0.0, combined)
+    return combined
+
+
 def reference_local_train(arch: ArchSpec, global_params: ParamSet, shard, config,
                           round_index: int, epochs: int | None = None):
     """Local SGD over immutable sets: a new ParamSet per step from sgd_step,

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedunlearn import cli
 from fedunlearn.cli import (
     METHODS,
     SWEEP_COLUMNS,
@@ -186,6 +187,18 @@ class TestParseScenario:
         assert "num_clients must be at least 2" in message
         assert "retain_interval must be in [1, global_rounds]" in message
 
+    def test_range_and_enum_problems_reported_together(self, tmp_path):
+        path = write_ini(
+            tmp_path,
+            "[data]\ntest_fraction = 2\n"
+            "[federation]\nnum_clients = 1\naggregation = fancy\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(path)
+        message = str(excinfo.value)
+        assert "num_clients must be at least 2" in message
+        assert "unknown aggregation 'fancy'" in message
+        assert "test_fraction must be in (0, 1)" in message
+
     def test_unknown_aggregation(self, tmp_path):
         path = write_ini(tmp_path, "[federation]\naggregation = fancy\n")
         with pytest.raises(ConfigError, match="unknown aggregation 'fancy'"):
@@ -201,15 +214,6 @@ class TestParseScenario:
         path = write_ini(tmp_path, f"[data]\ntest_fraction = {fraction}\n")
         with pytest.raises(ConfigError, match="test_fraction"):
             parse_scenario(path)
-
-    def test_fed_config_carries_the_scenario_fields(self, tmp_path):
-        scenario = parse_scenario(write_ini(tmp_path, TINY_INI))
-        config = scenario.fed_config()
-        assert config.num_clients == 3
-        assert config.global_rounds == 4
-        assert config.retain_interval == 2
-        assert config.calibration_ratio == 0.5
-        assert config.seed == 5
 
 
 class TestBuildArch:
@@ -457,6 +461,31 @@ class TestMainErrors:
         assert main(["train", str(ini), "--out", str(out), "--seed", "123"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"]["seed"] == 123
+
+
+class TestDataLoadedOnce:
+    @pytest.fixture
+    def prepare_calls(self, monkeypatch):
+        calls = []
+        real = cli.prepare_data
+
+        def counting(scenario):
+            calls.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(cli, "prepare_data", counting)
+        return calls
+
+    def test_run_loads_once(self, tmp_path, prepare_calls):
+        ini = write_ini(tmp_path, TINY_INI)
+        assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
+        assert len(prepare_calls) == 1
+
+    def test_sweep_loads_once_per_point(self, tmp_path, prepare_calls):
+        ini = write_ini(tmp_path, TINY_INI)
+        assert main(["sweep", str(ini), "--out", str(tmp_path / "sweep"),
+                     "--param", "ratio", "--values", "0.5,1.0"]) == 0
+        assert [p.calibration_ratio for p in prepare_calls] == [0.5, 1.0]
 
 
 class TestSweep:

@@ -14,6 +14,7 @@ from fedunlearn.federation import (
 )
 from fedunlearn.nn import (
     ArchSpec,
+    ConformanceError,
     Conv2d,
     Dense,
     Flatten,
@@ -26,7 +27,7 @@ from fedunlearn.nn import (
 from fedunlearn.nn.engine import Batch, check_conformant_with_arch
 
 from conftest import small_config
-from oracles import flat_weighted_mean, reference_local_train
+from oracles import flat_weighted_mean, reference_aggregate, reference_local_train
 
 
 def constant_update(client_id, value, *, sample_count=1, round_index=1, shape=(2, 2)):
@@ -201,6 +202,25 @@ class TestAggregate:
         expected = flat_weighted_mean(list(flat), counts)
         got = np.hstack([combined["a"].ravel(), combined["b"].ravel()])
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["standard", "literal"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_oracle(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 50, size=int(rng.integers(1, 7)))
+        updates = []
+        for i, n in enumerate(counts, start=1):
+            a, b = rng.normal(size=(3, 2)), rng.normal(size=5) * 1e-310  # subnormals
+            a[0, 1] = 0.0
+            if i == 1:
+                a[0, 0] = a[0, 1] = -0.0
+            updates.append(ClientUpdate(i, 1, ParamSet([("a", a), ("b", b)]), int(n)))
+        # ParamSet equality compares the vectors' bytes, so signed zeros count
+        assert aggregate(updates, mode) == reference_aggregate(updates, mode)
+
+    def test_rejects_non_conformant_updates(self):
+        with pytest.raises(ConformanceError):
+            aggregate([constant_update(1, 1.0), constant_update(2, 1.0, shape=(4,))])
 
     def test_order_invariant(self):
         rng = np.random.default_rng(8)

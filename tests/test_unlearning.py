@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import fedunlearn.unlearning as unlearning
+from fedunlearn.data import ClientShard, Dataset
 from fedunlearn.federation import local_train
-from fedunlearn.nn import ParamSet, build_model, global_norm, param_linear
+from fedunlearn.nn import ParamSet, build_model, param_linear
 from fedunlearn.retention import RetentionStore, StoreFingerprint
 from fedunlearn.unlearning import (
     calibrate_update,
@@ -16,7 +17,7 @@ from fedunlearn.unlearning import (
     fed_retrain,
 )
 
-from conftest import fingerprint_for, small_config
+from conftest import small_config
 
 
 def pset(**tensors) -> ParamSet:
@@ -54,7 +55,8 @@ class TestCalibrateUpdate:
                     np.linalg.norm(retained[name]), rel=1e-10)
                 assert tensor_cosine(t, fresh[name]) == pytest.approx(1.0, abs=1e-10)
         else:
-            assert global_norm(out) == pytest.approx(global_norm(retained), rel=1e-10)
+            assert np.linalg.norm(out.vector) == pytest.approx(
+                np.linalg.norm(retained.vector), rel=1e-10)
             flat_out = np.hstack([t.ravel() for _, t in out.items()])
             flat_fresh = np.hstack([t.ravel() for _, t in fresh.items()])
             assert tensor_cosine(flat_out, flat_fresh) == pytest.approx(1.0, abs=1e-10)
@@ -172,7 +174,7 @@ class TestFedAccum:
     def test_rejects_wrong_store(self, trained_run, tmp_path):
         arch, config, _, _, initial, _, _, _ = trained_run
         other = RetentionStore.create(
-            tmp_path / "other", fingerprint_for(arch, small_config(seed=99)))
+            tmp_path / "other", StoreFingerprint.of(arch, small_config(seed=99)))
         with pytest.raises(ValueError, match="store fingerprint"):
             fed_accum(arch, initial, other, config)
 
@@ -229,7 +231,7 @@ class TestFedEraser:
     def test_rejects_wrong_store(self, trained_run, tmp_path):
         arch, config, shards, _, initial, _, _, _ = trained_run
         other = RetentionStore.create(
-            tmp_path / "other", fingerprint_for(arch, small_config(seed=123)))
+            tmp_path / "other", StoreFingerprint.of(arch, small_config(seed=123)))
         with pytest.raises(ValueError, match="store fingerprint"):
             fed_eraser(arch, initial, other, shards, config)
 
@@ -248,9 +250,15 @@ class TestFedRetrain:
         assert result.calibration_rounds == config.global_rounds
         assert len(result.states) == config.global_rounds
         assert result.round_timings == ()
-        participants = {p for rec in result.history.records for p in rec.participants}
-        assert config.target_client not in participants
         assert result.model != original
+        # other data of the same shape in the target's shard changes nothing
+        swapped = [
+            s if s.client_id != config.target_client else ClientShard(
+                s.client_id, Dataset(s.dataset.name, -s.dataset.inputs,
+                                     s.dataset.labels[::-1], s.dataset.num_classes))
+            for s in shards
+        ]
+        assert fed_retrain(arch, swapped, config).model == result.model
 
     def test_deterministic(self, trained_run):
         arch, config, shards, _, _, _, _, _ = trained_run
