@@ -76,6 +76,7 @@ from .unlearning import (
     fed_accum,
     fed_eraser,
     fed_retrain,
+    schedule_speedup,
 )
 
 logger = logging.getLogger(__name__)
@@ -346,6 +347,8 @@ def _train(run: Run, resume: bool) -> None:
         return
     if store_dir.exists():
         shutil.rmtree(store_dir)
+    # stage timings from an earlier training would pair with this run's
+    (out_dir / "timings.csv").unlink(missing_ok=True)
     store = RetentionStore.create(store_dir, StoreFingerprint.of(arch, scenario))
 
     initial = build_model(arch, scenario.seed)
@@ -561,7 +564,8 @@ def _report(run: Run, resume: bool) -> None:
 
     timings = _read_timings(out_dir)
     speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,
-                                                     scenario.retain_interval)}
+                                                     scenario.retain_interval),
+                "schedule_speedup": schedule_speedup(scenario)}
     if "retrain" in timings and timings.get("eraser", 0.0) > 0.0:
         speedups["measured_speedup"] = timings["retrain"] / timings["eraser"]
 
@@ -589,7 +593,7 @@ SWEEP_COLUMNS = (
     "eraser_test_accuracy", "eraser_target_accuracy",
     "retrain_test_accuracy", "retrain_target_accuracy",
     "eraser_seconds", "retrain_seconds",
-    "measured_speedup", "expected_speedup",
+    "measured_speedup", "expected_speedup", "schedule_speedup",
     "degenerate", "error",
 )
 
@@ -639,6 +643,9 @@ def run_sweep(
                     timings["retrain"] / timings["eraser"], ".6f")
             row["expected_speedup"] = format(
                 expected_speedup(point.calibration_ratio, point.retain_interval), ".6f")
+            exact = schedule_speedup(point)
+            if exact is not None:
+                row["schedule_speedup"] = format(exact, ".6f")
             # at full calibration the burst costs as much as ordinary local
             # training, so only the retention interval still saves anything
             row["degenerate"] = str(point.calibration_epochs >= point.local_epochs).lower()

@@ -94,10 +94,14 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
+        # the input gradient of layer 0 is the data's, which nothing uses
+        need_dx = i > 0
         if isinstance(layer, Dense):
-            dx = _dense_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i)
+            dx = _dense_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i,
+                                 need_dx)
         elif isinstance(layer, Conv2d):
-            dx = _conv_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i)
+            dx = _conv_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i,
+                                need_dx)
         elif isinstance(layer, MaxPool2d):
             dx = _pool_backward(layer, cache, dx)
         elif isinstance(layer, Flatten):
@@ -141,12 +145,12 @@ def _forward_cached(arch: ArchSpec, params: ParamSet, inputs: np.ndarray):
             caches.append((x, z))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
         elif isinstance(layer, Conv2d):
-            cols = _im2col(x, layer.kernel_size)
-            w = params[f"layer{i}.weight"]
-            w_mat = w.reshape(layer.out_channels, -1)
-            b, ho, wo = x.shape[0], x.shape[2] - layer.kernel_size + 1, x.shape[3] - layer.kernel_size + 1
-            z = (cols @ w_mat.T + params[f"layer{i}.bias"]).reshape(b, ho, wo, layer.out_channels)
-            z = z.transpose(0, 3, 1, 2)
+            k = layer.kernel_size
+            cols = _im2col(x, k)
+            w_mat = params[f"layer{i}.weight"].reshape(layer.out_channels, -1)
+            b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
+            z = (w_mat @ cols + params[f"layer{i}.bias"][:, None]).reshape(
+                b, layer.out_channels, ho, wo)
             caches.append((x.shape, cols, z))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
         elif isinstance(layer, MaxPool2d):
@@ -160,44 +164,48 @@ def _forward_cached(arch: ArchSpec, params: ParamSet, inputs: np.ndarray):
 
 
 def _dense_backward(layer: Dense, w: np.ndarray, cache, dout: np.ndarray,
-                    grad_map: dict[str, np.ndarray], index: int) -> np.ndarray:
+                    grad_map: dict[str, np.ndarray], index: int,
+                    need_dx: bool) -> np.ndarray | None:
     x, z = cache
     dz = dout * (z > 0.0) if layer.activation == "relu" else dout
     grad_map[f"layer{index}.weight"] = x.T @ dz
     grad_map[f"layer{index}.bias"] = dz.sum(axis=0)
-    return dz @ w.T
+    return dz @ w.T if need_dx else None
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # (B, C, H, W) -> (B, Ho*Wo, C*k*k) sliding windows, row-major over (Ho, Wo)
+    # (B, C, H, W) -> (B, C*k*k, Ho*Wo) sliding windows, channel-major rows
     b, c, h, w = x.shape
     ho, wo = h - k + 1, w - k + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
 
 
 def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray,
-                   grad_map: dict[str, np.ndarray], index: int) -> np.ndarray:
+                   grad_map: dict[str, np.ndarray], index: int,
+                   need_dx: bool) -> np.ndarray | None:
     x_shape, cols, z = cache
     dz = dout * (z > 0.0) if layer.activation == "relu" else dout
     b, c_out, ho, wo = dz.shape
-    dz_mat = dz.transpose(0, 2, 3, 1).reshape(b, ho * wo, c_out)
-    grad_map[f"layer{index}.bias"] = dz_mat.sum(axis=(0, 1))
-    w_mat = w.reshape(c_out, -1)
-    dw_mat = np.einsum("bpo,bpk->ok", dz_mat, cols)
+    dz_mat = dz.reshape(b, c_out, ho * wo)
+    grad_map[f"layer{index}.bias"] = dz_mat.sum(axis=(0, 2))
+    # one batched BLAS call; tensordot would copy cols to fold the batch axis
+    dw_mat = np.matmul(dz_mat, cols.transpose(0, 2, 1)).sum(axis=0)
     grad_map[f"layer{index}.weight"] = dw_mat.reshape(w.shape)
-    dcols = dz_mat @ w_mat
+    if not need_dx:
+        return None
+    dcols = w.reshape(c_out, -1).T @ dz_mat
     return _col2im(dcols, x_shape, layer.kernel_size)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
     b, c, h, w = x_shape
     ho, wo = h - k + 1, w - k + 1
-    d6 = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    d6 = dcols.reshape(b, c, k, k, ho, wo)
     dx = np.zeros(x_shape)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + ho, j : j + wo] += d6[:, :, :, :, i, j]
+            dx[:, :, i : i + ho, j : j + wo] += d6[:, :, i, j]
     return dx
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .data import NORM_MODES, ClientShard, FedConfig
 from .federation import ClientUpdate, aggregate, local_train, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
-from .retention import RetentionStore, StoreFingerprint
+from .retention import RetentionStore, StoreFingerprint, schedule
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -227,7 +227,10 @@ def fed_retrain(
 
 
 def expected_speedup(calibration_ratio: float, retain_interval: int) -> float:
-    """Cost ratio of retraining to calibrated reconstruction: interval / ratio.
+    """The paper's cost ratio of retraining to calibrated reconstruction:
+    interval / ratio. It ignores the rounding of calibration epochs and the
+    first retained round, which is replayed without training; see
+    schedule_speedup for the exact figure.
 
     Retraining runs every round at full local epochs; reconstruction runs one
     calibration burst of ratio-scaled epochs per retained round.
@@ -237,3 +240,18 @@ def expected_speedup(calibration_ratio: float, retain_interval: int) -> float:
     if retain_interval < 1:
         raise ValueError("retain_interval must be at least 1")
     return retain_interval / calibration_ratio
+
+
+def schedule_speedup(config: FedConfig) -> float | None:
+    """Exact cost ratio, in local epochs, of retraining to calibrated
+    reconstruction for the schedule that runs: every remaining client trains
+    global_rounds x local_epochs epochs when retraining, and
+    calibration_epochs at each retained round after the first when
+    reconstructing. None when fewer than two rounds are retained, since the
+    reconstruction then trains nothing.
+    """
+    calibrated = len(schedule(config.global_rounds, config.retain_interval)) - 1
+    if calibrated < 1:
+        return None
+    return (config.global_rounds * config.local_epochs) / (
+        calibrated * config.calibration_epochs)

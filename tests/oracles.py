@@ -111,6 +111,160 @@ def random_gradient_instance(seed: int):
     return arch, params, Batch(inputs, labels)
 
 
+def stacked_conv_instance(seed: int):
+    """A random small (arch, params, batch) triple whose second layer is a
+    convolution too, on a non-square multi-channel input, so the backward
+    pass has to carry a gradient through the first convolution's output."""
+    rng = np.random.default_rng(seed)
+    classes = int(rng.integers(2, 5))
+    mid = int(rng.integers(2, 4))
+    arch = ArchSpec(
+        layers=(
+            Conv2d(2, mid, 3, "relu"),
+            Conv2d(mid, 2, 2),
+            MaxPool2d(2),
+            Flatten(),
+            Dense(2 * 3 * 2, classes),
+        ),
+        input_shape=(2, 9, 7),
+    )
+    assert arch.num_params() <= 1000
+    base = build_model(arch, seed)
+    noise = ParamSet(
+        (name, rng.normal(scale=0.3, size=t.shape)) for name, t in base.items()
+    )
+    params = param_linear(1.0, base, 1.0, noise)
+    batch_size = int(rng.integers(2, 6))
+    inputs = rng.normal(size=(batch_size, *arch.input_shape))
+    labels = rng.integers(0, classes, size=batch_size)
+    return arch, params, Batch(inputs, labels)
+
+
+def reference_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Stride-1, unpadded convolution (cross-correlation) as scalar loops:
+    (B, C, H, W) input, (O, C, k, k) weight -> (B, O, H-k+1, W-k+1)."""
+    b, c, h, w = x.shape
+    o, _, k, _ = weight.shape
+    out = np.zeros((b, o, h - k + 1, w - k + 1))
+    for n in range(b):
+        for f in range(o):
+            for i in range(h - k + 1):
+                for j in range(w - k + 1):
+                    total = bias[f]
+                    for ch in range(c):
+                        for di in range(k):
+                            for dj in range(k):
+                                total += x[n, ch, i + di, j + dj] * weight[f, ch, di, dj]
+                    out[n, f, i, j] = total
+    return out
+
+
+def reference_forward(arch: ArchSpec, params: ParamSet, inputs: np.ndarray) -> np.ndarray:
+    """Class probabilities by scalar-loop convolution and pooling."""
+    x = np.asarray(inputs, dtype=np.float64)
+    for i, layer in enumerate(arch.layers):
+        if isinstance(layer, Dense):
+            x = x @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+        elif isinstance(layer, Conv2d):
+            x = reference_conv2d(x, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
+        elif isinstance(layer, MaxPool2d):
+            s = layer.window
+            b, c, h, w = x.shape
+            pooled = np.empty((b, c, h // s, w // s))
+            for n in range(b):
+                for ch in range(c):
+                    for r in range(h // s):
+                        for q in range(w // s):
+                            pooled[n, ch, r, q] = x[n, ch, r * s:(r + 1) * s,
+                                                    q * s:(q + 1) * s].max()
+            x = pooled
+        elif isinstance(layer, Flatten):
+            x = x.reshape(x.shape[0], -1)
+        if getattr(layer, "activation", "none") == "relu":
+            x = np.maximum(x, 0.0)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch):
+    """The engine as it stood before its channel-major conv kernels: row-major
+    im2col, an einsum weight gradient, a col2im loop, and an input gradient
+    for every layer, the first one included. Returns (loss, ParamSet)."""
+    x = batch.inputs
+    caches = []
+    for i, layer in enumerate(arch.layers):
+        if isinstance(layer, Dense):
+            z = x @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+            caches.append((x, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, Conv2d):
+            k = layer.kernel_size
+            b, c, h, w = x.shape
+            ho, wo = h - k + 1, w - k + 1
+            windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+            cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+            w_mat = params[f"layer{i}.weight"].reshape(layer.out_channels, -1)
+            z = (cols @ w_mat.T + params[f"layer{i}.bias"]).reshape(
+                b, ho, wo, layer.out_channels).transpose(0, 3, 1, 2)
+            caches.append((x.shape, cols, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, MaxPool2d):
+            s = layer.window
+            b, c, h, w = x.shape
+            tiles = (x.reshape(b, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
+                     .reshape(b, c, h // s, w // s, s * s))
+            idx = tiles.argmax(axis=-1)
+            caches.append((x.shape, idx))
+            x = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+        elif isinstance(layer, Flatten):
+            caches.append(x.shape)
+            x = x.reshape(x.shape[0], -1)
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(batch)
+    loss = -float(np.mean(log_probs[np.arange(n), batch.labels]))
+    dx = np.exp(log_probs)
+    dx[np.arange(n), batch.labels] -= 1.0
+    dx /= n
+
+    grads = {}
+    for i in range(len(arch.layers) - 1, -1, -1):
+        layer, cache = arch.layers[i], caches[i]
+        if isinstance(layer, Dense):
+            inp, z = cache
+            dz = dx * (z > 0.0) if layer.activation == "relu" else dx
+            grads[f"layer{i}.weight"] = inp.T @ dz
+            grads[f"layer{i}.bias"] = dz.sum(axis=0)
+            dx = dz @ params[f"layer{i}.weight"].T
+        elif isinstance(layer, Conv2d):
+            x_shape, cols, z = cache
+            w = params[f"layer{i}.weight"]
+            dz = dx * (z > 0.0) if layer.activation == "relu" else dx
+            b, c_out, ho, wo = dz.shape
+            dz_mat = dz.transpose(0, 2, 3, 1).reshape(b, ho * wo, c_out)
+            grads[f"layer{i}.bias"] = dz_mat.sum(axis=(0, 1))
+            grads[f"layer{i}.weight"] = np.einsum("bpo,bpk->ok", dz_mat, cols).reshape(w.shape)
+            dcols = dz_mat @ w.reshape(c_out, -1)
+            k = layer.kernel_size
+            c = x_shape[1]
+            d6 = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+            dx = np.zeros(x_shape)
+            for di in range(k):
+                for dj in range(k):
+                    dx[:, :, di : di + ho, dj : dj + wo] += d6[:, :, :, :, di, dj]
+        elif isinstance(layer, MaxPool2d):
+            x_shape, idx = cache
+            s = layer.window
+            b, c, h, w = x_shape
+            dtiles = np.zeros((b, c, h // s, w // s, s * s))
+            np.put_along_axis(dtiles, idx[..., None], dx[..., None], axis=-1)
+            dx = (dtiles.reshape(b, c, h // s, w // s, s, s).transpose(0, 1, 2, 4, 3, 5)
+                  .reshape(x_shape))
+        elif isinstance(layer, Flatten):
+            dx = dx.reshape(cache)
+    return loss, ParamSet((name, grads[name]) for name in params.names)
+
+
 def flat_weighted_mean(deltas: list[np.ndarray], counts: list[int]) -> np.ndarray:
     """Scalar-loop weighted mean over flattened vectors (aggregation oracle)."""
     total = float(sum(counts))

@@ -337,6 +337,8 @@ class TestArtifacts:
         assert report["storage"]["retention_bytes"] > 0
         # interval 2 at calibration ratio 0.5
         assert report["timings"]["expected_speedup"] == 4.0
+        # exact schedule: 4 rounds x 2 epochs against 1 calibrated round x 1
+        assert report["timings"]["schedule_speedup"] == 8.0
         assert report["timings"]["measured_speedup"] > 0.0
 
     def test_unlearn_summary(self, pipelines):
@@ -402,6 +404,43 @@ class TestResume:
         assert main(["train", str(ini), "--out", str(stage_dir)]) == 0
         assert os.stat(target).st_mtime_ns != before_time
         assert target.read_bytes() == before_bytes  # rebuilt, identically
+
+
+class TestFreshTrainTimings:
+    def read_timings(self, out):
+        with open(out / "timings.csv", newline="") as fh:
+            return {r["name"]: r["seconds"] for r in csv.DictReader(fh)}
+
+    def test_fresh_train_drops_the_previous_runs_timings(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out), "--seed", "3"]) == 0
+        assert set(self.read_timings(out)) == {"train", "eraser", "accum", "retrain"}
+        assert main(["train", str(ini), "--out", str(out), "--seed", "5"]) == 0
+        assert set(self.read_timings(out)) == {"train"}
+        assert main(["report", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "measured_speedup" not in report["timings"]
+        assert set(report["timings"]) == {"train", "expected_speedup", "schedule_speedup"}
+
+    def test_skipped_resume_keeps_them(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        before = self.read_timings(out)
+        assert main(["train", str(ini), "--out", str(out), "--resume"]) == 0
+        assert self.read_timings(out) == before
+
+    def test_schedule_speedup_is_null_without_calibrated_rounds(self, tmp_path):
+        # interval 4 over 4 rounds retains round 1 only, which is replayed
+        # as stored: the reconstruction trains nothing
+        ini = write_ini(tmp_path, TINY_INI.replace("retain_interval = 2",
+                                                   "retain_interval = 4"))
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["timings"]["schedule_speedup"] is None
+        assert report["timings"]["expected_speedup"] == 8.0
 
 
 class TestUnlearnCommand:
@@ -512,8 +551,21 @@ class TestSweep:
         assert rows[1]["degenerate"] == "true"
         assert float(rows[0]["expected_speedup"]) == 4.0
         assert float(rows[1]["expected_speedup"]) == 2.0
+        assert float(rows[0]["schedule_speedup"]) == 8.0
+        assert float(rows[1]["schedule_speedup"]) == 4.0
         assert (out / "ratio_0.5" / "models" / "eraser.fesp").exists()
         assert (out / "ratio_1" / "models" / "retrain.fesp").exists()
+
+    def test_schedule_speedup_blank_without_calibrated_rounds(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(ini), "--out", str(out),
+                     "--param", "interval", "--values", "4"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == ""
+        assert row["schedule_speedup"] == ""
+        assert float(row["expected_speedup"]) == 8.0
 
     def test_failing_point_becomes_an_error_row(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)

@@ -13,14 +13,25 @@ from fedunlearn.nn import (
     Batch,
     Dense,
     ParamSet,
+    adult_arch,
     build_model,
+    cifar10_arch,
     forward,
     loss_and_grad,
+    mnist_arch,
+    purchase_arch,
     sgd_step,
 )
 from fedunlearn.nn.engine import _pool_forward, check_conformant_with_arch
 
-from oracles import max_relative_grad_error, random_gradient_instance
+from oracles import (
+    max_relative_grad_error,
+    random_gradient_instance,
+    reference_conv2d,
+    reference_forward,
+    reference_loss_and_grad,
+    stacked_conv_instance,
+)
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
@@ -159,6 +170,13 @@ class TestGradients:
         arch, params, batch = random_gradient_instance(seed)  # seed % 3 == 2
         assert max_relative_grad_error(arch, params, batch) < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_finite_differences_stacked_conv(self, seed):
+        # the second convolution's backward pass runs col2im into the
+        # first convolution's output, on a non-square multi-channel input
+        arch, params, batch = stacked_conv_instance(seed)
+        assert max_relative_grad_error(arch, params, batch) < 1e-4
+
     def test_gradient_of_mean_scales_with_duplication(self, arch):
         # Duplicating every sample leaves the mean-loss gradient unchanged.
         params = build_model(arch, 9)
@@ -210,6 +228,86 @@ class TestSgdStep:
         params = build_model(arch, 0)
         with pytest.raises(ValueError, match="non-negative"):
             sgd_step(params, params, -0.1)
+
+
+class TestConvForward:
+    def test_reference_conv2d_hand_value(self):
+        # 1x1 output: the bias plus the dot product of the window and kernel
+        x = np.arange(8.0).reshape(1, 2, 2, 2)
+        weight = np.array([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]])
+        out = reference_conv2d(x, weight, np.array([0.5]))
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 0.5 + 0.0 + 2.0 * 7.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_conv_matches_scalar_loops(self, seed):
+        arch, params, batch = stacked_conv_instance(seed)
+        np.testing.assert_allclose(forward(arch, params, batch),
+                                   reference_forward(arch, params, batch.inputs),
+                                   rtol=0.0, atol=1e-12)
+
+
+def random_batch(arch: ArchSpec, size: int, seed: int) -> Batch:
+    rng = np.random.default_rng(seed)
+    return Batch(rng.normal(size=(size, *arch.input_shape)),
+                 rng.integers(0, arch.num_classes, size=size))
+
+
+def noisy_model(arch: ArchSpec, seed: int) -> ParamSet:
+    # initial biases are zero; noise on every tensor exercises them all
+    rng = np.random.default_rng(seed)
+    return ParamSet((name, t + rng.normal(scale=0.05, size=t.shape))
+                    for name, t in build_model(arch, seed).items())
+
+
+class TestEquivalenceToReferenceEngine:
+    """The engine against tests/oracles.py::reference_loss_and_grad, the
+    row-major conv path that also computed the first layer's input gradient.
+    Dense arithmetic must be unchanged bit for bit (the bundled configs are
+    dense); conv gradients may differ only in summation order."""
+
+    @staticmethod
+    def assert_bit_equal(arch, params, batch):
+        loss, grads = loss_and_grad(arch, params, batch)
+        ref_loss, ref_grads = reference_loss_and_grad(arch, params, batch)
+        assert loss == ref_loss
+        assert grads == ref_grads
+
+    @staticmethod
+    def assert_close(arch, params, batch):
+        loss, grads = loss_and_grad(arch, params, batch)
+        ref_loss, ref_grads = reference_loss_and_grad(arch, params, batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0.0)
+        ref = ref_grads.vector
+        # entries that cancel to ~0 carry only rounding noise of the largest
+        np.testing.assert_allclose(grads.vector, ref, rtol=1e-10,
+                                   atol=1e-13 * float(np.abs(ref).max()))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 6, 7])
+    def test_dense_bit_equal(self, seed):
+        self.assert_bit_equal(*random_gradient_instance(seed))
+
+    @pytest.mark.parametrize("arch", [adult_arch(12, hidden=8),
+                                      purchase_arch(30, 16, 8, num_classes=4)],
+                             ids=["adult", "purchase"])
+    @pytest.mark.parametrize("size", [32, 7])
+    def test_dense_presets_bit_equal(self, arch, size):
+        self.assert_bit_equal(arch, noisy_model(arch, 3), random_batch(arch, size, 3))
+
+    @pytest.mark.parametrize("preset", [cifar10_arch, mnist_arch],
+                             ids=["cifar10", "mnist"])
+    @pytest.mark.parametrize("size", [12, 7])
+    def test_conv_presets_close(self, preset, size):
+        arch = preset()
+        self.assert_close(arch, noisy_model(arch, 0), random_batch(arch, size, 0))
+
+    @pytest.mark.parametrize("instance,seed", [
+        (random_gradient_instance, 2), (random_gradient_instance, 5),
+        (random_gradient_instance, 8), (stacked_conv_instance, 0),
+        (stacked_conv_instance, 1), (stacked_conv_instance, 2),
+    ])
+    def test_random_conv_close(self, instance, seed):
+        self.assert_close(*instance(seed))
 
 
 class TestMaxPoolTieBreak:

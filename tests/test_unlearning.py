@@ -1,11 +1,13 @@
 """Calibrated reconstruction, plain replay, retraining, and the calibration
 geometry identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fedunlearn.unlearning as unlearning
-from fedunlearn.data import ClientShard, Dataset
+from fedunlearn.data import ClientShard, Dataset, FedConfig
 from fedunlearn.federation import local_train
 from fedunlearn.nn import ParamSet, build_model, param_linear
 from fedunlearn.retention import RetentionStore, StoreFingerprint
@@ -15,6 +17,7 @@ from fedunlearn.unlearning import (
     fed_accum,
     fed_eraser,
     fed_retrain,
+    schedule_speedup,
 )
 
 from conftest import small_config
@@ -293,3 +296,30 @@ class TestExpectedSpeedup:
             expected_speedup(1.5, 2)
         with pytest.raises(ValueError, match="retain_interval"):
             expected_speedup(0.5, 0)
+
+
+class TestScheduleSpeedup:
+    # the desk schedule: 20 rounds x 4 local epochs when retraining; 10
+    # retained rounds, of which 9 are calibrated, when reconstructing
+    DESK = FedConfig(global_rounds=20, local_epochs=4, retain_interval=2)
+
+    @pytest.mark.parametrize("ratio,expected", [
+        (0.1, 80 / 9),    # ceil(0.4) = 1 epoch per calibrated round
+        (0.25, 80 / 9),   # ceil(1.0) = 1: the same work as ratio 0.1
+        (0.5, 80 / 18),   # 2 epochs per calibrated round
+        (1.0, 80 / 36),
+    ])
+    def test_desk_schedule(self, ratio, expected):
+        config = replace(self.DESK, calibration_ratio=ratio)
+        assert schedule_speedup(config) == expected
+
+    def test_counts_only_the_retained_rounds(self):
+        # 7 rounds at interval 3 retain rounds 1 and 4, so one is calibrated
+        config = FedConfig(global_rounds=7, local_epochs=2, retain_interval=3,
+                           calibration_ratio=0.5)
+        assert schedule_speedup(config) == 14.0
+
+    @pytest.mark.parametrize("rounds,interval", [(4, 4), (5, 3), (1, 1)])
+    def test_none_when_nothing_is_calibrated(self, rounds, interval):
+        config = FedConfig(global_rounds=rounds, retain_interval=interval)
+        assert schedule_speedup(config) is None
