@@ -4,7 +4,9 @@ A run lives in one output directory:
 
     run.log                     stage log (timestamps; not part of the
                                 deterministic surface)
-    scenario.ini                copy of the parsed config
+    scenario.ini                the effective scenario (--seed and --out
+                                applied; the source file itself when they
+                                change nothing but the output directory)
     manifest.json               dataset/architecture/schedule summary
     retention/                  stored per-client updates
     models/*.fesp               initial, original, and reconstructed models
@@ -200,6 +202,41 @@ def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None)
         return Scenario(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def format_scenario(scenario: Scenario) -> str:
+    """The scenario as an INI file that parse_scenario reads back to an
+    equal scenario; unset optional values are left out."""
+    sections: dict[str, list[str]] = {}
+    for (section, key), (field_name, kind) in _SCHEMA.items():
+        value = getattr(scenario, field_name)
+        if value is None:
+            continue
+        if kind is bool:
+            text = "true" if value else "false"
+        elif kind is float:
+            text = repr(float(value))
+        else:
+            text = str(value).replace("%", "%%")
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "\n".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                     for section, lines in sections.items())
+
+
+def persist_scenario(config_path: Path, scenario: Scenario, out_dir: Path) -> None:
+    """Record the run's effective scenario as out_dir/scenario.ini, so later
+    stages and `report` score with the settings the run used. The source
+    file is copied as it is, comments included, when the overrides change
+    nothing but the output directory, which a run directory's own stages
+    take from the directory itself."""
+    dest = out_dir / "scenario.ini"
+    if config_path.resolve() == dest.resolve():
+        return
+    if dataclasses.replace(parse_scenario(config_path),
+                           out_dir=scenario.out_dir) == scenario:
+        shutil.copyfile(config_path, dest)
+    else:
+        dest.write_text(format_scenario(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +469,10 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
             "total_seconds": result.total_seconds,
             "round_timings": list(result.round_timings),
             "calibration_rounds": result.calibration_rounds,
+            "store_bytes_read": result.store_bytes_read,
         }
+        if name == "eraser":
+            summary[name]["eps_fallbacks"] = result.eps_fallbacks
         logger.info("%s finished in %.2fs", name, result.total_seconds)
     (run.out_dir / "unlearn.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -608,6 +648,25 @@ def _apply_sweep_value(scenario: Scenario, param: str, value: float) -> Scenario
     raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
 
 
+def _warn_merged_ratios(scenario: Scenario, ratios: list[float]) -> None:
+    """Calibration epochs are ceil(ratio x local_epochs), so distinct ratios
+    can run the same schedule; say which."""
+    by_epochs: dict[int, list[str]] = {}
+    for ratio in ratios:
+        try:
+            epochs = _apply_sweep_value(scenario, "ratio", ratio).calibration_epochs
+        except ValueError:
+            continue  # its sweep point records the error
+        by_epochs.setdefault(epochs, []).append(format(ratio, "g"))
+    for epochs, merged in sorted(by_epochs.items()):
+        if len(merged) > 1:
+            logger.warning(
+                "sweep ratios %s all give calibration_epochs = %d at local_epochs = %d;"
+                " their points run the same schedule",
+                ", ".join(merged), epochs, scenario.local_epochs,
+            )
+
+
 def run_sweep(
     scenario: Scenario, out_dir: Path, param: str, sweep_values: list[float],
 ) -> None:
@@ -618,6 +677,8 @@ def run_sweep(
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
     if not sweep_values:
         raise ConfigError("sweep needs at least one value")
+    if param == "ratio":
+        _warn_merged_ratios(scenario, sweep_values)
     rows = []
     for value in sweep_values:
         row = dict.fromkeys(SWEEP_COLUMNS, "")
@@ -715,8 +776,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(scenario.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         setup_logging(out_dir)
-        if config_path.resolve() != (out_dir / "scenario.ini").resolve():
-            shutil.copyfile(config_path, out_dir / "scenario.ini")
+        persist_scenario(config_path, scenario, out_dir)
 
         if args.command == "train":
             run_train(scenario, out_dir, args.resume)

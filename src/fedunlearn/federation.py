@@ -109,7 +109,9 @@ def local_train(
     bad = params.non_finite_tensor()
     if bad is not None:
         raise ValueError(f"{where}: tensor {bad!r} contains non-finite values")
-    delta = param_linear(1.0, params, -1.0, global_params)
+    # the delta in place: w - g equals param_linear(1.0, w, -1.0, g) bit for bit
+    w -= global_params.vector
+    delta = ParamSet._adopt(params._layout, w)
     return ClientUpdate(
         client_id=shard.client_id,
         round_index=round_index,

@@ -173,6 +173,14 @@ class ParamSet:
         """Name of the first tensor holding a NaN or an infinity, if any."""
         return self._layout.non_finite_tensor(self._vector)
 
+    def sq_norms(self) -> np.ndarray:
+        """Each tensor's sum of squares, one BLAS dot per tensor. Its square
+        root equals ``np.linalg.norm`` of the tensor bit for bit, since that
+        is how NumPy computes the norm of a contiguous array."""
+        vector = self._vector
+        return np.array([vector[start:end].dot(vector[start:end])
+                         for start, end, _ in self._layout.spans])
+
 
 def _check_finite(layout: _Layout, vector: np.ndarray) -> None:
     bad = layout.non_finite_tensor(vector)

@@ -1,10 +1,13 @@
 """On-disk retention of per-client updates at scheduled rounds.
 
 The store is a directory: `manifest.json` names the run it belongs to and
-references every stored blob together with its client's sample count; blobs
-live at `round_<t>/client_<k>.fesp` in the shared parameter-set format plus
-a trailing CRC32. Blob and manifest writes are atomic (temp file + rename),
-so a crashed run never leaves a torn file behind the manifest's back.
+references every stored blob together with its client's sample count and the
+update's per-tensor sums of squares (with a CRC32 of their little-endian
+float64 bytes); blobs live at `round_<t>/client_<k>.fesp` in the shared
+parameter-set format plus a trailing CRC32. Calibration after the first
+retained round needs only the norms, so it reads the manifest instead of the
+blobs. Blob and manifest writes are atomic (temp file + rename), so a crashed
+run never leaves a torn file behind the manifest's back.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .data import FedConfig
 from .federation import ClientUpdate
-from .nn import ArchSpec, dump_param_bytes, parse_param_bytes
+from .nn import ArchSpec, ParamSet, dump_param_bytes, parse_param_bytes
 
 MANIFEST_NAME = "manifest.json"
 
@@ -60,8 +66,27 @@ class StoreFingerprint:
         )
 
 
+@dataclass(frozen=True)
+class StoredNorms:
+    """One stored update as its manifest entry records it: the client's
+    sample count and the per-tensor sums of squares of the delta, already
+    checked against their CRC. `load` reads the delta itself from its blob."""
+
+    round_index: int
+    client_id: int
+    sample_count: int
+    sq_norms: np.ndarray
+    load: Callable[[], ParamSet]
+
+
+def _norms_crc(sq_norms: np.ndarray) -> int:
+    return zlib.crc32(np.asarray(sq_norms, dtype="<f8").tobytes())
+
+
 class RetentionStore:
-    """Directory-backed store of client updates at the scheduled rounds."""
+    """Directory-backed store of client updates at the scheduled rounds.
+
+    `bytes_read` counts the blob bytes this instance has read."""
 
     def __init__(self, root: Path, fingerprint: StoreFingerprint,
                  entries: dict[int, dict[int, dict]] | None = None):
@@ -70,8 +95,10 @@ class RetentionStore:
         self.retained_rounds = schedule(
             fingerprint.global_rounds, fingerprint.retain_interval
         )
-        # entries[round][client] = {"path": ..., "sample_count": ..., "train_loss": ...}
+        # entries[round][client] = {"path": ..., "sample_count": ...,
+        #   "train_loss": ..., "sq_norms": [...], "sq_norms_crc": ...}
         self._entries: dict[int, dict[int, dict]] = entries or {}
+        self.bytes_read = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -112,7 +139,7 @@ class RetentionStore:
             },
         }
         _atomic_write(self.root / MANIFEST_NAME,
-                      json.dumps(doc, indent=2, sort_keys=True).encode())
+                      json.dumps(doc, separators=(",", ":"), sort_keys=True).encode())
 
     # -- writes -------------------------------------------------------------
 
@@ -140,22 +167,29 @@ class RetentionStore:
             rel = f"round_{round_index}/client_{u.client_id}.fesp"
             (self.root / f"round_{round_index}").mkdir(exist_ok=True)
             _atomic_write(self.root / rel, blob)
+            sq_norms = u.delta.sq_norms()
             entries[u.client_id] = {
                 "path": rel,
                 "sample_count": u.sample_count,
                 "train_loss": u.train_loss,
+                "sq_norms": sq_norms.tolist(),
+                "sq_norms_crc": _norms_crc(sq_norms),
             }
         self._entries[round_index] = entries
         self._write_manifest()
 
     # -- reads --------------------------------------------------------------
 
-    def load_client(self, round_index: int, client_id: int) -> ClientUpdate:
+    def _entry(self, round_index: int, client_id: int) -> dict:
         entry = self._entries.get(round_index, {}).get(client_id)
         if entry is None:
             raise IntegrityError(
                 f"no stored update for round {round_index} client {client_id}"
             )
+        return entry
+
+    def load_client(self, round_index: int, client_id: int) -> ClientUpdate:
+        entry = self._entry(round_index, client_id)
         blob_path = self.root / entry["path"]
         try:
             blob = blob_path.read_bytes()
@@ -163,6 +197,7 @@ class RetentionStore:
             raise IntegrityError(
                 f"missing blob for round {round_index} client {client_id}: {blob_path}"
             ) from None
+        self.bytes_read += len(blob)
         if len(blob) < 4:
             raise IntegrityError(
                 f"truncated blob for round {round_index} client {client_id}"
@@ -187,6 +222,31 @@ class RetentionStore:
             train_loss=entry["train_loss"],
         )
 
+    def load_norms(self, round_index: int, client_id: int) -> StoredNorms:
+        """What the manifest records of one stored update, without reading
+        its blob; the norms are checked against their CRC first."""
+        entry = self._entry(round_index, client_id)
+        where = f"round {round_index} client {client_id}"
+        if "sq_norms" not in entry:
+            raise IntegrityError(
+                f"{where}: the manifest at {self.root} records no update norms "
+                "(it predates them); re-run `fedunlearn train` to rebuild the store"
+            )
+        try:
+            sq_norms = np.array(entry["sq_norms"], dtype=np.float64)
+            crc_ok = _norms_crc(sq_norms) == entry["sq_norms_crc"]
+        except (KeyError, TypeError, ValueError):
+            crc_ok = False
+        if not crc_ok:
+            raise IntegrityError(f"norms checksum mismatch for {where}")
+        return StoredNorms(
+            round_index=round_index,
+            client_id=client_id,
+            sample_count=entry["sample_count"],
+            sq_norms=sq_norms,
+            load=lambda: self.load_client(round_index, client_id).delta,
+        )
+
     def load_round(self, round_index: int,
                    client_ids: list[int] | None = None) -> list[ClientUpdate]:
         """Updates for one retained round, ascending by client id. An explicit
@@ -198,8 +258,10 @@ class RetentionStore:
         return [self.load_client(round_index, cid) for cid in sorted(client_ids)]
 
     def is_complete(self) -> bool:
+        """Every scheduled update is recorded with its norms and has a blob."""
         return all(
             (entry := self._entries.get(r, {}).get(c)) is not None
+            and "sq_norms" in entry
             and (self.root / entry["path"]).exists()
             for r in self.retained_rounds
             for c in range(1, self.fingerprint.num_clients + 1)

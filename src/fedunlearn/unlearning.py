@@ -25,7 +25,8 @@ import numpy as np
 from .data import NORM_MODES, ClientShard, FedConfig
 from .federation import ClientUpdate, aggregate, local_train, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
-from .retention import RetentionStore, StoreFingerprint, schedule
+from .nn.params import require_conformant
+from .retention import RetentionStore, StoredNorms, StoreFingerprint, schedule
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -42,13 +43,22 @@ class UnlearnResult:
     calibration_rounds: int  # reconstruction steps walked (retained rounds,
     # or full training rounds for the retraining route)
     states: tuple[ParamSet, ...] | None = None  # model after each step, if kept
+    store_bytes_read: int = 0  # retention blob bytes read
+    eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
+
+
+def _norms(sq_norms: np.ndarray, norm_mode: str) -> np.ndarray:
+    """Per-tensor norms in "layer" mode; in "global" mode the one norm of
+    the whole flattened update."""
+    return np.sqrt(sq_norms if norm_mode == "layer" else sq_norms.sum(keepdims=True))
 
 
 def calibrate_update(
-    retained: ParamSet,
+    retained: ParamSet | StoredNorms,
     fresh: ParamSet,
     norm_mode: str = "layer",
     epsilon: float = _ZERO_NORM_EPS,
+    on_fallback: Callable[[], None] | None = None,
 ) -> ParamSet:
     """Redirect the retained update along the fresh one at retained magnitude.
 
@@ -57,29 +67,41 @@ def calibrate_update(
     most epsilon contributes no direction, so the retained tensor is kept
     as-is — it comes from a remaining client, so reusing it leaks nothing
     about the unlearned one, while zeroing it would discard real signal.
+
+    The retained update may be given as its stored norms alone: its tensors
+    are then read only if some fresh norm is at most epsilon. `on_fallback`
+    is called once for each tensor (each update, in "global" mode) kept
+    as retained.
     """
     if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    if not retained.conforms_to(fresh):
-        raise ValueError("retained and fresh updates have different structure")
+    if isinstance(retained, ParamSet):
+        if not retained.conforms_to(fresh):
+            raise ValueError("retained and fresh updates have different structure")
+        retained_sq, load = retained.sq_norms(), lambda: retained
+    else:
+        if retained.sq_norms.shape != (len(fresh),):
+            raise ValueError("retained and fresh updates have different structure")
+        retained_sq, load = retained.sq_norms, retained.load
 
-    if norm_mode == "global":
-        retained_norm = float(np.sqrt(sum(float((t * t).sum()) for _, t in retained.items())))
-        fresh_norm = float(np.sqrt(sum(float((t * t).sum()) for _, t in fresh.items())))
-        if fresh_norm <= epsilon:
-            return retained
-        scale = retained_norm / fresh_norm
-        return param_linear(scale, fresh, 0.0, fresh)
-
-    calibrated = []
-    for (name, old), (_, new) in zip(retained.items(), fresh.items()):
-        old_norm, new_norm = float(np.linalg.norm(old)), float(np.linalg.norm(new))
-        calibrated.append(
-            (name, old if new_norm <= epsilon else new * (old_norm / new_norm))
-        )
-    return ParamSet(calibrated)
+    layout = fresh._layout
+    spans = layout.spans if norm_mode == "layer" else ((0, layout.size, None),)
+    stored = None
+    out = np.empty(layout.size)
+    for (start, end, _), old_norm, new_norm in zip(
+            spans, _norms(retained_sq, norm_mode), _norms(fresh.sq_norms(), norm_mode)):
+        if new_norm <= epsilon:
+            if stored is None:
+                stored = load()
+                require_conformant(stored, fresh)
+            out[start:end] = stored.vector[start:end]
+            if on_fallback is not None:
+                on_fallback()
+        else:
+            np.multiply(fresh.vector[start:end], old_norm / new_norm, out=out[start:end])
+    return ParamSet._adopt(layout, out)
 
 
 def _remaining_ids(config: FedConfig) -> list[int]:
@@ -94,13 +116,13 @@ def _replay(
     config: FedConfig,
     aggregation_mode: str,
     keep_states: bool,
-    calibrate: Callable[[ParamSet, ClientUpdate], ClientUpdate] | None = None,
+    calibrate: Callable[[ParamSet, StoredNorms], ClientUpdate] | None = None,
 ) -> UnlearnResult:
     """Walk the retention schedule from the initial model, applying the
     aggregate of the remaining clients' stored updates at each retained
-    round. With `calibrate`, every update after the first retained round is
-    first replaced by calibrate(current model, update), and each round is
-    logged; without it the replay is plain and silent."""
+    round. With `calibrate`, every round after the first reads only the
+    stored norms and applies calibrate(current model, norms) per client, and
+    each round is logged; without it the replay is plain and silent."""
     expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
         raise ValueError(
@@ -110,12 +132,15 @@ def _replay(
     model = initial_model
     states: list[ParamSet] = []
     timings: list[float] = []
+    bytes_before = store.bytes_read
     start = time.perf_counter()
     for j, round_index in enumerate(store.retained_rounds):
         step_start = time.perf_counter()
-        updates = store.load_round(round_index, client_ids=remaining)
         if calibrate is not None and j >= 1:
-            updates = [calibrate(model, upd) for upd in updates]
+            updates = [calibrate(model, store.load_norms(round_index, cid))
+                       for cid in remaining]
+        else:
+            updates = store.load_round(round_index, client_ids=remaining)
         model = param_linear(1.0, model, 1.0, aggregate(updates, aggregation_mode))
         if keep_states:
             states.append(model)
@@ -132,6 +157,7 @@ def _replay(
         total_seconds=time.perf_counter() - start,
         calibration_rounds=len(store.retained_rounds),
         states=tuple(states) if keep_states else None,
+        store_bytes_read=store.bytes_read - bytes_before,
     )
 
 
@@ -154,6 +180,8 @@ def fed_eraser(
     every later round trains each remaining client for the configured
     calibration epochs from the current reconstructed model, redirects that
     client's stored update along the fresh one, and applies the aggregate.
+    Those later rounds read only the stored norms, and a blob only where a
+    fresh tensor falls back to its stored value.
     The target client's shard and stored updates are never touched.
     """
     by_id = {s.client_id: s for s in shards}
@@ -161,20 +189,29 @@ def fed_eraser(
     if missing:
         raise ValueError(f"shards missing for clients {missing}")
     cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
+    fallbacks = 0
 
-    def calibrate(model: ParamSet, upd: ClientUpdate) -> ClientUpdate:
+    def count_fallback() -> None:
+        nonlocal fallbacks
+        fallbacks += 1
+
+    def calibrate(model: ParamSet, stored: StoredNorms) -> ClientUpdate:
         fresh = local_train(
             arch,
             model,
-            by_id[upd.client_id],
+            by_id[stored.client_id],
             cali_config,
-            upd.round_index,
+            stored.round_index,
             epochs=config.calibration_epochs,
         )
-        return replace(upd, delta=calibrate_update(upd.delta, fresh.delta, norm_mode, epsilon))
+        delta = calibrate_update(stored, fresh.delta, norm_mode=norm_mode,
+                                 epsilon=epsilon, on_fallback=count_fallback)
+        return ClientUpdate(stored.client_id, stored.round_index, delta,
+                            stored.sample_count)
 
-    return _replay("eraser", arch, initial_model, store, config, aggregation_mode,
-                   keep_states, calibrate)
+    result = _replay("eraser", arch, initial_model, store, config, aggregation_mode,
+                     keep_states, calibrate)
+    return replace(result, eps_fallbacks=fallbacks)
 
 
 def fed_accum(

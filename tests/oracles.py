@@ -5,8 +5,11 @@ and repeated forward passes — so a bug in the package cannot hide in a bug
 shared with its oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from fedunlearn.federation import aggregate, local_train
 from fedunlearn.nn import (
     ArchSpec,
     Batch,
@@ -311,3 +314,46 @@ def reference_local_train(arch: ArchSpec, global_params: ParamSet, shard, config
             params = sgd_step(params, grads, config.learning_rate)
             losses.append(loss)
     return param_linear(1.0, params, -1.0, global_params), float(np.mean(losses))
+
+
+def reference_calibrate(retained: ParamSet, fresh: ParamSet, norm_mode: str,
+                        epsilon: float) -> ParamSet:
+    """Calibration with every norm taken from the tensors themselves:
+    np.linalg.norm per tensor, or the root of the summed squares of the
+    whole update in "global" mode."""
+    if norm_mode == "global":
+        retained_norm = np.sqrt(sum(float((t * t).sum()) for _, t in retained.items()))
+        fresh_norm = np.sqrt(sum(float((t * t).sum()) for _, t in fresh.items()))
+        if fresh_norm <= epsilon:
+            return retained
+        return param_linear(retained_norm / fresh_norm, fresh, 0.0, fresh)
+    items = []
+    for (name, old), (_, new) in zip(retained.items(), fresh.items()):
+        old_norm, new_norm = float(np.linalg.norm(old)), float(np.linalg.norm(new))
+        items.append((name, old if new_norm <= epsilon else new * (old_norm / new_norm)))
+    return ParamSet(items)
+
+
+def reference_fed_eraser(arch: ArchSpec, initial: ParamSet, store, shards, config,
+                         norm_mode: str = "layer", epsilon: float = 1e-12,
+                         train=local_train) -> ParamSet:
+    """Calibrated replay that reads every remaining client's whole stored
+    update at every retained round and takes the retained norms from it.
+    `train` stands in for local_train."""
+    by_id = {s.client_id: s for s in shards}
+    remaining = [c for c in range(1, config.num_clients + 1) if c != config.target_client]
+    cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
+    model = initial
+    for j, round_index in enumerate(store.retained_rounds):
+        updates = store.load_round(round_index, client_ids=remaining)
+        if j >= 1:
+            updates = [
+                replace(u, delta=reference_calibrate(
+                    u.delta,
+                    train(arch, model, by_id[u.client_id], cali_config, round_index,
+                          epochs=config.calibration_epochs).delta,
+                    norm_mode, epsilon))
+                for u in updates
+            ]
+        model = param_linear(1.0, model, 1.0, aggregate(updates))
+    return model

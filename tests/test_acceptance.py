@@ -12,6 +12,7 @@ adult.data and adult.test under data/adult in the repository root, or
 point FEDUNLEARN_DATA_DIR at a directory containing adult/.
 """
 
+import math
 import os
 import time
 import types
@@ -37,11 +38,18 @@ from fedunlearn.evaluation import (
     last_layer_angles,
     train_attack,
 )
+from fedunlearn import federation
 from fedunlearn.federation import run_fedavg
 from fedunlearn.nn import ParamSet, adult_arch, build_model, dense_arch
 from fedunlearn.retention import RetentionStore, StoreFingerprint, schedule
 from fedunlearn.seeds import derive_seed
-from fedunlearn.unlearning import calibrate_update, fed_accum, fed_eraser, fed_retrain
+from fedunlearn.unlearning import (
+    calibrate_update,
+    fed_accum,
+    fed_eraser,
+    fed_retrain,
+    schedule_speedup,
+)
 
 from oracles import (
     flat_weighted_mean,
@@ -347,6 +355,10 @@ class _ReadLog:
         self.reads.extend((round_index, u.client_id) for u in updates)
         return updates
 
+    def load_norms(self, round_index, client_id):
+        self.reads.append((round_index, client_id))
+        return self._store.load_norms(round_index, client_id)
+
 
 class _TrapDataset(Dataset):
     """Raises on any feature/label access once armed."""
@@ -454,6 +466,36 @@ def test_07_reconstruction_speedup_synthetic_analog(desk):
 
 def test_07_reconstruction_speedup_adult(adult_desk):
     _check_speedup(adult_desk, "census desk")
+
+
+def test_07_step_counts_match_closed_form(desk, monkeypatch):
+    """The noise-free companion of the wall-clock band: SGD steps taken by
+    retraining and by the eraser on the desk run, against the schedule."""
+    steps = 0
+    real = federation.loss_and_grad
+
+    def counting(arch, params, batch):
+        nonlocal steps
+        steps += 1
+        return real(arch, params, batch)
+
+    monkeypatch.setattr(federation, "loss_and_grad", counting)
+    config, store = desk.config, desk.suite.store
+    fed_retrain(desk.arch, desk.shards, config)
+    retrain_steps, steps = steps, 0
+    fed_eraser(desk.arch, desk.suite.initial, store, desk.shards, config)
+    eraser_steps = steps
+
+    steps_per_epoch = sum(math.ceil(s.sample_count / config.batch_size)
+                          for s in desk.shards if s.client_id != config.target_client)
+    assert retrain_steps == config.global_rounds * config.local_epochs * steps_per_epoch
+    assert eraser_steps == ((len(store.retained_rounds) - 1) * config.calibration_epochs
+                            * steps_per_epoch)
+    # 20 rounds x 4 epochs against 9 calibrated rounds x 2 epochs
+    assert retrain_steps * 18 == eraser_steps * 80
+    assert retrain_steps / eraser_steps == schedule_speedup(config)
+    _pass(7, "reconstruction step ratio (synthetic analog)",
+          f"{retrain_steps} / {eraser_steps} SGD steps = 80/18")
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,22 @@ class TestArtifacts:
         assert len(summary["eraser"]["round_timings"]) == 2
         assert summary["retrain"]["round_timings"] == []
 
+    def test_unlearn_summary_counts_store_reads(self, pipelines):
+        _, run_dir, _ = pipelines
+        summary = json.loads((run_dir / "unlearn.json").read_text())
+
+        def blob_bytes(rounds):
+            # target client 1 is never read
+            return sum((run_dir / "retention" / f"round_{r}" / f"client_{c}.fesp")
+                       .stat().st_size for r in rounds for c in (2, 3))
+
+        # the eraser reads whole blobs at the first retained round only
+        assert summary["eraser"]["store_bytes_read"] == blob_bytes([1])
+        assert summary["eraser"]["eps_fallbacks"] == 0
+        assert summary["accum"]["store_bytes_read"] == blob_bytes([1, 3])
+        assert summary["retrain"]["store_bytes_read"] == 0
+        assert "eps_fallbacks" not in summary["accum"]
+
     def test_timings_csv(self, pipelines):
         _, run_dir, _ = pipelines
         with open(run_dir / "timings.csv", newline="") as fh:
@@ -404,6 +420,43 @@ class TestResume:
         assert main(["train", str(ini), "--out", str(stage_dir)]) == 0
         assert os.stat(target).st_mtime_ns != before_time
         assert target.read_bytes() == before_bytes  # rebuilt, identically
+
+
+    def test_resume_rebuilds_a_store_without_norms(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["train", str(ini), "--out", str(out)]) == 0
+        manifest = out / "retention" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for clients in doc["rounds"].values():
+            for entry in clients.values():
+                del entry["sq_norms"], entry["sq_norms_crc"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["train", str(ini), "--out", str(out), "--resume"]) == 0
+        rebuilt = json.loads(manifest.read_text())
+        assert all("sq_norms" in entry for clients in rebuilt["rounds"].values()
+                   for entry in clients.values())
+
+
+class TestScenarioPersisted:
+    def test_report_scores_with_the_seed_the_run_used(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out), "--seed", "3"]) == 0
+        assert parse_scenario(out / "scenario.ini").seed == 3
+        metrics = (out / "metrics.csv").read_bytes()
+        (out / "metrics.csv").unlink()
+        (out / "report.json").unlink()
+        assert main(["report", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["scenario"]["seed"] == 3
+        assert (out / "metrics.csv").read_bytes() == metrics
+
+    @pytest.mark.parametrize("name", ["synthetic_small", "synthetic_desk", "adult_desk"])
+    def test_format_scenario_round_trips(self, tmp_path, name):
+        config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini"
+        scenario = parse_scenario(config, {"seed": 3, "out_dir": str(tmp_path / "a%b")})
+        written = write_ini(tmp_path, cli.format_scenario(scenario))
+        assert parse_scenario(written) == scenario
 
 
 class TestFreshTrainTimings:
@@ -555,6 +608,17 @@ class TestSweep:
         assert float(rows[1]["schedule_speedup"]) == 4.0
         assert (out / "ratio_0.5" / "models" / "eraser.fesp").exists()
         assert (out / "ratio_1" / "models" / "retrain.fesp").exists()
+
+    def test_ratios_with_the_same_calibration_epochs_warn(self, tmp_path, caplog):
+        ini = write_ini(tmp_path, TINY_INI)
+        # 2 local epochs: ratios 0.1 and 0.5 both calibrate for 1 epoch
+        with caplog.at_level(logging.WARNING, logger="fedunlearn.cli"):
+            assert main(["sweep", str(ini), "--out", str(tmp_path / "sweep"),
+                         "--param", "ratio", "--values", "0.1,0.5,1.0"]) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING and r.name == "fedunlearn.cli"]
+        assert len(warnings) == 1
+        assert "ratios 0.1, 0.5 all give calibration_epochs = 1" in warnings[0]
 
     def test_schedule_speedup_blank_without_calibrated_rounds(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)

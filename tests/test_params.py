@@ -169,6 +169,14 @@ class TestNorms:
             assert np.linalg.norm(t_scaled) == pytest.approx(abs(c) * np.linalg.norm(t),
                                                              rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sq_norms_root_is_linalg_norm_bit_for_bit(self, seed):
+        ps = make_set(seed=seed, shapes=(("w", (7, 5)), ("k", (2, 3, 3, 3)), ("b", (1,))))
+        sq = ps.sq_norms()
+        assert sq.shape == (3,)
+        for root, (_, t) in zip(np.sqrt(sq), ps.items()):
+            assert root == np.linalg.norm(t)
+
 
 class TestBinaryFormat:
     def test_round_trip_is_bit_exact(self):

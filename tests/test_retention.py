@@ -183,6 +183,28 @@ class TestIntegrity:
             store.load_client(3, 1)
         assert not store.is_complete()
 
+    def test_tampered_norms_are_detected(self, tmp_path):
+        store = full_store(tmp_path)
+        path = store.root / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["rounds"]["3"]["1"]["sq_norms"][1] += 1e-9
+        path.write_text(json.dumps(doc))
+        reopened = RetentionStore.open(store.root)
+        with pytest.raises(IntegrityError, match="norms checksum mismatch for round 3 client 1"):
+            reopened.load_norms(3, 1)
+        reopened.load_norms(3, 2)  # the other entries still check out
+
+    def test_manifest_without_norms(self, tmp_path):
+        store = full_store(tmp_path)
+        path = store.root / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["rounds"]["1"]["2"]["sq_norms"]
+        path.write_text(json.dumps(doc))
+        reopened = RetentionStore.open(store.root)
+        assert not reopened.is_complete()
+        with pytest.raises(IntegrityError, match="re-run `fedunlearn train`"):
+            reopened.load_norms(1, 2)
+
     def test_unknown_entry(self, tmp_path):
         store = RetentionStore.create(tmp_path / "store", FP)
         with pytest.raises(IntegrityError, match="no stored update for round 1 client 1"):
@@ -196,6 +218,35 @@ class TestIntegrity:
         entry = doc["rounds"]["1"]["2"]
         assert entry["path"] == "round_1/client_2.fesp"
         assert entry["sample_count"] >= 1
+
+
+class TestNorms:
+    def test_manifest_records_each_tensors_sum_of_squares(self, tmp_path):
+        store = full_store(tmp_path)
+        update = make_updates(3)[1]
+        stored = RetentionStore.open(store.root).load_norms(3, 2)
+        assert (stored.round_index, stored.client_id) == (3, 2)
+        assert stored.sample_count == update.sample_count
+        for root, (_, t) in zip(np.sqrt(stored.sq_norms), update.delta.items()):
+            assert root == np.linalg.norm(t)
+        assert stored.load() == update.delta
+
+    def test_norms_are_read_without_the_blob(self, tmp_path):
+        store = full_store(tmp_path)
+        (store.root / "round_3" / "client_2.fesp").unlink()
+        stored = store.load_norms(3, 2)
+        assert store.bytes_read == 0
+        with pytest.raises(IntegrityError, match="missing blob for round 3 client 2"):
+            stored.load()
+
+    def test_bytes_read_counts_blob_bytes(self, tmp_path):
+        store = full_store(tmp_path)
+        store.load_round(1)
+        store.load_client(3, 2)
+        assert store.bytes_read == sum(
+            (store.root / rel).stat().st_size
+            for rel in ("round_1/client_1.fesp", "round_1/client_2.fesp",
+                        "round_1/client_3.fesp", "round_3/client_2.fesp"))
 
 
 class TestLoadRound:

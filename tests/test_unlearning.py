@@ -1,16 +1,32 @@
 """Calibrated reconstruction, plain replay, retraining, and the calibration
 geometry identities."""
 
+import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fedunlearn.unlearning as unlearning
-from fedunlearn.data import ClientShard, Dataset, FedConfig
-from fedunlearn.federation import local_train
-from fedunlearn.nn import ParamSet, build_model, param_linear
-from fedunlearn.retention import RetentionStore, StoreFingerprint
+from fedunlearn.data import ClientShard, Dataset, FedConfig, partition_iid
+from fedunlearn.federation import local_train, run_fedavg
+from fedunlearn.nn import (
+    ArchSpec,
+    Conv2d,
+    Dense,
+    Flatten,
+    MaxPool2d,
+    ParamSet,
+    build_model,
+    param_linear,
+)
+from fedunlearn.retention import (
+    IntegrityError,
+    RetentionStore,
+    StoredNorms,
+    StoreFingerprint,
+)
 from fedunlearn.unlearning import (
     calibrate_update,
     expected_speedup,
@@ -21,6 +37,7 @@ from fedunlearn.unlearning import (
 )
 
 from conftest import small_config
+from oracles import reference_fed_eraser
 
 
 def pset(**tensors) -> ParamSet:
@@ -109,6 +126,28 @@ class TestCalibrateUpdate:
         with pytest.raises(ValueError, match="different structure"):
             calibrate_update(pset(w=[1.0]), pset(v=[1.0]))
 
+    @pytest.mark.parametrize("mode", ["layer", "global"])
+    def test_stored_norms_give_the_same_result(self, mode):
+        retained, fresh = random_pair(5)
+        stored = StoredNorms(3, 2, 10, retained.sq_norms(), load=lambda: pytest.fail("read"))
+        assert calibrate_update(stored, fresh, norm_mode=mode) == \
+            calibrate_update(retained, fresh, norm_mode=mode)
+
+    def test_stored_norms_load_the_tensors_only_on_fallback(self):
+        retained = pset(w=[3.0, 4.0], b=[2.0])
+        fresh = pset(w=[0.0, 0.0], b=[5.0])
+        loads, fallbacks = [], []
+        stored = StoredNorms(3, 2, 10, retained.sq_norms(),
+                             load=lambda: loads.append(1) or retained)
+        out = calibrate_update(stored, fresh, on_fallback=lambda: fallbacks.append(1))
+        assert out == calibrate_update(retained, fresh)
+        assert loads == [1] and fallbacks == [1]
+
+    def test_rejects_stored_norms_of_another_structure(self):
+        stored = StoredNorms(3, 2, 10, np.array([1.0, 2.0]), load=lambda: None)
+        with pytest.raises(ValueError, match="different structure"):
+            calibrate_update(stored, pset(w=[1.0]))
+
     def test_rejects_unknown_mode_and_negative_epsilon(self):
         with pytest.raises(ValueError, match="norm_mode"):
             calibrate_update(pset(w=[1.0]), pset(w=[1.0]), norm_mode="spectral")
@@ -135,6 +174,10 @@ class LoggingStore:
     def load_client(self, round_index, client_id):
         self.requested.append((round_index, client_id))
         return self._inner.load_client(round_index, client_id)
+
+    def load_norms(self, round_index, client_id):
+        self.requested.append((round_index, client_id))
+        return self._inner.load_norms(round_index, client_id)
 
 
 class TestFedAccum:
@@ -243,6 +286,141 @@ class TestFedEraser:
         layer = fed_eraser(arch, initial, store, shards, config, norm_mode="layer")
         global_ = fed_eraser(arch, initial, store, shards, config, norm_mode="global")
         assert layer.model != global_.model
+
+
+def _run_with_store(tmp_path, arch, inputs, labels, classes):
+    """Train a 3-client, 6-round run (rounds 1, 3 and 5 retained) on the
+    given data; (arch, config, shards, initial model, store)."""
+    config = small_config(global_rounds=6)
+    shards = partition_iid(Dataset("data", inputs, labels, classes),
+                           config.num_clients, config.seed)
+    store = RetentionStore.create(tmp_path / "store", StoreFingerprint.of(arch, config))
+    initial = build_model(arch, config.seed)
+    run_fedavg(arch, shards, config, initial_model=initial, retention_sink=store)
+    return arch, config, shards, initial, store
+
+
+@pytest.fixture(params=["dense", "conv"])
+def stored_run(request, tmp_path):
+    rng = np.random.default_rng(4)
+    if request.param == "dense":
+        arch = ArchSpec(layers=(Dense(6, 8, "relu"), Dense(8, 3)), input_shape=(6,))
+        inputs = rng.normal(size=(150, 6))
+    else:
+        arch = ArchSpec(
+            layers=(Conv2d(1, 2, 3, "relu"), Conv2d(2, 2, 2, "relu"), MaxPool2d(2),
+                    Flatten(), Dense(8, 3)),
+            input_shape=(1, 7, 7))
+        inputs = rng.normal(size=(150, 1, 7, 7))
+    labels = rng.integers(0, 3, size=150)
+    return _run_with_store(tmp_path, arch, inputs, labels, 3)
+
+
+def record_blob_reads(monkeypatch) -> list[tuple[int, int]]:
+    """From now on, every (round, client) whose blob any store reads."""
+    reads = []
+    real = RetentionStore.load_client
+
+    def recording(self, round_index, client_id):
+        reads.append((round_index, client_id))
+        return real(self, round_index, client_id)
+
+    monkeypatch.setattr(RetentionStore, "load_client", recording)
+    return reads
+
+
+def _rewrite_manifest(store, edit) -> RetentionStore:
+    path = store.root / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return RetentionStore.open(store.root)
+
+
+class TestEraserReadsStoredNorms:
+    """After the first retained round the eraser takes the retained norms
+    from the manifest; the oracle reads every whole blob every round."""
+
+    def test_layer_mode_is_bit_equal_to_full_blob_replay(self, stored_run):
+        arch, config, shards, initial, store = stored_run
+        result = fed_eraser(arch, initial, store, shards, config)
+        assert result.model == reference_fed_eraser(arch, initial, store, shards, config)
+        assert result.eps_fallbacks == 0
+
+    def test_global_mode_matches_full_blob_replay(self, stored_run):
+        arch, config, shards, initial, store = stored_run
+        result = fed_eraser(arch, initial, store, shards, config, norm_mode="global")
+        expected = reference_fed_eraser(arch, initial, store, shards, config,
+                                        norm_mode="global")
+        np.testing.assert_allclose(result.model.vector, expected.vector,
+                                   rtol=1e-12, atol=0)
+
+    def test_blobs_read_only_in_the_first_round(self, stored_run, monkeypatch):
+        arch, config, shards, initial, store = stored_run
+        reads = record_blob_reads(monkeypatch)
+        result = fed_eraser(arch, initial, store, shards, config)
+        assert reads == [(1, 2), (1, 3)]
+        assert result.store_bytes_read == sum(
+            (store.root / f"round_1/client_{c}.fesp").stat().st_size for c in (2, 3))
+
+    def test_epsilon_fallback_reads_only_that_blob(self, stored_run, monkeypatch):
+        arch, config, shards, initial, store = stored_run
+        last = build_model(arch, 0).names[-1]
+
+        def zeroing_train(arch_, model_, shard_, cfg_, round_index, epochs=None):
+            # client 2's last fresh tensor at round 3 is all zeros, so it
+            # falls back to the stored tensor
+            upd = local_train(arch_, model_, shard_, cfg_, round_index, epochs)
+            if (shard_.client_id, round_index) != (2, 3):
+                return upd
+            delta = ParamSet((n, np.zeros_like(t) if n == last else t)
+                             for n, t in upd.delta.items())
+            return replace(upd, delta=delta)
+
+        monkeypatch.setattr(unlearning, "local_train", zeroing_train)
+        expected = reference_fed_eraser(arch, initial, store, shards, config,
+                                        train=zeroing_train)
+        reads = record_blob_reads(monkeypatch)
+        result = fed_eraser(arch, initial, store, shards, config)
+        assert result.model == expected
+        assert result.eps_fallbacks == 1
+        assert reads == [(1, 2), (1, 3), (3, 2)]
+
+    def test_tampered_norms_are_detected(self, trained_run, tmp_path):
+        arch, config, shards, _, initial, _, store, _ = trained_run
+        shutil.copytree(store.root, tmp_path / "copy")
+
+        def tamper(doc):
+            doc["rounds"]["3"]["2"]["sq_norms"][0] *= 1.5
+
+        copy = _rewrite_manifest(RetentionStore.open(tmp_path / "copy"), tamper)
+        with pytest.raises(IntegrityError, match="norms checksum mismatch for round 3 client 2"):
+            fed_eraser(arch, initial, copy, shards, config)
+
+    def test_manifest_without_norms_asks_for_a_new_train(self, trained_run, tmp_path):
+        arch, config, shards, _, initial, _, store, _ = trained_run
+        shutil.copytree(store.root, tmp_path / "copy")
+
+        def strip(doc):
+            for clients in doc["rounds"].values():
+                for entry in clients.values():
+                    del entry["sq_norms"], entry["sq_norms_crc"]
+
+        copy = _rewrite_manifest(RetentionStore.open(tmp_path / "copy"), strip)
+        assert not copy.is_complete()
+        with pytest.raises(IntegrityError, match=r"round 3 client 2: .*re-run `fedunlearn train`"):
+            fed_eraser(arch, initial, copy, shards, config)
+        # plain replay reads only blobs and still works
+        assert fed_accum(arch, initial, copy, config).model == \
+            fed_accum(arch, initial, store, config).model
+
+    def test_accum_reads_every_remaining_blob(self, trained_run):
+        arch, config, _, _, initial, _, store, _ = trained_run
+        result = fed_accum(arch, initial, store, config)
+        assert result.store_bytes_read == sum(
+            (store.root / f"round_{r}/client_{c}.fesp").stat().st_size
+            for r in store.retained_rounds for c in (2, 3))
+        assert result.eps_fallbacks == 0
 
 
 class TestFedRetrain:
