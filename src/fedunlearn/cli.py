@@ -10,7 +10,8 @@ A run lives in one output directory:
     manifest.json               dataset/architecture/schedule summary
     retention/                  stored per-client updates
     models/*.fesp               initial, original, and reconstructed models
-    states/<method>/*.fesp      per-step states for angle trajectories
+    heads/<method>.fesp         head weight after each step (tensors step0001,
+                                step0002, ...) for angle trajectories
     attack.json                 membership-attack metrics per model
     report.json, metrics.csv    final measurements (deterministic given seed)
     timings.csv                 wall-clock numbers (machine-dependent)
@@ -50,7 +51,6 @@ from .evaluation import (
     attack_metrics,
     build_membership_features,
     evaluate,
-    last_dense_weight,
     last_layer_angles,
     prediction_difference,
     train_attack,
@@ -315,8 +315,8 @@ class Run:
     def model_path(self, name: str) -> Path:
         return self.out_dir / "models" / f"{name}.fesp"
 
-    def states_dir(self, method: str) -> Path:
-        return self.out_dir / "states" / method
+    def head_path(self, method: str) -> Path:
+        return self.out_dir / "heads" / f"{method}.fesp"
 
 
 def _read_timings(out_dir: Path) -> dict[str, float]:
@@ -390,14 +390,8 @@ def _train(run: Run, resume: bool) -> None:
 
     initial = build_model(arch, scenario.seed)
     start = time.perf_counter()
-    model, history = run_fedavg(
-        arch,
-        run.shards,
-        scenario,
-        initial_model=initial,
-        retention_sink=store,
-        aggregation_mode=scenario.aggregation,
-    )
+    model, history = run_fedavg(arch, run.shards, scenario, initial_model=initial,
+                                retention_sink=store)
     train_seconds = time.perf_counter() - start
 
     (out_dir / "models").mkdir(parents=True, exist_ok=True)
@@ -427,7 +421,8 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
-    if resume and all(run.model_path(m).exists() for m in methods):
+    if resume and all(run.model_path(m).exists() and run.head_path(m).exists()
+                      for m in methods):
         logger.info("unlearning artifacts already present; skipping")
         return
     if not run.model_path("initial").exists():
@@ -438,32 +433,18 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
 
     results: dict[str, UnlearnResult] = {}
     if "eraser" in methods:
-        results["eraser"] = fed_eraser(
-            arch, initial, store, run.shards, scenario,
-            norm_mode=scenario.norm_mode,
-            aggregation_mode=scenario.aggregation,
-            keep_states=True,
-        )
+        results["eraser"] = fed_eraser(arch, initial, store, run.shards, scenario)
     if "accum" in methods:
-        results["accum"] = fed_accum(
-            arch, initial, store, scenario,
-            aggregation_mode=scenario.aggregation,
-            keep_states=True,
-        )
+        results["accum"] = fed_accum(arch, initial, store, scenario)
     if "retrain" in methods:
-        results["retrain"] = fed_retrain(
-            arch, run.shards, scenario,
-            aggregation_mode=scenario.aggregation,
-            keep_snapshots=True,
-        )
+        results["retrain"] = fed_retrain(arch, run.shards, scenario)
     summary = {}
+    (run.out_dir / "heads").mkdir(exist_ok=True)
     for name, result in results.items():
         save_params(result.model, run.model_path(name))
-        if result.states:
-            state_dir = run.states_dir(name)
-            state_dir.mkdir(parents=True, exist_ok=True)
-            for j, state in enumerate(result.states, start=1):
-                save_params(state, state_dir / f"state{j:04d}.fesp")
+        save_params(ParamSet((f"step{j:04d}", head)
+                             for j, head in enumerate(result.heads, start=1)),
+                    run.head_path(name))
         _record_timing(run.out_dir, name, result.total_seconds)
         summary[name] = {
             "total_seconds": result.total_seconds,
@@ -534,8 +515,29 @@ def _attack(run: Run, resume: bool) -> None:
     attack_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
-def _load_states(run: Run, method: str) -> list[ParamSet]:
-    return [load_params(p) for p in sorted(run.states_dir(method).glob("state*.fesp"))]
+def _angles(run: Run, retained: list[int]) -> dict[str, object]:
+    """Eraser and accum head angles to retraining at each retained round.
+    A trajectory whose length does not fit the retained schedule is
+    left out with a warning."""
+    heads = {name: load_params(run.head_path(name)).tensors
+             for name in METHODS if run.head_path(name).exists()}
+    retrain = heads.pop("retrain", None)
+    if retrain is None:
+        return {}
+    if len(retrain) < retained[-1]:
+        logger.warning("retrain has %d heads but the retained schedule reaches round %d;"
+                       " angles omitted", len(retrain), retained[-1])
+        return {}
+    angles: dict[str, object] = {}
+    for name, series in heads.items():
+        if len(series) != len(retained):
+            logger.warning("%s has %d heads but %d rounds are retained; its angles"
+                           " are omitted", name, len(series), len(retained))
+            continue
+        angles[name] = last_layer_angles(series, retrain, retained,
+                                         per_neuron=run.scenario.per_neuron_angles)
+        angles[f"{name}_mean"] = float(np.mean(angles[name]))
+    return angles
 
 
 def _report(run: Run, resume: bool) -> None:
@@ -568,8 +570,7 @@ def _report(run: Run, resume: bool) -> None:
         if retrain is not None and name != "retrain":
             pdiff = prediction_difference(arch, model, retrain, target,
                                           scenario.eval_batch_size)
-            angle = angle_deviation(last_dense_weight(arch, model),
-                                    last_dense_weight(arch, retrain))
+            angle = angle_deviation(arch.head_weight(model), arch.head_weight(retrain))
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(
             method=name,
@@ -590,17 +591,7 @@ def _report(run: Run, resume: bool) -> None:
     if (retention_dir / "manifest.json").exists():
         store = RetentionStore.open(retention_dir)
         storage["retention_bytes"] = store.total_blob_bytes()
-        retrain_snapshots = _load_states(run, "retrain")
-        if retrain_snapshots:
-            for name in ("eraser", "accum"):
-                states = _load_states(run, name)
-                if len(states) == len(store.retained_rounds):
-                    series = last_layer_angles(
-                        arch, states, retrain_snapshots, store.retained_rounds,
-                        per_neuron=scenario.per_neuron_angles,
-                    )
-                    angles[name] = series
-                    angles[f"{name}_mean"] = float(np.mean(series))
+        angles = _angles(run, store.retained_rounds)
 
     timings = _read_timings(out_dir)
     speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,33 +87,26 @@ def angle_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.degrees(np.arccos(cosine)))
 
 
-def last_dense_weight(arch: ArchSpec, params: ParamSet) -> np.ndarray:
-    """The weight matrix of the final dense layer — the classification head."""
-    return params[f"layer{arch.last_dense_index()}.weight"]
-
-
 def last_layer_angles(
-    arch: ArchSpec,
-    method_states: list[ParamSet] | tuple[ParamSet, ...],
-    retrain_snapshots: list[ParamSet] | tuple[ParamSet, ...],
-    retained_rounds: list[int],
+    method_heads: Sequence[np.ndarray],
+    retrain_heads: Sequence[np.ndarray],
+    retained_rounds: Sequence[int],
     per_neuron: bool = False,
 ) -> list[float]:
     """Head angles between a reconstruction trajectory and retraining.
 
-    The j-th reconstructed state is compared against the retrained model as
+    The j-th reconstructed head is compared against the retrained head as
     of the same training round (the j-th retained round). With per_neuron the
     angle is averaged over output columns instead of taken on the full
     flattened matrix.
     """
-    if len(method_states) != len(retained_rounds):
-        raise ValueError("one state per retained round is required")
+    if len(method_heads) != len(retained_rounds):
+        raise ValueError("one head per retained round is required")
     angles = []
-    for state, round_index in zip(method_states, retained_rounds):
-        if not 1 <= round_index <= len(retrain_snapshots):
-            raise ValueError(f"no retraining snapshot for round {round_index}")
-        w_method = last_dense_weight(arch, state)
-        w_ref = last_dense_weight(arch, retrain_snapshots[round_index - 1])
+    for w_method, round_index in zip(method_heads, retained_rounds):
+        if not 1 <= round_index <= len(retrain_heads):
+            raise ValueError(f"no retraining head for round {round_index}")
+        w_ref = retrain_heads[round_index - 1]
         if per_neuron:
             per_col = [
                 angle_deviation(w_method[:, j], w_ref[:, j])

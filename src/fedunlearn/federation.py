@@ -49,7 +49,7 @@ class RoundRecord:
 @dataclass
 class RoundHistory:
     records: list[RoundRecord] = field(default_factory=list)
-    snapshots: list[ParamSet] = field(default_factory=list)  # post-round globals, optional
+    heads: list[np.ndarray] = field(default_factory=list)  # post-round head weights
 
 
 class UpdateSink(Protocol):
@@ -159,14 +159,13 @@ def run_fedavg(
     initial_model: ParamSet | None = None,
     retention_sink: UpdateSink | None = None,
     exclude: frozenset[int] | set[int] = frozenset(),
-    aggregation_mode: str = "standard",
-    keep_snapshots: bool = False,
 ) -> tuple[ParamSet, RoundHistory]:
     """The outer federated loop: each round every participating client trains
-    locally, deltas are aggregated, and the weighted delta is added to the
-    global model. When a retention sink is given, the full per-client update
-    list is handed to it at each of its retained rounds — which is only
-    meaningful (and only allowed) when no client is excluded."""
+    locally, deltas are aggregated in `config.aggregation` mode, and the
+    weighted delta is added to the global model; the history keeps each
+    round's head weight. When a retention sink is given, the full per-client
+    update list is handed to it at each of its retained rounds — which is
+    only meaningful (and only allowed) when no client is excluded."""
     by_id = {s.client_id: s for s in shards}
     if len(by_id) != len(shards):
         raise ValueError("duplicate client ids in shards")
@@ -196,14 +195,13 @@ def run_fedavg(
         ]
         if retention_sink is not None and round_index in retained:
             retention_sink.store_round(round_index, updates)
-        model = param_linear(1.0, model, 1.0, aggregate(updates, aggregation_mode))
+        model = param_linear(1.0, model, 1.0, aggregate(updates, config.aggregation))
         mean_loss = float(np.mean([u.train_loss for u in updates]))
         duration = time.perf_counter() - round_start
         history.records.append(
             RoundRecord(round_index, tuple(participants), mean_loss, duration)
         )
-        if keep_snapshots:
-            history.snapshots.append(model)
+        history.heads.append(arch.head_weight(model))
         logger.info(
             "round %d/%d: %d clients, mean train loss %.4f, %.1f ms",
             round_index, config.global_rounds, len(participants), mean_loss,

@@ -12,6 +12,10 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
+from .params import ParamSet
+
 ACTIVATIONS = ("none", "relu")
 
 
@@ -129,6 +133,11 @@ class ArchSpec:
             if isinstance(self.layers[i], Dense):
                 return i
         raise ValueError("architecture has no dense layer")
+
+    def head_weight(self, params: ParamSet) -> np.ndarray:
+        """A copy of the final dense layer's weight, the classification head;
+        holding it keeps nothing else of `params` alive."""
+        return params[f"layer{self.last_dense_index()}.weight"].copy()
 
 
 def _apply_shape(layer: Layer, shape: tuple[int, ...], index: int) -> tuple[int, ...]:

@@ -42,7 +42,7 @@ class UnlearnResult:
     total_seconds: float
     calibration_rounds: int  # reconstruction steps walked (retained rounds,
     # or full training rounds for the retraining route)
-    states: tuple[ParamSet, ...] | None = None  # model after each step, if kept
+    heads: tuple[np.ndarray, ...] = ()  # head weight after each step
     store_bytes_read: int = 0  # retention blob bytes read
     eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
 
@@ -114,15 +114,14 @@ def _replay(
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
-    aggregation_mode: str,
-    keep_states: bool,
     calibrate: Callable[[ParamSet, StoredNorms], ClientUpdate] | None = None,
 ) -> UnlearnResult:
     """Walk the retention schedule from the initial model, applying the
     aggregate of the remaining clients' stored updates at each retained
-    round. With `calibrate`, every round after the first reads only the
-    stored norms and applies calibrate(current model, norms) per client, and
-    each round is logged; without it the replay is plain and silent."""
+    round and keeping the head weight after each. With `calibrate`, every
+    round after the first reads only the stored norms and applies
+    calibrate(current model, norms) per client, and each round is logged;
+    without it the replay is plain and silent."""
     expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
         raise ValueError(
@@ -130,7 +129,7 @@ def _replay(
         )
     remaining = _remaining_ids(config)
     model = initial_model
-    states: list[ParamSet] = []
+    heads: list[np.ndarray] = []
     timings: list[float] = []
     bytes_before = store.bytes_read
     start = time.perf_counter()
@@ -141,9 +140,8 @@ def _replay(
                        for cid in remaining]
         else:
             updates = store.load_round(round_index, client_ids=remaining)
-        model = param_linear(1.0, model, 1.0, aggregate(updates, aggregation_mode))
-        if keep_states:
-            states.append(model)
+        model = param_linear(1.0, model, 1.0, aggregate(updates, config.aggregation))
+        heads.append(arch.head_weight(model))
         timings.append(time.perf_counter() - step_start)
         if calibrate is not None:
             logger.info(
@@ -156,7 +154,7 @@ def _replay(
         round_timings=tuple(timings),
         total_seconds=time.perf_counter() - start,
         calibration_rounds=len(store.retained_rounds),
-        states=tuple(states) if keep_states else None,
+        heads=tuple(heads),
         store_bytes_read=store.bytes_read - bytes_before,
     )
 
@@ -167,12 +165,9 @@ def fed_eraser(
     store: RetentionStore,
     shards: Sequence[ClientShard],
     config: FedConfig,
-    norm_mode: str = "layer",
-    epsilon: float = _ZERO_NORM_EPS,
-    aggregation_mode: str = "standard",
-    keep_states: bool = False,
 ) -> UnlearnResult:
-    """Calibrated reconstruction from the retained updates.
+    """Calibrated reconstruction from the retained updates, rescaled in
+    `config.norm_mode`.
 
     Walks the retention schedule from the shared initial model. The first
     retained round is applied directly — the initial model was never trained
@@ -204,13 +199,12 @@ def fed_eraser(
             stored.round_index,
             epochs=config.calibration_epochs,
         )
-        delta = calibrate_update(stored, fresh.delta, norm_mode=norm_mode,
-                                 epsilon=epsilon, on_fallback=count_fallback)
+        delta = calibrate_update(stored, fresh.delta, norm_mode=config.norm_mode,
+                                 on_fallback=count_fallback)
         return ClientUpdate(stored.client_id, stored.round_index, delta,
                             stored.sample_count)
 
-    result = _replay("eraser", arch, initial_model, store, config, aggregation_mode,
-                     keep_states, calibrate)
+    result = _replay("eraser", arch, initial_model, store, config, calibrate)
     return replace(result, eps_fallbacks=fallbacks)
 
 
@@ -219,12 +213,9 @@ def fed_accum(
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
-    aggregation_mode: str = "standard",
-    keep_states: bool = False,
 ) -> UnlearnResult:
     """Plain replay of the retained non-target updates — no new training."""
-    return _replay("accum", arch, initial_model, store, config, aggregation_mode,
-                   keep_states)
+    return _replay("accum", arch, initial_model, store, config)
 
 
 def fed_retrain(
@@ -232,8 +223,6 @@ def fed_retrain(
     shards: Sequence[ClientShard],
     config: FedConfig,
     seed: int | None = None,
-    aggregation_mode: str = "standard",
-    keep_snapshots: bool = False,
 ) -> UnlearnResult:
     """Train from a fresh seeded initialization with the target excluded.
 
@@ -243,15 +232,8 @@ def fed_retrain(
     """
     start = time.perf_counter()
     initial = build_model(arch, config.seed if seed is None else seed)
-    model, history = run_fedavg(
-        arch,
-        shards,
-        config,
-        initial_model=initial,
-        exclude={config.target_client},
-        aggregation_mode=aggregation_mode,
-        keep_snapshots=keep_snapshots,
-    )
+    model, history = run_fedavg(arch, shards, config, initial_model=initial,
+                                exclude={config.target_client})
     total = time.perf_counter() - start
     return UnlearnResult(
         method="retrain",
@@ -259,7 +241,7 @@ def fed_retrain(
         round_timings=(),
         total_seconds=total,
         calibration_rounds=config.global_rounds,
-        states=tuple(history.snapshots) if keep_snapshots else None,
+        heads=tuple(history.heads),
     )
 
 

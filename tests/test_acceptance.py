@@ -80,10 +80,9 @@ def _reconstruction_suite(tmp: Path, arch, shards, config, with_accum=True):
     initial = build_model(arch, config.seed)
     original, _ = run_fedavg(arch, shards, config, initial_model=initial,
                              retention_sink=store)
-    eraser = fed_eraser(arch, initial, store, shards, config, keep_states=True)
-    accum = (fed_accum(arch, initial, store, config, keep_states=True)
-             if with_accum else None)
-    retrain = fed_retrain(arch, shards, config, keep_snapshots=True)
+    eraser = fed_eraser(arch, initial, store, shards, config)
+    accum = fed_accum(arch, initial, store, config) if with_accum else None
+    retrain = fed_retrain(arch, shards, config)
     return types.SimpleNamespace(store=store, initial=initial,
                                  original=original, eraser=eraser,
                                  accum=accum, retrain=retrain)
@@ -156,9 +155,9 @@ def _measure(arch, suite, test, shards, config):
     }
     rounds = suite.store.retained_rounds
     ns.angle_eraser = float(np.mean(last_layer_angles(
-        arch, list(suite.eraser.states), list(suite.retrain.states), rounds)))
+        suite.eraser.heads, suite.retrain.heads, rounds)))
     ns.angle_accum = float(np.mean(last_layer_angles(
-        arch, list(suite.accum.states), list(suite.retrain.states), rounds)))
+        suite.accum.heads, suite.retrain.heads, rounds)))
     return ns
 
 

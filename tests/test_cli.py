@@ -26,7 +26,7 @@ from fedunlearn.cli import (
 )
 from fedunlearn.data import make_synthetic
 from fedunlearn.evaluation import METRIC_COLUMNS
-from fedunlearn.nn import adult_arch, dense_arch, load_params
+from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
 
 TINY_INI = """\
 [data]
@@ -281,11 +281,16 @@ class TestArtifacts:
     def test_state_trajectories(self, pipelines):
         _, run_dir, _ = pipelines
         # 4 rounds at interval 2 retain rounds 1 and 3: two replay steps,
-        # while retraining keeps one snapshot per round.
+        # while retraining keeps one head per round.
+        arch = dense_arch(8, 2, hidden=8)
         for method, count in (("eraser", 2), ("accum", 2), ("retrain", 4)):
-            states = sorted((run_dir / "states" / method).glob("state*.fesp"))
-            assert [p.name for p in states] == [
-                f"state{j:04d}.fesp" for j in range(1, count + 1)]
+            heads = load_params(run_dir / "heads" / f"{method}.fesp")
+            assert heads.names == tuple(f"step{j:04d}" for j in range(1, count + 1))
+            assert heads.shapes()[0][1] == (8, 2)
+            final = load_params(run_dir / "models" / f"{method}.fesp")
+            np.testing.assert_array_equal(heads[f"step{count:04d}"],
+                                          arch.head_weight(final))
+        assert not (run_dir / "states").exists()
 
     def test_manifest_contents(self, pipelines):
         _, run_dir, _ = pipelines
@@ -421,6 +426,18 @@ class TestResume:
         assert os.stat(target).st_mtime_ns != before_time
         assert target.read_bytes() == before_bytes  # rebuilt, identically
 
+
+    def test_resume_rebuilds_missing_heads(self, pipelines, tmp_path):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        (out / "heads" / "eraser.fesp").unlink()
+        assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+        assert (out / "heads" / "eraser.fesp").exists()
+        assert main(["report", str(out)]) == 0
+        angles = json.loads((out / "report.json").read_text())["angles"]
+        fresh = json.loads((run_dir / "report.json").read_text())["angles"]
+        assert angles["eraser"] == fresh["eraser"]
 
     def test_resume_rebuilds_a_store_without_norms(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
@@ -658,3 +675,52 @@ class TestSweep:
         ini = write_ini(tmp_path, TINY_INI)
         with pytest.raises(SystemExit):
             main(["sweep", str(ini), "--param", "bogus", "--values", "1"])
+
+
+class TestAngleTrajectories:
+    def test_rerun_with_another_interval_keeps_the_angles(self, pipelines, tmp_path):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "out"
+        interval_1 = write_ini(tmp_path, TINY_INI.replace("retain_interval = 2",
+                                                          "retain_interval = 1"),
+                               name="interval_1.ini")
+        assert main(["run", str(interval_1), "--out", str(out)]) == 0
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        angles = json.loads((out / "report.json").read_text())["angles"]
+        fresh = json.loads((run_dir / "report.json").read_text())["angles"]
+        for name in ("eraser", "accum"):
+            assert angles[name] == fresh[name]
+            assert angles[f"{name}_mean"] == fresh[f"{name}_mean"]
+
+    @staticmethod
+    def _truncate_heads(out, method, steps):
+        path = out / "heads" / f"{method}.fesp"
+        heads = load_params(path)
+        save_params(ParamSet(list(heads.items())[:steps]), path)
+
+    def _report_warnings(self, out, caplog):
+        with caplog.at_level(logging.WARNING, logger="fedunlearn.cli"):
+            assert main(["report", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING and r.name == "fedunlearn.cli"]
+        return warnings, json.loads((out / "report.json").read_text())["angles"]
+
+    def test_short_method_trajectory_warns(self, tmp_path, caplog):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        self._truncate_heads(out, "eraser", 1)
+        warnings, angles = self._report_warnings(out, caplog)
+        assert len(warnings) == 1
+        assert "eraser has 1 heads but 2 rounds are retained" in warnings[0]
+        assert set(angles) == {"accum", "accum_mean"}
+
+    def test_retrain_not_covering_a_retained_round_warns(self, tmp_path, caplog):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        self._truncate_heads(out, "retrain", 2)
+        warnings, angles = self._report_warnings(out, caplog)
+        assert len(warnings) == 1
+        assert "retrain has 2 heads but the retained schedule reaches round 3" in warnings[0]
+        assert angles == {}

@@ -142,55 +142,42 @@ class TestAngleDeviation:
             angle_deviation([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
-def head_only_params(arch: ArchSpec, head: np.ndarray) -> ParamSet:
-    items = []
-    for name, shape in arch.param_shapes():
-        if name == f"layer{arch.last_dense_index()}.weight":
-            items.append((name, head))
-        else:
-            items.append((name, np.ones(shape)))
-    return ParamSet(items)
-
-
 class TestLastLayerAngles:
     def test_pairs_states_with_matching_snapshots(self):
-        arch = small_arch(features=2, classes=2, hidden=2)  # head is 2x2
         eye = np.eye(2)
         rot90 = np.array([[0.0, 1.0], [-1.0, 0.0]])  # orthogonal to eye
-        states = [head_only_params(arch, eye), head_only_params(arch, rot90)]
-        snapshots = [
-            head_only_params(arch, eye),      # round 1
-            head_only_params(arch, rot90),    # round 2 (never compared)
-            head_only_params(arch, eye),      # round 3
-        ]
-        angles = last_layer_angles(arch, states, snapshots, retained_rounds=[1, 3])
+        heads = [eye, rot90]
+        retrain_heads = [eye, rot90, eye]  # rounds 1-3; round 2 is never compared
+        angles = last_layer_angles(heads, retrain_heads, retained_rounds=[1, 3])
         assert angles[0] == 0.0  # bit-identical heads
         assert angles[1] == pytest.approx(90.0)
 
     def test_per_neuron_averages_columns(self):
-        arch = small_arch(features=2, classes=2, hidden=2)
-        method = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ref = np.array([[1.0, 1.0], [0.0, 0.0]])
-        states = [head_only_params(arch, method)]
-        snapshots = [head_only_params(arch, ref)]
+        method = [np.array([[1.0, 0.0], [0.0, 1.0]])]
+        ref = [np.array([[1.0, 1.0], [0.0, 0.0]])]
         # columns: (1,0) vs (1,0) -> 0 deg; (0,1) vs (1,0) -> 90 deg
-        per_neuron = last_layer_angles(arch, states, snapshots, [1], per_neuron=True)
+        per_neuron = last_layer_angles(method, ref, [1], per_neuron=True)
         assert per_neuron[0] == pytest.approx(45.0)
         # flattened: cos = 1/2 -> 60 deg
-        flat = last_layer_angles(arch, states, snapshots, [1])
+        flat = last_layer_angles(method, ref, [1])
         assert flat[0] == pytest.approx(60.0)
 
     def test_rejects_mismatched_lengths(self):
-        arch = small_arch(2, 2, 2)
-        state = head_only_params(arch, np.eye(2))
-        with pytest.raises(ValueError, match="one state per retained round"):
-            last_layer_angles(arch, [state], [state], [1, 3])
+        with pytest.raises(ValueError, match="one head per retained round"):
+            last_layer_angles([np.eye(2)], [np.eye(2)], [1, 3])
 
     def test_rejects_missing_snapshot(self):
-        arch = small_arch(2, 2, 2)
-        state = head_only_params(arch, np.eye(2))
-        with pytest.raises(ValueError, match="no retraining snapshot for round 5"):
-            last_layer_angles(arch, [state], [state, state], [5])
+        with pytest.raises(ValueError, match="no retraining head for round 5"):
+            last_layer_angles([np.eye(2)], [np.eye(2)] * 2, [5])
+
+
+class TestHeadWeight:
+    def test_is_a_copy_of_the_last_dense_weight(self):
+        arch = small_arch(features=2, classes=3, hidden=4)
+        params = build_model(arch, 0)
+        head = arch.head_weight(params)
+        np.testing.assert_array_equal(head, params["layer1.weight"])
+        assert head.base is None  # owns its data: the model can be freed
 
 
 class TestMembershipFeatures:

@@ -1,6 +1,7 @@
 """Local training, weighted aggregation, and the federated round loop."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,13 +260,13 @@ class RecordingSink:
 
 class TestRunFedavg:
     def test_round_loop_and_history(self, arch, config, shards):
-        model, history = run_fedavg(arch, shards, config, keep_snapshots=True)
+        model, history = run_fedavg(arch, shards, config)
         check_conformant_with_arch(arch, model)
         assert [r.round_index for r in history.records] == [1, 2, 3, 4]
         assert all(r.participants == (1, 2, 3) for r in history.records)
         assert all(r.duration_seconds >= 0 for r in history.records)
-        assert len(history.snapshots) == config.global_rounds
-        assert history.snapshots[-1] == model
+        assert len(history.heads) == config.global_rounds
+        np.testing.assert_array_equal(history.heads[-1], arch.head_weight(model))
 
     def test_deterministic(self, arch, config, shards):
         a, _ = run_fedavg(arch, shards, config)
@@ -293,15 +294,31 @@ class TestRunFedavg:
         sink = RecordingSink([1, 3])
         initial = build_model(arch, config.seed)
         _, history = run_fedavg(arch, shards, config, initial_model=initial,
-                                retention_sink=sink, keep_snapshots=True)
+                                retention_sink=sink)
         assert [r for r, _ in sink.calls] == [1, 3]
         for round_index, updates in sink.calls:
             assert sorted(u.client_id for u in updates) == [1, 2, 3]
             assert all(u.round_index == round_index for u in updates)
-        # the stored round-1 updates are exactly what produced snapshot 1
+        # the stored round-1 updates are exactly what produced the round-1
+        # model: the whole of it, and the head the history kept
         first_round = sink.calls[0][1]
         reconstructed = param_linear(1.0, initial, 1.0, aggregate(first_round))
-        assert reconstructed == history.snapshots[0]
+        one_round, _ = run_fedavg(arch, shards,
+                                  replace(config, global_rounds=1, retain_interval=1),
+                                  initial_model=initial)
+        assert reconstructed == one_round
+        np.testing.assert_array_equal(history.heads[0], arch.head_weight(reconstructed))
+
+    def test_aggregation_mode_comes_from_the_config(self, arch, config, shards):
+        literal = replace(config, aggregation="literal")
+        assert run_fedavg(arch, shards, literal)[0] != run_fedavg(arch, shards, config)[0]
+        sink = RecordingSink([1])
+        initial = build_model(arch, config.seed)
+        model, _ = run_fedavg(arch, shards,
+                              replace(literal, global_rounds=1, retain_interval=1),
+                              initial_model=initial, retention_sink=sink)
+        assert model == param_linear(1.0, initial, 1.0,
+                                     aggregate(sink.calls[0][1], "literal"))
 
     def test_sink_with_exclusion_is_rejected(self, arch, config, shards):
         with pytest.raises(ValueError, match="cannot exclude"):

@@ -10,7 +10,7 @@ import pytest
 
 import fedunlearn.unlearning as unlearning
 from fedunlearn.data import ClientShard, Dataset, FedConfig, partition_iid
-from fedunlearn.federation import local_train, run_fedavg
+from fedunlearn.federation import aggregate, local_train, run_fedavg
 from fedunlearn.nn import (
     ArchSpec,
     Conv2d,
@@ -211,11 +211,21 @@ class TestFedAccum:
 
     def test_step_bookkeeping(self, trained_run):
         arch, config, _, _, initial, _, store, _ = trained_run
-        result = fed_accum(arch, initial, store, config, keep_states=True)
+        result = fed_accum(arch, initial, store, config)
         assert result.calibration_rounds == len(store.retained_rounds)
         assert len(result.round_timings) == len(store.retained_rounds)
-        assert len(result.states) == len(store.retained_rounds)
-        assert result.states[-1] == result.model
+        assert len(result.heads) == len(store.retained_rounds)
+        np.testing.assert_array_equal(result.heads[-1], arch.head_weight(result.model))
+
+    def test_aggregation_mode_comes_from_the_config(self, trained_run):
+        arch, config, _, _, initial, _, store, _ = trained_run
+        literal = fed_accum(arch, initial, store, replace(config, aggregation="literal"))
+        assert literal.model != fed_accum(arch, initial, store, config).model
+        expected = initial
+        for round_index in store.retained_rounds:
+            updates = store.load_round(round_index, client_ids=[2, 3])
+            expected = param_linear(1.0, expected, 1.0, aggregate(updates, "literal"))
+        assert literal.model == expected
 
     def test_rejects_wrong_store(self, trained_run, tmp_path):
         arch, config, _, _, initial, _, _, _ = trained_run
@@ -234,9 +244,10 @@ class TestFedEraser:
 
     def test_first_step_matches_plain_replay(self, trained_run):
         arch, config, shards, _, initial, _, store, _ = trained_run
-        eraser = fed_eraser(arch, initial, store, shards, config, keep_states=True)
-        accum = fed_accum(arch, initial, store, config, keep_states=True)
-        assert eraser.states[0] == accum.states[0]  # round one is uncalibrated
+        eraser = fed_eraser(arch, initial, store, shards, config)
+        accum = fed_accum(arch, initial, store, config)
+        # round one is uncalibrated
+        np.testing.assert_array_equal(eraser.heads[0], accum.heads[0])
         assert eraser.model != accum.model  # later rounds are not
 
     def test_calibration_training_burst_count(self, trained_run, monkeypatch):
@@ -283,8 +294,9 @@ class TestFedEraser:
 
     def test_norm_mode_changes_result(self, trained_run):
         arch, config, shards, _, initial, _, store, _ = trained_run
-        layer = fed_eraser(arch, initial, store, shards, config, norm_mode="layer")
-        global_ = fed_eraser(arch, initial, store, shards, config, norm_mode="global")
+        layer = fed_eraser(arch, initial, store, shards, config)
+        global_ = fed_eraser(arch, initial, store, shards,
+                             replace(config, norm_mode="global"))
         assert layer.model != global_.model
 
 
@@ -349,7 +361,8 @@ class TestEraserReadsStoredNorms:
 
     def test_global_mode_matches_full_blob_replay(self, stored_run):
         arch, config, shards, initial, store = stored_run
-        result = fed_eraser(arch, initial, store, shards, config, norm_mode="global")
+        result = fed_eraser(arch, initial, store, shards,
+                            replace(config, norm_mode="global"))
         expected = reference_fed_eraser(arch, initial, store, shards, config,
                                         norm_mode="global")
         np.testing.assert_allclose(result.model.vector, expected.vector,
@@ -426,10 +439,11 @@ class TestEraserReadsStoredNorms:
 class TestFedRetrain:
     def test_excludes_target_and_reports_full_rounds(self, trained_run):
         arch, config, shards, _, _, original, _, _ = trained_run
-        result = fed_retrain(arch, shards, config, keep_snapshots=True)
+        result = fed_retrain(arch, shards, config)
         assert result.method == "retrain"
         assert result.calibration_rounds == config.global_rounds
-        assert len(result.states) == config.global_rounds
+        assert len(result.heads) == config.global_rounds
+        np.testing.assert_array_equal(result.heads[-1], arch.head_weight(result.model))
         assert result.round_timings == ()
         assert result.model != original
         # other data of the same shape in the target's shard changes nothing
@@ -448,12 +462,20 @@ class TestFedRetrain:
 
     def test_default_init_matches_run_seed(self, trained_run):
         arch, config, shards, _, initial, _, _, _ = trained_run
-        default = fed_retrain(arch, shards, config, keep_snapshots=True)
+        default = fed_retrain(arch, shards, config)
         explicit = fed_retrain(arch, shards, config, seed=config.seed)
         fresh = fed_retrain(arch, shards, config, seed=config.seed + 1)
         assert default.model == explicit.model
         assert default.model != fresh.model
         assert build_model(arch, config.seed) == initial
+
+    def test_aggregation_mode_comes_from_the_config(self, trained_run):
+        arch, config, shards, _, _, _, _, _ = trained_run
+        literal = replace(config, aggregation="literal")
+        result = fed_retrain(arch, shards, literal)
+        assert result.model != fed_retrain(arch, shards, config).model
+        assert result.model == run_fedavg(arch, shards, literal,
+                                          exclude={config.target_client})[0]
 
 
 class TestExpectedSpeedup:
