@@ -692,35 +692,23 @@ class TestAngleTrajectories:
             assert angles[name] == fresh[name]
             assert angles[f"{name}_mean"] == fresh[f"{name}_mean"]
 
-    @staticmethod
-    def _truncate_heads(out, method, steps):
+    @pytest.mark.parametrize("method,steps,message,kept", [
+        ("eraser", 1, "eraser has 1 heads but 2 rounds are retained",
+         {"accum", "accum_mean"}),
+        ("retrain", 2, "retrain has 2 heads but the retained schedule reaches round 3",
+         set()),
+    ])
+    def test_trajectory_that_misses_the_schedule_warns(self, tmp_path, caplog,
+                                                       method, steps, message, kept):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
         path = out / "heads" / f"{method}.fesp"
-        heads = load_params(path)
-        save_params(ParamSet(list(heads.items())[:steps]), path)
-
-    def _report_warnings(self, out, caplog):
+        save_params(ParamSet(list(load_params(path).items())[:steps]), path)
         with caplog.at_level(logging.WARNING, logger="fedunlearn.cli"):
             assert main(["report", str(out)]) == 0
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING and r.name == "fedunlearn.cli"]
-        return warnings, json.loads((out / "report.json").read_text())["angles"]
-
-    def test_short_method_trajectory_warns(self, tmp_path, caplog):
-        ini = write_ini(tmp_path, TINY_INI)
-        out = tmp_path / "out"
-        assert main(["run", str(ini), "--out", str(out)]) == 0
-        self._truncate_heads(out, "eraser", 1)
-        warnings, angles = self._report_warnings(out, caplog)
         assert len(warnings) == 1
-        assert "eraser has 1 heads but 2 rounds are retained" in warnings[0]
-        assert set(angles) == {"accum", "accum_mean"}
-
-    def test_retrain_not_covering_a_retained_round_warns(self, tmp_path, caplog):
-        ini = write_ini(tmp_path, TINY_INI)
-        out = tmp_path / "out"
-        assert main(["run", str(ini), "--out", str(out)]) == 0
-        self._truncate_heads(out, "retrain", 2)
-        warnings, angles = self._report_warnings(out, caplog)
-        assert len(warnings) == 1
-        assert "retrain has 2 heads but the retained schedule reaches round 3" in warnings[0]
-        assert angles == {}
+        assert message in warnings[0]
+        assert set(json.loads((out / "report.json").read_text())["angles"]) == kept
