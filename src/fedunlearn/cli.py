@@ -31,6 +31,7 @@ import logging
 import shutil
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +74,6 @@ from .nn import (
 from .retention import RetentionStore, StoreFingerprint
 from .seeds import derive_seed
 from .unlearning import (
-    UnlearnResult,
     expected_speedup,
     fed_accum,
     fed_eraser,
@@ -116,40 +116,30 @@ class Scenario(FedConfig):
     # [output]
     out_dir: str = "runs/latest"
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
+# INI section -> the Scenario fields it holds, in file order. Each key is
+# its field's name, except [output] dir.
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "data": ("dataset", "path", "test_fraction", "max_samples", "synthetic_samples",
+             "synthetic_features", "synthetic_classes", "synthetic_separation",
+             "purchase_items", "purchase_classes"),
+    "federation": ("num_clients", "global_rounds", "local_epochs", "learning_rate",
+                   "batch_size", "seed", "aggregation", "hidden_units"),
+    "unlearning": ("target_client", "retain_interval", "calibration_ratio", "norm_mode"),
+    "evaluation": ("attack_epochs", "attack_hidden", "attack_learning_rate",
+                   "eval_batch_size", "per_neuron_angles"),
+    "output": ("out_dir",),
+}
+# (section, key) -> field name
+_KEYS: dict[tuple[str, str], str] = {
+    (section, "dir" if name == "out_dir" else name): name
+    for section, names in _SECTIONS.items() for name in names
+}
 
-# (section, key) -> (field name, parser)
-_SCHEMA: dict[tuple[str, str], tuple[str, type]] = {
-    ("data", "dataset"): ("dataset", str),
-    ("data", "path"): ("path", str),
-    ("data", "test_fraction"): ("test_fraction", float),
-    ("data", "max_samples"): ("max_samples", int),
-    ("data", "synthetic_samples"): ("synthetic_samples", int),
-    ("data", "synthetic_features"): ("synthetic_features", int),
-    ("data", "synthetic_classes"): ("synthetic_classes", int),
-    ("data", "synthetic_separation"): ("synthetic_separation", float),
-    ("data", "purchase_items"): ("purchase_items", int),
-    ("data", "purchase_classes"): ("purchase_classes", int),
-    ("federation", "num_clients"): ("num_clients", int),
-    ("federation", "global_rounds"): ("global_rounds", int),
-    ("federation", "local_epochs"): ("local_epochs", int),
-    ("federation", "learning_rate"): ("learning_rate", float),
-    ("federation", "batch_size"): ("batch_size", int),
-    ("federation", "seed"): ("seed", int),
-    ("federation", "aggregation"): ("aggregation", str),
-    ("federation", "hidden_units"): ("hidden_units", int),
-    ("unlearning", "target_client"): ("target_client", int),
-    ("unlearning", "retain_interval"): ("retain_interval", int),
-    ("unlearning", "calibration_ratio"): ("calibration_ratio", float),
-    ("unlearning", "norm_mode"): ("norm_mode", str),
-    ("evaluation", "attack_epochs"): ("attack_epochs", int),
-    ("evaluation", "attack_hidden"): ("attack_hidden", int),
-    ("evaluation", "attack_learning_rate"): ("attack_learning_rate", float),
-    ("evaluation", "eval_batch_size"): ("eval_batch_size", int),
-    ("evaluation", "per_neuron_angles"): ("per_neuron_angles", bool),
-    ("output", "dir"): ("out_dir", str),
+# field name -> the type its INI value parses to: `T` for a field typed `T | None`
+_PARSERS: dict[str, type] = {
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in typing.get_type_hints(Scenario).items()
 }
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -168,19 +158,18 @@ def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
-    known_sections = {section for section, _ in _SCHEMA}
     problems: list[str] = []
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTIONS:
             problems.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            spec = _SCHEMA.get((section, key))
-            if spec is None:
+            field_name = _KEYS.get((section, key))
+            if field_name is None:
                 problems.append(f"unknown key {key!r} in [{section}]")
                 continue
-            field_name, kind = spec
+            kind = _PARSERS[field_name]
             raw = raw.strip()
             if raw == "":
                 continue  # blank means "use the default"
@@ -208,10 +197,11 @@ def format_scenario(scenario: Scenario) -> str:
     """The scenario as an INI file that parse_scenario reads back to an
     equal scenario; unset optional values are left out."""
     sections: dict[str, list[str]] = {}
-    for (section, key), (field_name, kind) in _SCHEMA.items():
+    for (section, key), field_name in _KEYS.items():
         value = getattr(scenario, field_name)
         if value is None:
             continue
+        kind = _PARSERS[field_name]
         if kind is bool:
             text = "true" if value else "false"
         elif kind is float:
@@ -371,6 +361,13 @@ def run_scenario(scenario: Scenario, out_dir: Path, resume: bool = False) -> Non
     _report(run, resume)
 
 
+# Everything in a run directory derived from its training. A training that
+# runs deletes them, so none of them can pair with the new one.
+_TRAINING_DERIVED = ("retention", "timings.csv",
+                     *(f"models/{m}.fesp" for m in METHODS), "heads",
+                     "unlearn.json", "attack.json", "report.json", "metrics.csv")
+
+
 def _train(run: Run, resume: bool) -> None:
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
     store_dir = out_dir / "retention"
@@ -382,10 +379,12 @@ def _train(run: Run, resume: bool) -> None:
     if resume and done and RetentionStore.open(store_dir).is_complete():
         logger.info("training artifacts already present; skipping")
         return
-    if store_dir.exists():
-        shutil.rmtree(store_dir)
-    # stage timings from an earlier training would pair with this run's
-    (out_dir / "timings.csv").unlink(missing_ok=True)
+    for rel in _TRAINING_DERIVED:
+        path = out_dir / rel
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
     store = RetentionStore.create(store_dir, StoreFingerprint.of(arch, scenario))
 
     initial = build_model(arch, scenario.seed)
@@ -399,7 +398,7 @@ def _train(run: Run, resume: bool) -> None:
     save_params(model, run.model_path("original"))
     test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
     manifest = {
-        "scenario": scenario.as_dict(),
+        "scenario": dataclasses.asdict(scenario),
         "architecture": arch.describe(),
         "arch_hash": arch.arch_hash(),
         "num_parameters": arch.num_params(),
@@ -412,17 +411,20 @@ def _train(run: Run, resume: bool) -> None:
         "original_test_accuracy": test_acc,
         "original_test_loss": test_loss,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_report_json(out_dir / "manifest.json", manifest)
     _record_timing(out_dir, "train", train_seconds)
     logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
 
 
 def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
+    """The requested methods in METHODS order, skipping under `resume` each
+    one with both its files; each record is merged into unlearn.json."""
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
-    if resume and all(run.model_path(m).exists() and run.head_path(m).exists()
-                      for m in methods):
+    todo = [m for m in METHODS if m in methods and not (
+        resume and run.model_path(m).exists() and run.head_path(m).exists())]
+    if not todo:
         logger.info("unlearning artifacts already present; skipping")
         return
     if not run.model_path("initial").exists():
@@ -430,17 +432,17 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
     scenario, arch = run.scenario, run.arch
     initial = load_params(run.model_path("initial"))
     store = RetentionStore.open(run.out_dir / "retention")
+    reconstruct = {
+        "eraser": lambda: fed_eraser(arch, initial, store, run.shards, scenario),
+        "accum": lambda: fed_accum(arch, initial, store, scenario),
+        "retrain": lambda: fed_retrain(arch, run.shards, scenario),
+    }
 
-    results: dict[str, UnlearnResult] = {}
-    if "eraser" in methods:
-        results["eraser"] = fed_eraser(arch, initial, store, run.shards, scenario)
-    if "accum" in methods:
-        results["accum"] = fed_accum(arch, initial, store, scenario)
-    if "retrain" in methods:
-        results["retrain"] = fed_retrain(arch, run.shards, scenario)
-    summary = {}
+    summary_path = run.out_dir / "unlearn.json"
+    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
     (run.out_dir / "heads").mkdir(exist_ok=True)
-    for name, result in results.items():
+    for name in todo:
+        result = reconstruct[name]()
         save_params(result.model, run.model_path(name))
         save_params(ParamSet((f"step{j:04d}", head)
                              for j, head in enumerate(result.heads, start=1)),
@@ -454,9 +456,8 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         }
         if name == "eraser":
             summary[name]["eps_fallbacks"] = result.eps_fallbacks
+        write_report_json(summary_path, summary)
         logger.info("%s finished in %.2fs", name, result.total_seconds)
-    (run.out_dir / "unlearn.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _attack(run: Run, resume: bool) -> None:
@@ -512,7 +513,7 @@ def _attack(run: Run, resume: bool) -> None:
             "attack on %s: precision %.3f recall %.3f f1 %.3f",
             name, results[name]["precision"], results[name]["recall"], results[name]["f1"],
         )
-    attack_path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    write_report_json(attack_path, results)
 
 
 def _angles(run: Run, retained: list[int]) -> dict[str, object]:
@@ -540,12 +541,13 @@ def _angles(run: Run, retained: list[int]) -> dict[str, object]:
     return angles
 
 
-def _report(run: Run, resume: bool) -> None:
+def _report(run: Run, resume: bool) -> dict | None:
+    """Write report.json and metrics.csv; return the report (None if skipped)."""
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
     report_path = out_dir / "report.json"
     if resume and report_path.exists() and (out_dir / "metrics.csv").exists():
         logger.info("report already present; skipping")
-        return
+        return None
     target = run.target_shard.dataset
 
     models = {}
@@ -601,7 +603,7 @@ def _report(run: Run, resume: bool) -> None:
         speedups["measured_speedup"] = timings["retrain"] / timings["eraser"]
 
     report = {
-        "scenario": scenario.as_dict(),
+        "scenario": dataclasses.asdict(scenario),
         "methods": {m.method: {k: v for k, v in dataclasses.asdict(m).items()
                                if v is not None and k != "method"}
                     for m in metrics},
@@ -613,12 +615,15 @@ def _report(run: Run, resume: bool) -> None:
     write_report_json(report_path, report)
     write_metrics_csv(out_dir / "metrics.csv", metrics)
     logger.info("report written to %s", report_path)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 
-SWEEP_PARAMS = ("ratio", "interval", "clients")
+# sweep parameter -> the Scenario field it sets
+SWEEP_FIELDS = {"ratio": "calibration_ratio", "interval": "retain_interval",
+                "clients": "num_clients"}
 SWEEP_COLUMNS = (
     "param", "value",
     "eraser_test_accuracy", "eraser_target_accuracy",
@@ -629,23 +634,13 @@ SWEEP_COLUMNS = (
 )
 
 
-def _apply_sweep_value(scenario: Scenario, param: str, value: float) -> Scenario:
-    if param == "ratio":
-        return dataclasses.replace(scenario, calibration_ratio=float(value))
-    if param == "interval":
-        return dataclasses.replace(scenario, retain_interval=int(value))
-    if param == "clients":
-        return dataclasses.replace(scenario, num_clients=int(value))
-    raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-
-
 def _warn_merged_ratios(scenario: Scenario, ratios: list[float]) -> None:
     """Calibration epochs are ceil(ratio x local_epochs), so distinct ratios
     can run the same schedule; say which."""
     by_epochs: dict[int, list[str]] = {}
     for ratio in ratios:
         try:
-            epochs = _apply_sweep_value(scenario, "ratio", ratio).calibration_epochs
+            epochs = dataclasses.replace(scenario, calibration_ratio=ratio).calibration_epochs
         except ValueError:
             continue  # its sweep point records the error
         by_epochs.setdefault(epochs, []).append(format(ratio, "g"))
@@ -661,43 +656,37 @@ def _warn_merged_ratios(scenario: Scenario, ratios: list[float]) -> None:
 def run_sweep(
     scenario: Scenario, out_dir: Path, param: str, sweep_values: list[float],
 ) -> None:
-    """Utility-and-cost sweep over one knob, comparing calibrated
-    reconstruction against retraining. A failing value is recorded in its
-    row's error column and the sweep moves on."""
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    """Utility-and-cost sweep over one knob: each point trains, runs eraser
+    and retrain and reports in its own directory, and its row is read from
+    that report. A failing value gets its error in the row; the sweep goes on."""
+    if param not in SWEEP_FIELDS:
+        raise ConfigError(
+            f"unknown sweep parameter {param!r}; choose from {tuple(SWEEP_FIELDS)}")
     if not sweep_values:
         raise ConfigError("sweep needs at least one value")
     if param == "ratio":
         _warn_merged_ratios(scenario, sweep_values)
+    field_name = SWEEP_FIELDS[param]
     rows = []
     for value in sweep_values:
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row["param"] = param
         row["value"] = format(value, "g")
         try:
-            point = _apply_sweep_value(scenario, param, value)
+            point = dataclasses.replace(scenario, **{field_name: _PARSERS[field_name](value)})
             run = Run.build(point, out_dir / f"{param}_{format(value, 'g')}")
             _train(run, resume=False)
             _unlearn(run, resume=False, methods=("eraser", "retrain"))
-
-            timings = _read_timings(run.out_dir)
+            report = _report(run, resume=False)
+            timings = report["timings"]
             for method in ("eraser", "retrain"):
-                model = load_params(run.model_path(method))
-                test_acc, _ = evaluate(run.arch, model, run.test, point.eval_batch_size)
-                tgt_acc, _ = evaluate(run.arch, model, run.target_shard.dataset,
-                                      point.eval_batch_size)
-                row[f"{method}_test_accuracy"] = format(test_acc, ".10g")
-                row[f"{method}_target_accuracy"] = format(tgt_acc, ".10g")
+                scores = report["methods"][method]
+                row[f"{method}_test_accuracy"] = format(scores["test_accuracy"], ".10g")
+                row[f"{method}_target_accuracy"] = format(scores["target_accuracy"], ".10g")
                 row[f"{method}_seconds"] = format(timings[method], ".6f")
-            if timings["eraser"] > 0:
-                row["measured_speedup"] = format(
-                    timings["retrain"] / timings["eraser"], ".6f")
-            row["expected_speedup"] = format(
-                expected_speedup(point.calibration_ratio, point.retain_interval), ".6f")
-            exact = schedule_speedup(point)
-            if exact is not None:
-                row["schedule_speedup"] = format(exact, ".6f")
+            for key in ("measured_speedup", "expected_speedup", "schedule_speedup"):
+                if timings.get(key) is not None:
+                    row[key] = format(timings[key], ".6f")
             # at full calibration the burst costs as much as ordinary local
             # training, so only the retention interval still saves anything
             row["degenerate"] = str(point.calibration_epochs >= point.local_epochs).lower()
@@ -747,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="vary one knob and compare cost/utility")
     sweep.add_argument("config", help="scenario INI file")
     _add_common(sweep)
-    sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    sweep.add_argument("--param", required=True, choices=SWEEP_FIELDS)
     sweep.add_argument("--values", required=True,
                        help="comma-separated values, e.g. 0.1,0.5,1.0")
     return parser

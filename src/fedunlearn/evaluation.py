@@ -24,6 +24,7 @@ from .nn import (
     Batch,
     Dense,
     ParamSet,
+    atomic_write,
     build_model,
     forward,
     loss_and_grad,
@@ -301,4 +302,5 @@ def write_metrics_csv(path: str | Path, metrics: list[MethodMetrics]) -> None:
 
 
 def write_report_json(path: str | Path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """Every JSON artifact of a run: indented, key-sorted, written atomically."""
+    atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())

@@ -16,6 +16,7 @@ from .engine import Batch, build_model, forward, loss_and_grad, sgd_step
 from .params import (
     ConformanceError,
     ParamSet,
+    atomic_write,
     dump_param_bytes,
     load_params,
     param_linear,
@@ -33,6 +34,7 @@ __all__ = [
     "MaxPool2d",
     "ParamSet",
     "adult_arch",
+    "atomic_write",
     "build_model",
     "cifar10_arch",
     "dense_arch",

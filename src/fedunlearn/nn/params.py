@@ -15,8 +15,10 @@ arithmetic between parameter sets requires the two operands to be
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections.abc import Iterable, Iterator
+from pathlib import Path
 
 import numpy as np
 
@@ -259,9 +261,16 @@ def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
     return ParamSet._adopt(layout, vector)
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write `data` to `path` through a temp file and a rename, so a reader
+    sees either the old file whole or the new one whole, never a torn one."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_params(params: ParamSet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_param_bytes(params))
+    atomic_write(path, dump_param_bytes(params))
 
 
 def load_params(path) -> ParamSet:

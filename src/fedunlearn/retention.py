@@ -13,7 +13,6 @@ run never leaves a torn file behind the manifest's back.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from collections.abc import Callable
@@ -24,7 +23,7 @@ import numpy as np
 
 from .data import FedConfig
 from .federation import ClientUpdate
-from .nn import ArchSpec, ParamSet, dump_param_bytes, parse_param_bytes
+from .nn import ArchSpec, ParamSet, atomic_write, dump_param_bytes, parse_param_bytes
 
 MANIFEST_NAME = "manifest.json"
 
@@ -138,8 +137,8 @@ class RetentionStore:
                 for r, clients in sorted(self._entries.items())
             },
         }
-        _atomic_write(self.root / MANIFEST_NAME,
-                      json.dumps(doc, separators=(",", ":"), sort_keys=True).encode())
+        atomic_write(self.root / MANIFEST_NAME,
+                     json.dumps(doc, separators=(",", ":"), sort_keys=True).encode())
 
     # -- writes -------------------------------------------------------------
 
@@ -166,7 +165,7 @@ class RetentionStore:
             blob = payload + struct.pack("<I", zlib.crc32(payload))
             rel = f"round_{round_index}/client_{u.client_id}.fesp"
             (self.root / f"round_{round_index}").mkdir(exist_ok=True)
-            _atomic_write(self.root / rel, blob)
+            atomic_write(self.root / rel, blob)
             sq_norms = u.delta.sq_norms()
             entries[u.client_id] = {
                 "path": rel,
@@ -176,7 +175,10 @@ class RetentionStore:
                 "sq_norms_crc": _norms_crc(sq_norms),
             }
         self._entries[round_index] = entries
-        self._write_manifest()
+        # a partial store is never read back (it is not complete, so `train
+        # --resume` rebuilds it), so the manifest is written once it is whole
+        if self._entries.keys() >= set(self.retained_rounds):
+            self._write_manifest()
 
     # -- reads --------------------------------------------------------------
 
@@ -274,9 +276,3 @@ class RetentionStore:
             for entry in clients.values()
             if (self.root / entry["path"]).exists()
         )
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)

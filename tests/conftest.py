@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,17 @@ def small_arch(features=6, classes=3, hidden=8) -> ArchSpec:
         layers=(Dense(features, hidden, "relu"), Dense(hidden, classes)),
         input_shape=(features,),
     )
+
+
+def tear_writes(monkeypatch) -> None:
+    """From here on every `Path.write_bytes` stops halfway with an error, as
+    a crash in the middle of a write would leave the file."""
+    def write_half(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half)
 
 
 def small_config(**overrides) -> FedConfig:

@@ -4,10 +4,11 @@ The end-to-end tests run the real pipeline on a deliberately tiny scenario
 (120 samples, 3 clients, 4 rounds) so the whole file stays fast.
 """
 
+import csv
+import dataclasses
 import json
 import logging
 import os
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,10 @@ class TestParseScenario:
     def test_bool_words(self, tmp_path, text, expected):
         path = write_ini(tmp_path, f"[evaluation]\nper_neuron_angles = {text}\n")
         assert parse_scenario(path).per_neuron_angles is expected
+
+    def test_every_field_sits_in_exactly_one_section(self):
+        placed = [name for names in cli._SECTIONS.values() for name in names]
+        assert sorted(placed) == sorted(f.name for f in dataclasses.fields(Scenario))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):
@@ -417,15 +422,30 @@ class TestResume:
         after = [os.stat(p).st_mtime_ns for p in watched]
         assert before == after
 
-    def test_plain_rerun_rewrites(self, pipelines):
-        ini, _, stage_dir = pipelines
-        target = stage_dir / "models" / "original.fesp"
+    def test_plain_rerun_rewrites(self, tmp_path):
+        # its own directory: a training clears what the shared runs hold
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["train", str(ini), "--out", str(out)]) == 0
+        target = out / "models" / "original.fesp"
         before_time = os.stat(target).st_mtime_ns
         before_bytes = target.read_bytes()
-        assert main(["train", str(ini), "--out", str(stage_dir)]) == 0
+        assert main(["train", str(ini), "--out", str(out)]) == 0
         assert os.stat(target).st_mtime_ns != before_time
         assert target.read_bytes() == before_bytes  # rebuilt, identically
 
+    def test_resume_reruns_only_the_incomplete_method(self, tmp_path, caplog):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        (out / "heads" / "eraser.fesp").unlink()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+        finished = [r.getMessage().split()[0] for r in caplog.records
+                    if r.name == "fedunlearn.cli" and " finished in " in r.getMessage()]
+        assert finished == ["eraser"]
+        assert set(json.loads((out / "unlearn.json").read_text())) == set(METHODS)
 
     def test_resume_rebuilds_missing_heads(self, pipelines, tmp_path):
         ini, run_dir, _ = pipelines
@@ -493,6 +513,33 @@ class TestFreshTrainTimings:
         assert "measured_speedup" not in report["timings"]
         assert set(report["timings"]) == {"train", "expected_speedup", "schedule_speedup"}
 
+    def test_fresh_train_drops_the_previous_runs_methods(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out), "--seed", "3"]) == 0
+        assert main(["train", str(ini), "--out", str(out), "--seed", "5"]) == 0
+        for rel in ("models/eraser.fesp", "models/accum.fesp", "models/retrain.fesp",
+                    "heads", "unlearn.json", "attack.json", "report.json", "metrics.csv"):
+            assert not (out / rel).exists(), rel
+        assert main(["report", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["methods"]) == {"original"}
+        assert report["attack"] == {}
+
+    def test_training_writes_the_retention_manifest_twice(self, tmp_path, monkeypatch):
+        # once when the store is created, once when its last round is stored
+        writes = []
+        real = cli.RetentionStore._write_manifest
+
+        def counting(store):
+            writes.append(store.root)
+            real(store)
+
+        monkeypatch.setattr(cli.RetentionStore, "_write_manifest", counting)
+        ini = write_ini(tmp_path, TINY_INI)
+        assert main(["train", str(ini), "--out", str(tmp_path / "out")]) == 0
+        assert len(writes) == 2
+
     def test_skipped_resume_keeps_them(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"
@@ -529,6 +576,17 @@ class TestUnlearnCommand:
         assert main(["unlearn", str(ini), "--out", str(out),
                      "--method", "accum"]) == 0
         assert (out / "models" / "accum.fesp").exists()
+
+    def test_one_method_rerun_keeps_the_other_records(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        before = json.loads((out / "unlearn.json").read_text())
+        assert main(["unlearn", str(ini), "--out", str(out), "--method", "accum"]) == 0
+        after = json.loads((out / "unlearn.json").read_text())
+        assert set(after) == set(METHODS)
+        assert after["eraser"] == before["eraser"]
+        assert after["retrain"] == before["retrain"]
 
     def test_rejects_unknown_method_at_the_parser(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
@@ -625,6 +683,28 @@ class TestSweep:
         assert float(rows[1]["schedule_speedup"]) == 4.0
         assert (out / "ratio_0.5" / "models" / "eraser.fesp").exists()
         assert (out / "ratio_1" / "models" / "retrain.fesp").exists()
+
+    @pytest.mark.parametrize("param, value", [("ratio", "0.5"), ("clients", "4")])
+    def test_rows_are_read_from_each_points_report(self, tmp_path, param, value):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(ini), "--out", str(out),
+                     "--param", param, "--values", value]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == ""
+        report = json.loads((out / f"{param}_{value}" / "report.json").read_text())
+        assert report["scenario"][cli.SWEEP_FIELDS[param]] == float(value)
+        for method in ("eraser", "retrain"):
+            scores = report["methods"][method]
+            assert row[f"{method}_test_accuracy"] == format(scores["test_accuracy"], ".10g")
+            assert row[f"{method}_target_accuracy"] == format(scores["target_accuracy"],
+                                                              ".10g")
+        for key in ("eraser", "retrain", "measured_speedup", "expected_speedup",
+                    "schedule_speedup"):
+            column = key if key.endswith("speedup") else f"{key}_seconds"
+            assert row[column] == format(report["timings"][key], ".6f")
+        assert (out / f"{param}_{value}" / "metrics.csv").exists()
 
     def test_ratios_with_the_same_calibration_epochs_warn(self, tmp_path, caplog):
         ini = write_ini(tmp_path, TINY_INI)

@@ -23,7 +23,7 @@ from fedunlearn.evaluation import (
 )
 from fedunlearn.nn import ArchSpec, Dense, ParamSet, build_model, forward
 
-from conftest import small_arch
+from conftest import small_arch, tear_writes
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
@@ -335,3 +335,13 @@ class TestReports:
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": 1, "a": {"z": 2, "y": 3}}
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        write_report_json(path, {"a": 1})
+        before = path.read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_report_json(path, {"a": 2, "b": [1, 2, 3]})
+        assert path.read_bytes() == before
+

@@ -4,12 +4,15 @@ import pytest
 from fedunlearn.nn import (
     ConformanceError,
     ParamSet,
+    atomic_write,
     dump_param_bytes,
     load_params,
     param_linear,
     parse_param_bytes,
     save_params,
 )
+
+from conftest import tear_writes
 
 
 def make_set(seed=0, shapes=(("w", (3, 2)), ("b", (2,)))):
@@ -219,3 +222,29 @@ class TestBinaryFormat:
         ps = make_set(seed=13)
         save_params(ps, tmp_path / "model.fesp")
         assert load_params(tmp_path / "model.fesp") == ps
+
+
+class TestAtomicWrite:
+    def test_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"old contents")
+        atomic_write(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"previous")
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, b"replacement that never lands")
+        assert path.read_bytes() == b"previous"
+
+    def test_failed_save_keeps_the_previous_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.fesp"
+        save_params(make_set(0), path)
+        before = path.read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(make_set(1), path)
+        assert path.read_bytes() == before
