@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import shutil
 import sys
 import time
@@ -37,15 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    ClientShard,
-    Dataset,
-    FedConfig,
-    load_dataset,
-    partition_iid,
-    subsample,
-    train_test_split,
-)
+from .data import ClientShard, Dataset, FedConfig, prepare_data, subsample
 from .evaluation import (
     MethodMetrics,
     angle_deviation,
@@ -55,6 +48,7 @@ from .evaluation import (
     last_layer_angles,
     prediction_difference,
     train_attack,
+    write_csv,
     write_metrics_csv,
     write_report_json,
 )
@@ -63,6 +57,7 @@ from .nn import (
     ArchSpec,
     ParamSet,
     adult_arch,
+    atomic_write,
     build_model,
     cifar10_arch,
     dense_arch,
@@ -92,19 +87,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario(FedConfig):
-    """A fully validated run description (one INI file): the federation
-    settings and their checks come from :class:`FedConfig`; these fields
-    describe the data, the model width, the evaluation and the output."""
+    """A fully validated run description (one INI file): the data, federation
+    and unlearning settings and their checks come from :class:`FedConfig`;
+    these fields describe the model width, the evaluation and the output."""
 
-    # [data]
-    path: str = ""
-    max_samples: int | None = None
-    synthetic_samples: int = 1000
-    synthetic_features: int = 20
-    synthetic_classes: int = 2
-    synthetic_separation: float = 2.0
-    purchase_items: int = 600
-    purchase_classes: int = 2
     # [federation]
     hidden_units: int = 32
     # [evaluation]
@@ -224,22 +210,29 @@ def persist_scenario(config_path: Path, scenario: Scenario, out_dir: Path) -> No
         return
     if dataclasses.replace(parse_scenario(config_path),
                            out_dir=scenario.out_dir) == scenario:
-        shutil.copyfile(config_path, dest)
+        atomic_write(dest, config_path.read_bytes())
     else:
-        dest.write_text(format_scenario(scenario))
+        atomic_write(dest, format_scenario(scenario).encode())
 
 
 # ---------------------------------------------------------------------------
 # Shared setup
 
 def setup_logging(out_dir: Path) -> None:
+    """Log to stderr and to out_dir/run.log. A file handler left by an
+    earlier call for another directory is closed and replaced."""
     out_dir.mkdir(parents=True, exist_ok=True)
     root = logging.getLogger()
     root.setLevel(logging.INFO)
     fmt = logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
+    log_path = os.path.abspath(out_dir / "run.log")
+    for h in list(root.handlers):
+        if getattr(h, "_fedunlearn_tag", None) == "file" and h.baseFilename != log_path:
+            root.removeHandler(h)
+            h.close()
     have = {getattr(h, "_fedunlearn_tag", None) for h in root.handlers}
     if "file" not in have:
-        fh = logging.FileHandler(out_dir / "run.log")
+        fh = logging.FileHandler(log_path)
         fh.setFormatter(fmt)
         fh._fedunlearn_tag = "file"
         root.addHandler(fh)
@@ -261,24 +254,6 @@ def build_arch(scenario: Scenario, train: Dataset) -> ArchSpec:
     if scenario.dataset == "cifar10":
         return cifar10_arch()
     return dense_arch(features, train.num_classes, hidden=scenario.hidden_units)
-
-
-def prepare_data(scenario: Scenario) -> tuple[Dataset, Dataset, list[ClientShard]]:
-    ds = load_dataset(
-        scenario.dataset,
-        path=scenario.path or None,
-        seed=scenario.seed,
-        max_samples=scenario.max_samples,
-        synthetic_samples=scenario.synthetic_samples,
-        synthetic_features=scenario.synthetic_features,
-        synthetic_classes=scenario.synthetic_classes,
-        synthetic_separation=scenario.synthetic_separation,
-        purchase_items=scenario.purchase_items,
-        purchase_classes=scenario.purchase_classes,
-    )
-    train, test = train_test_split(ds, scenario.test_fraction, scenario.seed)
-    shards = partition_iid(train, scenario.num_clients, scenario.seed)
-    return train, test, shards
 
 
 @dataclass(frozen=True)
@@ -320,10 +295,8 @@ def _read_timings(out_dir: Path) -> dict[str, float]:
 def _record_timing(out_dir: Path, name: str, seconds: float) -> None:
     rows = _read_timings(out_dir)
     rows[name] = seconds
-    with open(out_dir / "timings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("name", "seconds"))
-        writer.writerows((key, format(rows[key], ".6f")) for key in sorted(rows))
+    write_csv(out_dir / "timings.csv", ("name", "seconds"),
+              ({"name": key, "seconds": format(rows[key], ".6f")} for key in sorted(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +640,16 @@ def run_sweep(
     if param == "ratio":
         _warn_merged_ratios(scenario, sweep_values)
     field_name = SWEEP_FIELDS[param]
+    kind = _PARSERS[field_name]
     rows = []
     for value in sweep_values:
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row["param"] = param
         row["value"] = format(value, "g")
         try:
-            point = dataclasses.replace(scenario, **{field_name: _PARSERS[field_name](value)})
+            if kind is int and kind(value) != value:
+                raise ConfigError(f"{field_name} takes whole numbers, not {value:g}")
+            point = dataclasses.replace(scenario, **{field_name: kind(value)})
             run = Run.build(point, out_dir / f"{param}_{format(value, 'g')}")
             _train(run, resume=False)
             _unlearn(run, resume=False, methods=("eraser", "retrain"))
@@ -695,10 +671,7 @@ def run_sweep(
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     logger.info("sweep written to %s", out_dir / "sweep.csv")
 
 

@@ -79,17 +79,30 @@ class ClientShard:
 
 AGGREGATION_MODES = ("standard", "literal")
 NORM_MODES = ("layer", "global")
+DATASET_NAMES = ("adult", "purchase", "mnist", "cifar10", "synthetic")
 
 
 @dataclass(frozen=True)
 class FedConfig:
-    """All hyperparameters of one federated training + unlearning run.
+    """All settings of one federated training + unlearning run: the data,
+    the federation and the unlearning.
 
     Every range and enum check of a run's settings is made here, and all
     problems are reported in one ``ValueError``.
     """
 
+    # data
     dataset: str = "synthetic"
+    path: str = ""
+    test_fraction: float = 0.2
+    max_samples: int | None = None
+    synthetic_samples: int = 1000
+    synthetic_features: int = 20
+    synthetic_classes: int = 2
+    synthetic_separation: float = 2.0
+    purchase_items: int = 600
+    purchase_classes: int = 2
+    # federation and unlearning
     num_clients: int = 20
     global_rounds: int = 20
     local_epochs: int = 4
@@ -99,12 +112,13 @@ class FedConfig:
     batch_size: int = 32
     seed: int = 0
     target_client: int = 1
-    test_fraction: float = 0.2
     aggregation: str = "standard"
     norm_mode: str = "layer"
 
     def __post_init__(self):
         problems = []
+        if self.dataset not in DATASET_NAMES:
+            problems.append(f"unknown dataset {self.dataset!r}; expected one of {DATASET_NAMES}")
         if self.num_clients < 2:
             problems.append("num_clients must be at least 2")
         if self.global_rounds < 1:
@@ -139,38 +153,22 @@ class FedConfig:
 # ---------------------------------------------------------------------------
 # Loaders
 
-DATASET_NAMES = ("adult", "purchase", "mnist", "cifar10", "synthetic")
-
-
-def load_dataset(
-    name: str,
-    path: str | Path | None = None,
-    seed: int = 0,
-    *,
-    max_samples: int | None = None,
-    synthetic_samples: int = 1000,
-    synthetic_features: int = 20,
-    synthetic_classes: int = 2,
-    synthetic_separation: float = 2.0,
-    purchase_items: int = 600,
-    purchase_classes: int = 2,
-    purchase_customer_col: str = "customer_id",
-    purchase_item_col: str = "item_id",
-) -> Dataset:
-    if name not in DATASET_NAMES:
-        raise IngestionError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+def load_dataset(config: FedConfig) -> Dataset:
+    """The dataset `config` names, read from `config.path` or generated from
+    the seed, and capped at `config.max_samples` by a seeded subsample."""
+    name, seed = config.dataset, config.seed
     if name == "synthetic":
         ds = make_synthetic(
-            samples=synthetic_samples,
-            features=synthetic_features,
-            classes=synthetic_classes,
+            samples=config.synthetic_samples,
+            features=config.synthetic_features,
+            classes=config.synthetic_classes,
             seed=seed,
-            separation=synthetic_separation,
+            separation=config.synthetic_separation,
         )
     else:
-        if path is None:
+        if not config.path:
             raise IngestionError(f"dataset {name!r} requires a path")
-        path = Path(path)
+        path = Path(config.path)
         if not path.exists():
             raise IngestionError(f"dataset path does not exist: {path}")
         if name == "adult":
@@ -180,16 +178,10 @@ def load_dataset(
         elif name == "cifar10":
             ds = load_cifar10(path)
         else:
-            ds = load_purchase(
-                path,
-                seed=seed,
-                num_items=purchase_items,
-                num_classes=purchase_classes,
-                customer_col=purchase_customer_col,
-                item_col=purchase_item_col,
-            )
-    if max_samples is not None and ds.num_samples > max_samples:
-        ds = subsample(ds, max_samples, seed)
+            ds = load_purchase(path, seed=seed, num_items=config.purchase_items,
+                               num_classes=config.purchase_classes)
+    if config.max_samples is not None and ds.num_samples > config.max_samples:
+        ds = subsample(ds, config.max_samples, seed)
     return ds
 
 
@@ -315,7 +307,7 @@ MNIST_FILE_PAIRS = (
 )
 
 
-def load_mnist(path: str | Path, pad_to_32: bool = True) -> Dataset:
+def load_mnist(path: str | Path) -> Dataset:
     """Digit images from idx files, scaled to [0,1], zero-padded to 32x32."""
     path = Path(path)
     images_list, labels_list = [], []
@@ -334,7 +326,7 @@ def load_mnist(path: str | Path, pad_to_32: bool = True) -> Dataset:
         raise IngestionError("image idx file must be rank 3 (count, rows, cols)")
     if images.shape[0] != labels.shape[0]:
         raise IngestionError("image and label files disagree on sample count")
-    if pad_to_32 and images.shape[1:] != (32, 32):
+    if images.shape[1:] != (32, 32):
         rows, cols = images.shape[1:]
         top, left = (32 - rows) // 2, (32 - cols) // 2
         padded = np.zeros((images.shape[0], 32, 32))
@@ -514,3 +506,12 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     order = rng.permutation(n)
     test_idx, train_idx = np.sort(order[:n_test]), np.sort(order[n_test:])
     return ds.subset(train_idx), ds.subset(test_idx)
+
+
+def prepare_data(config: FedConfig) -> tuple[Dataset, Dataset, list[ClientShard]]:
+    """Load the configured dataset, split off its test set, and shard the
+    training set across the clients."""
+    ds = load_dataset(config)
+    train, test = train_test_split(ds, config.test_fraction, config.seed)
+    shards = partition_iid(train, config.num_clients, config.seed)
+    return train, test, shards

@@ -11,9 +11,10 @@ training members.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -251,20 +252,6 @@ def attack_metrics(
 # ---------------------------------------------------------------------------
 # Reports
 
-METRIC_COLUMNS = (
-    "method",
-    "test_accuracy",
-    "test_loss",
-    "target_accuracy",
-    "target_loss",
-    "prediction_difference",
-    "angle_to_retrain_deg",
-    "attack_precision",
-    "attack_recall",
-    "attack_f1",
-)
-
-
 @dataclass(frozen=True)
 class MethodMetrics:
     """Everything measured about one model (original, or one unlearning route)."""
@@ -293,12 +280,21 @@ class MethodMetrics:
         return row
 
 
+METRIC_COLUMNS = tuple(f.name for f in fields(MethodMetrics))
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
+    """Every CSV artifact of a run: a header, then one line per row, written
+    atomically."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write(path, text.getvalue().encode())
+
+
 def write_metrics_csv(path: str | Path, metrics: list[MethodMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
-        writer.writeheader()
-        for m in metrics:
-            writer.writerow(m.as_row())
+    write_csv(path, METRIC_COLUMNS, (m.as_row() for m in metrics))
 
 
 def write_report_json(path: str | Path, report: dict) -> None:

@@ -208,7 +208,8 @@ def adult_desk(tmp_path_factory):
             " and adult.test); set FEDUNLEARN_DATA_DIR or place them under"
             " data/adult to run the real-data variants")
     start = time.perf_counter()
-    ds = load_dataset("adult", path=data_dir, seed=0, max_samples=5000)
+    ds = load_dataset(FedConfig(dataset="adult", path=str(data_dir), seed=0,
+                                max_samples=5000))
     train, test = train_test_split(ds, 0.2, 0)
     shards = partition_iid(train, 20, 0)
     arch = adult_arch(int(np.prod(train.feature_shape)), hidden=32)

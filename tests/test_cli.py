@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedunlearn import cli
+from fedunlearn import cli, data
 from fedunlearn.cli import (
     METHODS,
     SWEEP_COLUMNS,
@@ -28,6 +28,8 @@ from fedunlearn.cli import (
 from fedunlearn.data import make_synthetic
 from fedunlearn.evaluation import METRIC_COLUMNS
 from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
+
+from conftest import tear_writes
 
 TINY_INI = """\
 [data]
@@ -195,11 +197,12 @@ class TestParseScenario:
     def test_range_and_enum_problems_reported_together(self, tmp_path):
         path = write_ini(
             tmp_path,
-            "[data]\ntest_fraction = 2\n"
+            "[data]\ndataset = imagenet\ntest_fraction = 2\n"
             "[federation]\nnum_clients = 1\naggregation = fancy\n")
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario(path)
         message = str(excinfo.value)
+        assert "unknown dataset 'imagenet'" in message
         assert "num_clients must be at least 2" in message
         assert "unknown aggregation 'fancy'" in message
         assert "test_fraction must be in (0, 1)" in message
@@ -245,6 +248,14 @@ class TestRecordTiming:
         assert [r["name"] for r in rows] == ["eraser", "train"]
         assert rows[1]["seconds"] == "2.000000"
         assert rows[0]["seconds"] == "0.250000"
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        _record_timing(tmp_path, "train", 1.5)
+        before = (tmp_path / "timings.csv").read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            _record_timing(tmp_path, "eraser", 0.25)
+        assert (tmp_path / "timings.csv").read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +641,21 @@ class TestMainErrors:
         assert manifest["scenario"]["seed"] == 123
 
 
+class TestRunLog:
+    def test_each_run_directory_gets_its_own_log(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        for name in ("a", "b"):
+            assert main(["train", str(ini), "--out", str(tmp_path / name)]) == 0
+        for name in ("a", "b"):
+            log = (tmp_path / name / "run.log").read_text()
+            assert sum("trained" in line for line in log.splitlines()) == 1
+
+
 class TestDataLoadedOnce:
+    def test_cli_binds_the_data_modules_prepare_data(self):
+        # perfbench binds cli.prepare_data, and its tracer patches it by identity
+        assert cli.prepare_data is data.prepare_data
+
     @pytest.fixture
     def prepare_calls(self, monkeypatch):
         calls = []
@@ -742,6 +767,21 @@ class TestSweep:
         assert rows[1]["error"].startswith("ValueError")
         assert "retain_interval" in rows[1]["error"]
         assert rows[1]["eraser_test_accuracy"] == ""
+
+    def test_fractional_value_of_a_whole_number_field_is_an_error_row(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(ini), "--out", str(out),
+                     "--param", "interval", "--values", "2,2.7"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["value"] for r in rows] == ["2", "2.7"]
+        assert rows[0]["error"] == ""
+        assert rows[0]["eraser_test_accuracy"] != ""
+        assert "retain_interval takes whole numbers" in rows[1]["error"]
+        assert rows[1]["eraser_test_accuracy"] == ""
+        assert (out / "interval_2").is_dir()
+        assert not (out / "interval_2.7").exists()
 
     def test_empty_values_rejected(self, tmp_path, capsys):
         ini = write_ini(tmp_path, TINY_INI)

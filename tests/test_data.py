@@ -627,6 +627,10 @@ class TestFedConfig:
         with pytest.raises(ValueError, match=phrase):
             FedConfig(**config_kwargs(**{field: value}))
 
+    def test_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown dataset 'imagenet'"):
+            FedConfig(**config_kwargs(dataset="imagenet"))
+
     def test_reports_all_problems_at_once(self):
         with pytest.raises(ValueError) as err:
             FedConfig(**config_kwargs(num_clients=0, learning_rate=-1, batch_size=0))
@@ -649,30 +653,32 @@ class TestFedConfig:
 
 
 class TestLoadDataset:
-    def test_rejects_unknown_name(self):
-        with pytest.raises(IngestionError, match="unknown dataset"):
-            load_dataset("imagenet")
+    def test_defaults_are_the_synthetic_generators(self):
+        ds = load_dataset(FedConfig())
+        expected = make_synthetic(1000, 20, 2, seed=0, separation=2.0)
+        assert ds.inputs.tobytes() == expected.inputs.tobytes()
+        assert ds.labels.tobytes() == expected.labels.tobytes()
 
     def test_synthetic_kwargs(self):
-        ds = load_dataset("synthetic", seed=3, synthetic_samples=64,
-                          synthetic_features=9, synthetic_classes=3)
+        ds = load_dataset(FedConfig(seed=3, synthetic_samples=64,
+                                    synthetic_features=9, synthetic_classes=3))
         assert ds.inputs.shape == (64, 9)
         assert ds.num_classes == 3
 
     def test_real_sets_require_path(self):
         with pytest.raises(IngestionError, match="requires a path"):
-            load_dataset("adult")
+            load_dataset(FedConfig(dataset="adult"))
 
     def test_rejects_missing_path(self, tmp_path):
         with pytest.raises(IngestionError, match="does not exist"):
-            load_dataset("adult", tmp_path / "nope")
+            load_dataset(FedConfig(dataset="adult", path=str(tmp_path / "nope")))
 
     def test_max_samples_caps_size(self):
-        ds = load_dataset("synthetic", seed=0, synthetic_samples=500, max_samples=120)
+        ds = load_dataset(FedConfig(synthetic_samples=500, max_samples=120))
         assert ds.num_samples == 120
 
     def test_adult_through_dispatcher(self, tmp_path):
         d = write_adult_dir(tmp_path, [adult_row(), adult_row(age="52", income=">50K")])
-        ds = load_dataset("adult", d)
+        ds = load_dataset(FedConfig(dataset="adult", path=str(d)))
         assert ds.name == "adult"
         assert ds.num_samples == 2

@@ -336,6 +336,17 @@ class TestReports:
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": 1, "a": {"z": 2, "y": 3}}
 
+    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [MethodMetrics(method="original", test_accuracy=0.9,
+                                               test_loss=0.3)])
+        before = path.read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_metrics_csv(path, [MethodMetrics(method="eraser", test_accuracy=0.5,
+                                                   test_loss=0.7)])
+        assert path.read_bytes() == before
+
     def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
         write_report_json(path, {"a": 1})
