@@ -137,6 +137,15 @@ class FedConfig:
             problems.append("target_client must be in [1, num_clients]")
         if not 0.0 < self.test_fraction < 1.0:
             problems.append("test_fraction must be in (0, 1)")
+        # the ranges the loaders enforce, which keep their own checks for
+        # callers that pass these numbers directly
+        if self.max_samples is not None and self.max_samples < 1:
+            problems.append("max_samples must be at least 1")
+        for name, least in (("synthetic_samples", 1), ("synthetic_features", 1),
+                            ("synthetic_classes", 2), ("purchase_items", 1),
+                            ("purchase_classes", 2)):
+            if getattr(self, name) < least:
+                problems.append(f"{name} must be at least {least}")
         if self.aggregation not in AGGREGATION_MODES:
             problems.append(f"unknown aggregation {self.aggregation!r}")
         if self.norm_mode not in NORM_MODES:

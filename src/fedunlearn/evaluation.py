@@ -28,8 +28,8 @@ from .nn import (
     atomic_write,
     build_model,
     forward,
-    loss_and_grad,
 )
+from .federation import sgd_epochs
 from .seeds import derive_seed
 
 _LOG_FLOOR = 1e-300  # probabilities are clipped here before log
@@ -194,18 +194,10 @@ def train_attack(
     )
     if learning_rate < 0:
         raise ValueError("learning rate must be non-negative")
-    lr = float(learning_rate)
-    # In-place SGD, bit-equal to stepping with sgd_step (see local_train).
-    w, params = build_model(arch, derive_seed(seed, "attack-init")).working_copy()
-    n = len(features)
-    bs = min(batch_size, n)
-    for epoch in range(epochs):
-        rng = np.random.default_rng(derive_seed(seed, "attack-epoch", epoch))
-        order = rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            _, grads = loss_and_grad(arch, params, Batch(standardized[idx], labels[idx]))
-            w -= lr * grads.vector
+    seeds = (derive_seed(seed, "attack-epoch", epoch) for epoch in range(epochs))
+    _, params, _ = sgd_epochs(arch, build_model(arch, derive_seed(seed, "attack-init")),
+                              standardized, labels, min(batch_size, len(features)),
+                              learning_rate, seeds, "membership attack fit")
     return AttackModel(arch=arch, params=ParamSet(params.items()), feature_mean=mean,
                        feature_std=std)
 

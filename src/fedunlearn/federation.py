@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -83,29 +83,12 @@ def local_train(
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
 
-    inputs, labels = shard.dataset.inputs, shard.dataset.labels
-    lr = float(config.learning_rate)
+    seeds = (derive_seed(config.seed, "local", shard.client_id, round_index, epoch)
+             for epoch in range(epochs))
     where = f"round {round_index}, client {shard.client_id}"
-    # One working vector stepped in place: `w -= lr * g` equals sgd_step's
-    # 1.0*w + (-lr)*g bit for bit. The gradients are checked at every step,
-    # the weights once at the end: under this update a non-finite entry of w
-    # never becomes finite again.
-    w, params = global_params.working_copy()
-    losses = []
-    for epoch in range(epochs):
-        rng = np.random.default_rng(
-            derive_seed(config.seed, "local", shard.client_id, round_index, epoch)
-        )
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = Batch(inputs[idx], labels[idx])
-            try:
-                loss, grads = loss_and_grad(arch, params, batch)
-            except ValueError as exc:
-                raise ValueError(f"{where}, step {len(losses) + 1}: {exc}") from exc
-            w -= lr * grads.vector
-            losses.append(loss)
+    w, params, losses = sgd_epochs(arch, global_params, shard.dataset.inputs,
+                                   shard.dataset.labels, batch_size, config.learning_rate,
+                                   seeds, where)
     bad = params.non_finite_tensor()
     if bad is not None:
         raise ValueError(f"{where}: tensor {bad!r} contains non-finite values")
@@ -119,6 +102,35 @@ def local_train(
         sample_count=n,
         train_loss=float(np.mean(losses)),
     )
+
+
+def sgd_epochs(arch: ArchSpec, start: ParamSet, inputs: np.ndarray, labels: np.ndarray,
+               batch_size: int, learning_rate: float, epoch_seeds: Iterable[int],
+               where: str) -> tuple[np.ndarray, ParamSet, list[float]]:
+    """Mini-batch SGD from `start`, one epoch per seed, one `loss_and_grad`
+    call per step. Each epoch's rows are gathered in the seed's permutation
+    and validated once; each step's batch is a slice of them. One working
+    vector is stepped in place: `w -= lr * g` equals 1.0*w + (-lr)*g bit for
+    bit. Gradients are checked at every step, a failure naming `where` and
+    the step; the weights are the caller's to check once, as under this
+    update a non-finite entry never becomes finite again. Returns the weight
+    vector, a read-only set that views it, and every step's loss."""
+    lr = float(learning_rate)
+    w, params = start.working_copy()
+    n = len(labels)
+    losses: list[float] = []
+    for seed in epoch_seeds:
+        order = np.random.default_rng(seed).permutation(n)
+        epoch = Batch(inputs[order], labels[order])
+        for first in range(0, n, batch_size):
+            batch = epoch.rows(first, first + batch_size)
+            try:
+                loss, grads = loss_and_grad(arch, params, batch)
+            except ValueError as exc:
+                raise ValueError(f"{where}, step {len(losses) + 1}: {exc}") from exc
+            w -= lr * grads.vector
+            losses.append(loss)
+    return w, params, losses
 
 
 def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamSet:

@@ -12,7 +12,7 @@ from .arch import (
     mnist_arch,
     purchase_arch,
 )
-from .engine import Batch, build_model, forward, loss_and_grad, sgd_step
+from .engine import Batch, build_model, forward, loss_and_grad
 from .params import (
     ConformanceError,
     ParamSet,
@@ -47,5 +47,4 @@ __all__ = [
     "parse_param_bytes",
     "purchase_arch",
     "save_params",
-    "sgd_step",
 ]

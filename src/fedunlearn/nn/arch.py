@@ -100,6 +100,15 @@ class ArchSpec:
         equal to the ``shapes()`` of every conformant parameter set."""
         return tuple(self.param_shapes())
 
+    @cached_property
+    def layer_table(self) -> tuple[tuple[Layer, int | None], ...]:
+        """Each layer with the position of its weight in :attr:`param_layout`
+        (its bias comes next), or None for a layer without parameters;
+        computed once per spec, so the engine looks tensors up by position."""
+        index = {name: j for j, (name, _) in enumerate(self.param_layout)}
+        return tuple((layer, index.get(f"layer{i}.weight"))
+                     for i, layer in enumerate(self.layers))
+
     def num_params(self) -> int:
         total = 0
         for _, shape in self.param_shapes():

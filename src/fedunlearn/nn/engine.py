@@ -1,4 +1,4 @@
-"""Forward pass, cross-entropy gradients, and the SGD step.
+"""Forward pass and cross-entropy gradients.
 
 Everything here is a pure function of its inputs: identical arguments give
 bit-identical outputs. All math runs in float64. The backward pass is
@@ -7,12 +7,13 @@ analytic per layer; correctness is pinned by finite-difference tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arch import ArchSpec, Conv2d, Dense, Flatten, MaxPool2d
-from .params import ParamSet, param_linear, require_conformant
+from .params import ParamSet
 
 
 @dataclass(frozen=True)
@@ -37,25 +38,24 @@ class Batch:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    def rows(self, start: int, stop: int) -> Batch:
+        """Rows [start, stop) as views, not validated again: a non-empty
+        slice of a valid batch is valid, and the caller keeps it non-empty."""
+        part = object.__new__(Batch)
+        object.__setattr__(part, "inputs", self.inputs[start:stop])
+        object.__setattr__(part, "labels", self.labels[start:stop])
+        return part
+
 
 def build_model(arch: ArchSpec, seed: int) -> ParamSet:
     """Fan-in-scaled uniform weights, zero biases, reproducible per (arch, seed)."""
     rng = np.random.default_rng(seed)
     items: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(arch.layers):
-        if isinstance(layer, Dense):
-            bound = np.sqrt(6.0 / (layer.in_features + layer.out_features))
-            w = rng.uniform(-bound, bound, size=(layer.in_features, layer.out_features))
-            items.append((f"layer{i}.weight", w))
-            items.append((f"layer{i}.bias", np.zeros(layer.out_features)))
-        elif isinstance(layer, Conv2d):
-            k = layer.kernel_size
-            fan_in = layer.in_channels * k * k
-            fan_out = layer.out_channels * k * k
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(layer.out_channels, layer.in_channels, k, k))
-            items.append((f"layer{i}.weight", w))
-            items.append((f"layer{i}.bias", np.zeros(layer.out_channels)))
+    layout = arch.param_layout
+    for (w_name, w_shape), (b_name, b_shape) in zip(layout[::2], layout[1::2]):
+        # fan-in plus fan-out: in + out for dense, (in + out) * k * k for conv
+        bound = np.sqrt(6.0 / ((w_shape[0] + w_shape[1]) * math.prod(w_shape[2:])))
+        items += [(w_name, rng.uniform(-bound, bound, size=w_shape)), (b_name, np.zeros(b_shape))]
     return ParamSet(items)
 
 
@@ -69,7 +69,8 @@ def check_conformant_with_arch(arch: ArchSpec, params: ParamSet) -> None:
 
 def forward(arch: ArchSpec, params: ParamSet, batch: Batch) -> np.ndarray:
     """Class probability matrix (batch x classes); rows sum to one."""
-    logits, _ = _forward_cached(arch, params, batch.inputs)
+    check_conformant_with_arch(arch, params)
+    logits, _ = _forward_cached(arch, params.tensors, batch.inputs)
     return _softmax(logits)
 
 
@@ -78,78 +79,82 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
     check_conformant_with_arch(arch, params)
     labels = batch.labels
     c = arch.num_classes
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise ValueError(f"label out of range [0, {c})")
-    logits, caches = _forward_cached(arch, params, batch.inputs)
+    tensors = params.tensors
+    logits, caches = _forward_cached(arch, tensors, batch.inputs)
+    n = len(labels)
+    rows = np.arange(n)
     log_probs = _log_softmax(logits)
-    n = len(batch)
-    loss = -float(np.mean(log_probs[np.arange(n), labels]))
+    # np.add.reduce(x) / n is np.mean(x), bit for bit
+    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)
 
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
+    dx = np.exp(log_probs, out=log_probs)
+    dx[rows, labels] -= 1.0
+    dx /= n
 
-    grad_map: dict[str, np.ndarray] = {}
-    dx = dlogits
-    for i in range(len(arch.layers) - 1, -1, -1):
-        layer = arch.layers[i]
+    # each layer writes its gradients straight into their segments of one vector
+    layout = params._layout
+    grad = np.empty(layout.size)
+    segments = [grad[start:end].reshape(shape) for start, end, shape in layout.spans]
+    table = arch.layer_table
+    for i in range(len(table) - 1, -1, -1):
+        layer, p = table[i]
         cache = caches[i]
         # the input gradient of layer 0 is the data's, which nothing uses
         need_dx = i > 0
         if isinstance(layer, Dense):
-            dx = _dense_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i,
-                                 need_dx)
+            x, z = cache
+            dz = dx * (z > 0.0) if layer.activation == "relu" else dx
+            np.matmul(x.T, dz, out=segments[p])
+            np.add.reduce(dz, axis=0, out=segments[p + 1])
+            dx = dz @ tensors[p].T if need_dx else None
         elif isinstance(layer, Conv2d):
-            dx = _conv_backward(layer, params[f"layer{i}.weight"], cache, dx, grad_map, i,
+            dx = _conv_backward(layer, tensors[p], cache, dx, segments[p], segments[p + 1],
                                 need_dx)
         elif isinstance(layer, MaxPool2d):
             dx = _pool_backward(layer, cache, dx)
         elif isinstance(layer, Flatten):
             dx = dx.reshape(cache)
-    flat = np.concatenate([grad_map[name].ravel() for name in params.names])
-    return loss, ParamSet._adopt(params._layout, flat)
-
-
-def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One plain gradient-descent step: params - lr * grads."""
-    require_conformant(params, grads)
-    if lr < 0:
-        raise ValueError("learning rate must be non-negative")
-    return param_linear(1.0, params, -float(lr), grads)
+    return loss, ParamSet._adopt(layout, grad)
 
 
 # ---------------------------------------------------------------------------
 # Layer internals
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    sums = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    shifted -= np.log(sums, out=sums)
+    return shifted
 
 
-def _forward_cached(arch: ArchSpec, params: ParamSet, inputs: np.ndarray):
+def _forward_cached(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray):
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != arch.input_shape:
         raise ValueError(
             f"input shape {x.shape[1:]} does not match architecture input {arch.input_shape}"
         )
     caches: list = []
-    for i, layer in enumerate(arch.layers):
+    for layer, p in arch.layer_table:
         if isinstance(layer, Dense):
-            z = x @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+            z = x @ tensors[p]
+            z += tensors[p + 1]
             caches.append((x, z))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
         elif isinstance(layer, Conv2d):
             k = layer.kernel_size
             cols = _im2col(x, k)
-            w_mat = params[f"layer{i}.weight"].reshape(layer.out_channels, -1)
+            w_mat = tensors[p].reshape(layer.out_channels, -1)
             b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
-            z = (w_mat @ cols + params[f"layer{i}.bias"][:, None]).reshape(
+            z = (w_mat @ cols + tensors[p + 1][:, None]).reshape(
                 b, layer.out_channels, ho, wo)
             caches.append((x.shape, cols, z))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
@@ -163,16 +168,6 @@ def _forward_cached(arch: ArchSpec, params: ParamSet, inputs: np.ndarray):
     return x, caches
 
 
-def _dense_backward(layer: Dense, w: np.ndarray, cache, dout: np.ndarray,
-                    grad_map: dict[str, np.ndarray], index: int,
-                    need_dx: bool) -> np.ndarray | None:
-    x, z = cache
-    dz = dout * (z > 0.0) if layer.activation == "relu" else dout
-    grad_map[f"layer{index}.weight"] = x.T @ dz
-    grad_map[f"layer{index}.bias"] = dz.sum(axis=0)
-    return dz @ w.T if need_dx else None
-
-
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     # (B, C, H, W) -> (B, C*k*k, Ho*Wo) sliding windows, channel-major rows
     b, c, h, w = x.shape
@@ -181,17 +176,16 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
 
 
-def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray,
-                   grad_map: dict[str, np.ndarray], index: int,
-                   need_dx: bool) -> np.ndarray | None:
+def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray, dw: np.ndarray,
+                   db: np.ndarray, need_dx: bool) -> np.ndarray | None:
     x_shape, cols, z = cache
     dz = dout * (z > 0.0) if layer.activation == "relu" else dout
     b, c_out, ho, wo = dz.shape
     dz_mat = dz.reshape(b, c_out, ho * wo)
-    grad_map[f"layer{index}.bias"] = dz_mat.sum(axis=(0, 2))
+    np.add.reduce(dz_mat, axis=(0, 2), out=db)
     # one batched BLAS call; tensordot would copy cols to fold the batch axis
-    dw_mat = np.matmul(dz_mat, cols.transpose(0, 2, 1)).sum(axis=0)
-    grad_map[f"layer{index}.weight"] = dw_mat.reshape(w.shape)
+    np.add.reduce(np.matmul(dz_mat, cols.transpose(0, 2, 1)), axis=0,
+                  out=dw.reshape(c_out, -1))
     if not need_dx:
         return None
     dcols = w.reshape(c_out, -1).T @ dz_mat

@@ -223,9 +223,33 @@ def dump_param_bytes(params: ParamSet) -> bytes:
     return bytes(out)
 
 
+class ParamReader:
+    """Parses :func:`dump_param_bytes` blobs, keeping the last header read as
+    (offset, bytes) chunks around the tensor data, with its blob size, layout
+    and data offsets: the blobs of one store share a layout, so a blob of
+    that size and those header bytes is read without parsing its header."""
+
+    def __init__(self):
+        self._header: tuple = ((), -1, None, ())
+
+    def parse(self, buf: bytes | memoryview) -> ParamSet:
+        chunks, size, layout, data_offsets = self._header
+        if len(buf) != size or any(buf[o : o + len(h)] != h for o, h in chunks):
+            chunks, size, layout, data_offsets = self._header = _parse_header(buf)
+        vector = np.empty(layout.size)
+        for (start, end, _), data_offset in zip(layout.spans, data_offsets):
+            vector[start:end] = np.frombuffer(buf, dtype="<f8", count=end - start,
+                                              offset=data_offset)
+        return ParamSet._adopt(layout, vector)
+
+
 def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
     """Inverse of :func:`dump_param_bytes`; each tensor's data is copied once,
     straight from the buffer into the set's vector."""
+    return ParamReader().parse(buf)
+
+
+def _parse_header(buf: bytes | memoryview) -> tuple:
     if buf[:4] != MAGIC:
         raise ValueError("bad magic: not a parameter-set blob")
     try:
@@ -233,9 +257,11 @@ def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported parameter-set format version {version}")
         offset = 12
+        chunks = [(0, bytes(buf[:offset]))]
         shapes: list[tuple[str, tuple[int, ...]]] = []
         data_offsets: list[int] = []
         for _ in range(count):
+            chunk_start = offset
             (name_len,) = struct.unpack_from("<I", buf, offset)
             offset += 4
             name = str(buf[offset : offset + name_len], "utf-8")
@@ -245,6 +271,7 @@ def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
             dims = struct.unpack_from(f"<{rank}I", buf, offset)
             offset += 4 * rank
             shapes.append((name, dims))
+            chunks.append((chunk_start, bytes(buf[chunk_start:offset])))
             data_offsets.append(offset)
             offset += 8 * math.prod(dims)
     except struct.error as exc:
@@ -253,12 +280,7 @@ def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
         raise ValueError("truncated parameter-set blob: tensor data runs past the end")
     if offset != len(buf):
         raise ValueError("trailing bytes after last tensor")
-    layout = _Layout(tuple(shapes))
-    vector = np.empty(layout.size)
-    for (start, end, _), data_offset in zip(layout.spans, data_offsets):
-        vector[start:end] = np.frombuffer(buf, dtype="<f8", count=end - start,
-                                          offset=data_offset)
-    return ParamSet._adopt(layout, vector)
+    return tuple(chunks), offset, _Layout(tuple(shapes)), tuple(data_offsets)
 
 
 def atomic_write(path, data: bytes) -> None:

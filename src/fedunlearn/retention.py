@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import FedConfig
 from .federation import ClientUpdate
-from .nn import ArchSpec, ParamSet, atomic_write, dump_param_bytes, parse_param_bytes
+from .nn import ArchSpec, ParamSet, atomic_write, dump_param_bytes
+from .nn.params import ParamReader
 
 MANIFEST_NAME = "manifest.json"
 
@@ -98,6 +99,7 @@ class RetentionStore:
         #   "train_loss": ..., "sq_norms": [...], "sq_norms_crc": ...}
         self._entries: dict[int, dict[int, dict]] = entries or {}
         self.bytes_read = 0
+        self._reader = ParamReader()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -192,9 +194,11 @@ class RetentionStore:
 
     def load_client(self, round_index: int, client_id: int) -> ClientUpdate:
         entry = self._entry(round_index, client_id)
-        blob_path = self.root / entry["path"]
+        # a string path and open(): cheaper per read than pathlib on small blobs
+        blob_path = f"{self.root}/{entry['path']}"
         try:
-            blob = blob_path.read_bytes()
+            with open(blob_path, "rb") as fh:
+                blob = fh.read()
         except FileNotFoundError:
             raise IntegrityError(
                 f"missing blob for round {round_index} client {client_id}: {blob_path}"
@@ -211,7 +215,7 @@ class RetentionStore:
                 f"checksum mismatch for round {round_index} client {client_id}"
             )
         try:
-            delta = parse_param_bytes(payload)
+            delta = self._reader.parse(payload)
         except ValueError as exc:
             raise IntegrityError(
                 f"undecodable blob for round {round_index} client {client_id}: {exc}"

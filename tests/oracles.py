@@ -21,8 +21,8 @@ from fedunlearn.nn import (
     build_model,
     loss_and_grad,
     param_linear,
-    sgd_step,
 )
+from fedunlearn.nn.params import require_conformant
 from fedunlearn.seeds import derive_seed
 
 
@@ -293,10 +293,20 @@ def reference_aggregate(updates, mode: str = "standard") -> ParamSet:
     return combined
 
 
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
+    """One plain gradient-descent step on immutable sets: params - lr * grads."""
+    require_conformant(params, grads)
+    if lr < 0:
+        raise ValueError("learning rate must be non-negative")
+    return param_linear(1.0, params, -float(lr), grads)
+
+
 def reference_local_train(arch: ArchSpec, global_params: ParamSet, shard, config,
-                          round_index: int, epochs: int | None = None):
+                          round_index: int, epochs: int | None = None,
+                          grad_fn=loss_and_grad):
     """Local SGD over immutable sets: a new ParamSet per step from sgd_step,
-    the same shuffles and batches as federation.local_train. Returns
+    the same shuffles and batches as federation.local_train, each batch
+    gathered on its own. `grad_fn` stands in for loss_and_grad. Returns
     (delta, mean train loss)."""
     n = shard.sample_count
     batch_size = min(config.batch_size, n)
@@ -310,10 +320,38 @@ def reference_local_train(arch: ArchSpec, global_params: ParamSet, shard, config
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = loss_and_grad(arch, params, Batch(inputs[idx], labels[idx]))
+            loss, grads = grad_fn(arch, params, Batch(inputs[idx], labels[idx]))
             params = sgd_step(params, grads, config.learning_rate)
             losses.append(loss)
     return param_linear(1.0, params, -1.0, global_params), float(np.mean(losses))
+
+
+def reference_train_attack(member_features: np.ndarray, nonmember_features: np.ndarray,
+                           seed: int, hidden: int = 16, epochs: int = 30,
+                           learning_rate: float = 0.1, batch_size: int = 64) -> ParamSet:
+    """The membership classifier's fit over immutable sets: the same
+    standardization, initial model and shuffles as evaluation.train_attack,
+    a Batch gathered per step, reference_loss_and_grad and sgd_step.
+    Returns the fitted parameters."""
+    features = np.vstack([member_features, nonmember_features])
+    labels = np.concatenate([np.ones(len(member_features), dtype=np.int64),
+                             np.zeros(len(nonmember_features), dtype=np.int64)])
+    std = features.std(axis=0)
+    standardized = (features - features.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    width = features.shape[1]
+    arch = ArchSpec(layers=(Dense(width, hidden, activation="relu"), Dense(hidden, 2)),
+                    input_shape=(width,))
+    params = build_model(arch, derive_seed(seed, "attack-init"))
+    n = len(features)
+    bs = min(batch_size, n)
+    for epoch in range(epochs):
+        order = np.random.default_rng(derive_seed(seed, "attack-epoch", epoch)).permutation(n)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            _, grads = reference_loss_and_grad(arch, params,
+                                               Batch(standardized[idx], labels[idx]))
+            params = sgd_step(params, grads, learning_rate)
+    return params
 
 
 def reference_calibrate(retained: ParamSet, fresh: ParamSet, norm_mode: str,

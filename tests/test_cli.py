@@ -207,6 +207,17 @@ class TestParseScenario:
         assert "unknown aggregation 'fancy'" in message
         assert "test_fraction must be in (0, 1)" in message
 
+    def test_data_range_problems_reported_together(self, tmp_path):
+        path = write_ini(
+            tmp_path,
+            "[data]\nmax_samples = 0\nsynthetic_classes = 1\nsynthetic_features = 0\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(path)
+        message = str(excinfo.value)
+        assert "max_samples must be at least 1" in message
+        assert "synthetic_classes must be at least 2" in message
+        assert "synthetic_features must be at least 1" in message
+
     def test_unknown_aggregation(self, tmp_path):
         path = write_ini(tmp_path, "[federation]\naggregation = fancy\n")
         with pytest.raises(ConfigError, match="unknown aggregation 'fancy'"):

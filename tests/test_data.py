@@ -622,6 +622,12 @@ class TestFedConfig:
         ("batch_size", 0, "batch_size"),
         ("target_client", 0, "target_client"),
         ("target_client", 5, "target_client"),
+        ("max_samples", 0, "max_samples"),
+        ("synthetic_samples", 0, "synthetic_samples"),
+        ("synthetic_features", 0, "synthetic_features"),
+        ("synthetic_classes", 1, "synthetic_classes"),
+        ("purchase_items", 0, "purchase_items"),
+        ("purchase_classes", 1, "purchase_classes"),
     ])
     def test_rejects_each_bad_field(self, field, value, phrase):
         with pytest.raises(ValueError, match=phrase):

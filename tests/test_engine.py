@@ -1,4 +1,5 @@
-"""Forward/backward engine: initialization, probabilities, loss, gradients, SGD.
+"""Forward/backward engine: initialization, probabilities, loss, gradients, and
+the reference SGD step of tests/oracles.py.
 
 The gradient checks compare the analytic backward pass against central finite
 differences computed by tests/oracles.py — two independent routes to the same
@@ -20,7 +21,6 @@ from fedunlearn.nn import (
     loss_and_grad,
     mnist_arch,
     purchase_arch,
-    sgd_step,
 )
 from fedunlearn.nn.engine import _pool_forward, check_conformant_with_arch
 
@@ -30,6 +30,7 @@ from oracles import (
     reference_conv2d,
     reference_forward,
     reference_loss_and_grad,
+    sgd_step,
     stacked_conv_instance,
 )
 

@@ -24,6 +24,7 @@ from fedunlearn.evaluation import (
 from fedunlearn.nn import ArchSpec, Dense, ParamSet, build_model, forward
 
 from conftest import small_arch, tear_writes
+from oracles import reference_train_attack
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
@@ -246,6 +247,16 @@ class TestTrainAttack:
         attack = train_attack(members, nonmembers, seed=9)
         probs = attack.membership_probability(members)
         assert np.isfinite(probs).all()
+
+    @pytest.mark.parametrize("batch_size", [16, 500])
+    def test_bit_equal_to_reference_fit(self, batch_size):
+        # 115 rows: a ragged last step at batch 16, one clamped batch at 500
+        members = gaussian_features(10, 70, 4, 1.0)
+        nonmembers = gaussian_features(11, 45, 4, -1.0)
+        kwargs = dict(seed=12, hidden=6, epochs=3, batch_size=batch_size)
+        attack = train_attack(members, nonmembers, **kwargs)
+        reference = reference_train_attack(members, nonmembers, **kwargs)
+        assert attack.params.vector.tobytes() == reference.vector.tobytes()
 
     def test_rejects_empty_or_mismatched(self):
         feats = gaussian_features(0, 10, 4, 0.0)

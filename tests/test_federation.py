@@ -1,11 +1,14 @@
 """Local training, weighted aggregation, and the federated round loop."""
 
+import inspect
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedunlearn import federation
 from fedunlearn.data import ClientShard, Dataset
 from fedunlearn.federation import (
     ClientUpdate,
@@ -22,13 +25,19 @@ from fedunlearn.nn import (
     MaxPool2d,
     ParamSet,
     build_model,
+    engine,
     loss_and_grad,
     param_linear,
 )
 from fedunlearn.nn.engine import Batch, check_conformant_with_arch
 
 from conftest import small_config
-from oracles import flat_weighted_mean, reference_aggregate, reference_local_train
+from oracles import (
+    flat_weighted_mean,
+    reference_aggregate,
+    reference_local_train,
+    reference_loss_and_grad,
+)
 
 
 def constant_update(client_id, value, *, sample_count=1, round_index=1, shape=(2, 2)):
@@ -107,7 +116,9 @@ class TestLocalTrain:
 
 
 class TestInPlaceLocalTrain:
-    """The in-place loop against the immutable-set oracle, bit for bit."""
+    """The in-place loop (one gathered batch per epoch, a slice per step, the
+    gradients in one flat vector) against the immutable-set oracle, which
+    gathers each step's batch on its own, bit for bit."""
 
     ARCHS = {
         "dense": ArchSpec(layers=(Dense(6, 8, "relu"), Dense(8, 3)), input_shape=(6,)),
@@ -117,9 +128,9 @@ class TestInPlaceLocalTrain:
         ),
     }
 
-    @pytest.mark.parametrize("kind", sorted(ARCHS))
-    def test_bit_equal_to_oracle(self, kind):
-        arch = self.ARCHS[kind]
+    @classmethod
+    def check(cls, kind, grad_fn=loss_and_grad):
+        arch = cls.ARCHS[kind]
         rng = np.random.default_rng(5)
         # 23 samples at batch 8: two full batches and a ragged one of 7
         shard = ClientShard(2, Dataset("s", rng.normal(size=(23, *arch.input_shape)),
@@ -127,10 +138,20 @@ class TestInPlaceLocalTrain:
         cfg = small_config(local_epochs=2, batch_size=8, learning_rate=0.3)
         model = build_model(arch, 4)
         update = local_train(arch, model, shard, cfg, round_index=3)
-        delta, train_loss = reference_local_train(arch, model, shard, cfg, round_index=3)
+        delta, train_loss = reference_local_train(arch, model, shard, cfg, round_index=3,
+                                                  grad_fn=grad_fn)
         assert update.delta == delta
         assert update.train_loss == train_loss
         assert update.delta.vector.tobytes() == delta.vector.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(ARCHS))
+    def test_bit_equal_to_oracle(self, kind):
+        self.check(kind)
+
+    def test_dense_bit_equal_to_reference_engine(self):
+        # the oracle steps with reference_loss_and_grad, which shares none of
+        # the engine's code; on conv it is only close, so dense only
+        self.check("dense", grad_fn=reference_loss_and_grad)
 
     def test_global_model_is_not_modified(self, arch, config, shards):
         model = build_model(arch, 2)
@@ -256,6 +277,45 @@ class RecordingSink:
 
     def store_round(self, round_index, updates):
         self.calls.append((round_index, updates))
+
+
+class TestStepCounterContract:
+    """What the benchmark's tracer counts as one SGD step: one call of
+    `federation.loss_and_grad`, the engine's own function, made inside
+    `local_train`, with an argument named `batch` whose len() is the step's
+    row count. A change to the loop that breaks this fails here first."""
+
+    def test_one_call_per_step_inside_local_train(self, arch, shards, monkeypatch):
+        assert federation.loss_and_grad is engine.loss_and_grad
+        # 48 rows per client at batch 10: four full steps and a ragged one of 8
+        config = small_config(batch_size=10)
+        real_train, real_grad = federation.local_train, federation.loss_and_grad
+        signature = inspect.signature(real_grad)
+        depth = calls = rows = 0
+
+        def counting_train(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        def counting_grad(*args, **kwargs):
+            nonlocal calls, rows
+            if depth:
+                calls += 1
+                rows += len(signature.bind(*args, **kwargs).arguments["batch"])
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", counting_train)
+        monkeypatch.setattr(federation, "loss_and_grad", counting_grad)
+        run_fedavg(arch, shards, config)
+        sizes = [s.sample_count for s in shards]
+        assert any(n % config.batch_size for n in sizes)
+        assert calls == config.global_rounds * sum(
+            config.local_epochs * math.ceil(n / config.batch_size) for n in sizes)
+        assert rows == config.global_rounds * config.local_epochs * sum(sizes)
 
 
 class TestRunFedavg:

@@ -11,6 +11,7 @@ from fedunlearn.nn import (
     parse_param_bytes,
     save_params,
 )
+from fedunlearn.nn.params import ParamReader
 
 from conftest import tear_writes
 
@@ -197,6 +198,29 @@ class TestBinaryFormat:
     def test_unicode_names_survive(self):
         ps = ParamSet([("poids_couche", np.ones(2))])
         assert parse_param_bytes(dump_param_bytes(ps)).names == ("poids_couche",)
+
+    def test_reader_shares_one_layout_across_blobs(self):
+        rng = np.random.default_rng(4)
+        a, b = (ParamSet([("w", rng.normal(size=(3, 2))), ("b", rng.normal(size=2))])
+                for _ in range(2))
+        reader = ParamReader()
+        parsed_a = reader.parse(dump_param_bytes(a))
+        parsed_b = reader.parse(dump_param_bytes(b))
+        assert (parsed_a, parsed_b) == (a, b)
+        assert parsed_a._layout is parsed_b._layout
+
+    def test_reader_parses_a_same_size_blob_with_another_header_afresh(self):
+        # equal blob sizes, so only the header bytes tell them apart
+        first = dump_param_bytes(ParamSet([("wa", np.ones((2, 3)))]))
+        reader = ParamReader()
+        for other in (ParamSet([("wb", np.ones((2, 3)))]), ParamSet([("wa", np.ones((3, 2)))])):
+            blob = dump_param_bytes(other)
+            assert len(blob) == len(first)
+            reader.parse(first)
+            assert reader.parse(blob) == other
+        reader.parse(first)
+        with pytest.raises(ValueError, match="magic"):
+            reader.parse(b"NOPE" + first[4:])
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
