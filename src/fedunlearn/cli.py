@@ -41,12 +41,14 @@ import numpy as np
 from .data import ClientShard, Dataset, FedConfig, prepare_data, subsample
 from .evaluation import (
     MethodMetrics,
+    accuracy_and_loss,
     angle_deviation,
     attack_metrics,
+    batched_probs,
     build_membership_features,
     evaluate,
     last_layer_angles,
-    prediction_difference,
+    mean_probability_distance,
     train_attack,
     write_csv,
     write_metrics_csv,
@@ -537,14 +539,17 @@ def _report(run: Run, resume: bool) -> dict | None:
     if attack_path.exists():
         attack_results = json.loads(attack_path.read_text())
 
+    # one forward pass per model over the target shard serves its accuracy,
+    # its loss and its prediction difference to retrain
+    target_probs = {name: list(batched_probs(arch, model, target, scenario.eval_batch_size))
+                    for name, model in models.items()}
     metrics: list[MethodMetrics] = []
     for name, model in models.items():
         test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
-        tgt_acc, tgt_loss = evaluate(arch, model, target, scenario.eval_batch_size)
+        tgt_acc, tgt_loss = accuracy_and_loss(target_probs[name])
         pdiff = angle = None
         if retrain is not None and name != "retrain":
-            pdiff = prediction_difference(arch, model, retrain, target,
-                                          scenario.eval_batch_size)
+            pdiff = mean_probability_distance(target_probs[name], target_probs["retrain"])
             angle = angle_deviation(arch.head_weight(model), arch.head_weight(retrain))
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -46,13 +46,19 @@ def evaluate(
         raise ValueError(
             f"dataset has {ds.num_classes} classes, model predicts {arch.num_classes}"
         )
+    return accuracy_and_loss(batched_probs(arch, params, ds, batch_size))
+
+
+def accuracy_and_loss(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+    """(accuracy, mean cross-entropy loss) from batched_probs' batches."""
     correct = 0
     loss_sum = 0.0
-    for probs, labels in _batched_probs(arch, params, ds, batch_size):
+    n = 0
+    for probs, labels in batches:
         correct += int((probs.argmax(axis=1) == labels).sum())
         loss_sum += float(-np.log(np.clip(probs[np.arange(len(labels)), labels],
                                           _LOG_FLOOR, None)).sum())
-    n = ds.num_samples
+        n += len(labels)
     return correct / n, loss_sum / n
 
 
@@ -61,15 +67,25 @@ def prediction_difference(
     batch_size: int = 256,
 ) -> float:
     """Mean Euclidean distance between the two models' probability vectors."""
+    return mean_probability_distance(batched_probs(arch, params_a, ds, batch_size),
+                                     batched_probs(arch, params_b, ds, batch_size))
+
+
+def mean_probability_distance(batches_a: Iterable[tuple[np.ndarray, np.ndarray]],
+                              batches_b: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """prediction_difference from two models' batched_probs over one dataset."""
     total = 0.0
-    batches_b = _batched_probs(arch, params_b, ds, batch_size)
-    for (probs_a, _), (probs_b, _) in zip(_batched_probs(arch, params_a, ds, batch_size),
-                                          batches_b):
+    n = 0
+    for (probs_a, _), (probs_b, _) in zip(batches_a, batches_b):
         total += float(np.linalg.norm(probs_a - probs_b, axis=1).sum())
-    return total / ds.num_samples
+        n += len(probs_a)
+    return total / n
 
 
-def _batched_probs(arch, params, ds, batch_size):
+def batched_probs(arch: ArchSpec, params: ParamSet, ds: Dataset,
+                  batch_size: int = 256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The model's class probabilities over the dataset, one forward pass per
+    batch of `batch_size` rows in order, each with its labels."""
     for start in range(0, ds.num_samples, batch_size):
         labels = ds.labels[start : start + batch_size]
         yield forward(arch, params, Batch(ds.inputs[start : start + batch_size], labels)), labels
@@ -130,7 +146,7 @@ def build_membership_features(arch: ArchSpec, params: ParamSet, ds: Dataset) -> 
     true class, and the sample's cross-entropy loss — 2C+1 columns.
     """
     rows = []
-    for probs, labels in _batched_probs(arch, params, ds, batch_size=256):
+    for probs, labels in batched_probs(arch, params, ds):
         sorted_probs = np.sort(probs, axis=1)[:, ::-1]
         onehot = np.zeros_like(probs)
         onehot[np.arange(len(labels)), labels] = 1.0

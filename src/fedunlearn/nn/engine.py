@@ -3,6 +3,12 @@
 Everything here is a pure function of its inputs: identical arguments give
 bit-identical outputs. All math runs in float64. The backward pass is
 analytic per layer; correctness is pinned by finite-difference tests.
+
+Max pooling sends each window's gradient to one position: the first, in
+row-major order within the window, that holds the window's maximum. Ties,
+0.0 against -0.0 included, go to the earlier position, and the pooled value
+is that position's value. A window holding a NaN pools to NaN and sends
+its gradient to its first NaN.
 """
 
 from __future__ import annotations
@@ -154,13 +160,17 @@ def _forward_cached(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.
             cols = _im2col(x, k)
             w_mat = tensors[p].reshape(layer.out_channels, -1)
             b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
-            z = (w_mat @ cols + tensors[p + 1][:, None]).reshape(
+            x_shape = x.shape
+            x = (w_mat @ cols + tensors[p + 1][:, None]).reshape(
                 b, layer.out_channels, ho, wo)
-            caches.append((x.shape, cols, z))
-            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            if layer.activation == "relu":
+                np.maximum(x, 0.0, out=x)
+            # the output, not the pre-activation z: relu(z) > 0 exactly where
+            # z > 0, and a pooling layer next caches this same array
+            caches.append((x_shape, cols, x))
         elif isinstance(layer, MaxPool2d):
-            pooled, idx = _pool_forward(x, layer.window)
-            caches.append((x.shape, idx))
+            pooled = _pool_forward(x, layer.window)
+            caches.append((x, pooled))
             x = pooled
         elif isinstance(layer, Flatten):
             caches.append(x.shape)
@@ -178,8 +188,8 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray, dw: np.ndarray,
                    db: np.ndarray, need_dx: bool) -> np.ndarray | None:
-    x_shape, cols, z = cache
-    dz = dout * (z > 0.0) if layer.activation == "relu" else dout
+    x_shape, cols, out = cache
+    dz = dout * (out > 0.0) if layer.activation == "relu" else dout
     b, c_out, ho, wo = dz.shape
     dz_mat = dz.reshape(b, c_out, ho * wo)
     np.add.reduce(dz_mat, axis=(0, 2), out=db)
@@ -193,38 +203,55 @@ def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray, dw: np
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
+    # accumulates spatial-major, (H, W, B, C), so each of the k*k shifted adds
+    # runs over long contiguous rows; every element still sums its terms from
+    # zero in (i, j) order. Returns a (B, C, H, W) view.
     b, c, h, w = x_shape
     ho, wo = h - k + 1, w - k + 1
-    d6 = dcols.reshape(b, c, k, k, ho, wo)
-    dx = np.zeros(x_shape)
+    d6 = dcols.reshape(b, c, k, k, ho, wo).transpose(2, 3, 4, 5, 0, 1)
+    dx = np.zeros((h, w, b, c))
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + ho, j : j + wo] += d6[:, :, i, j]
-    return dx
+            dx[i : i + ho, j : j + wo] += d6[i, j]
+    return dx.transpose(2, 3, 0, 1)
 
 
-def _pool_forward(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    b, c, h, w = x.shape
-    ho, wo = h // window, w // window
-    tiles = (
-        x.reshape(b, c, ho, window, wo, window)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, ho, wo, window * window)
-    )
-    idx = tiles.argmax(axis=-1)  # ties break to the first (row-major) position
-    pooled = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
-    return pooled, idx
+def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
+    # one strided view per window position, in row-major order
+    return [x[:, :, i::window, j::window] for i in range(window) for j in range(window)]
+
+
+def _pool_forward(x: np.ndarray, window: int) -> np.ndarray:
+    views = _pool_views(x, window)
+    pooled = views[0].copy()
+    for view in views[1:]:
+        # on a tie np.maximum returns its second operand: the earlier position
+        np.maximum(view, pooled, out=pooled)
+    return pooled
 
 
 def _pool_backward(layer: MaxPool2d, cache, dout: np.ndarray) -> np.ndarray:
-    x_shape, idx = cache
-    b, c, h, w = x_shape
-    window = layer.window
-    ho, wo = h // window, w // window
-    dtiles = np.zeros((b, c, ho, wo, window * window))
-    np.put_along_axis(dtiles, idx[..., None], dout[..., None], axis=-1)
-    return (
-        dtiles.reshape(b, c, ho, wo, window, window)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(x_shape)
-    )
+    x, pooled = cache
+    dx = np.empty(x.shape)
+    # dout's bits where a window's first maximum sits, zero bits (0.0)
+    # elsewhere: an AND with an all-ones or all-zeros mask, as a masked copy
+    # into a zeroed array gives the same bits at several times the cost
+    dout_bits = dout.view(np.int64)
+    mask = np.empty(pooled.shape, dtype=np.int64)
+    nan = np.isnan(pooled)
+    nan = nan if nan.any() else None
+    free = None  # windows whose maximum no earlier position took
+    for x_view, dx_view in zip(_pool_views(x, layer.window),
+                               _pool_views(dx.view(np.int64), layer.window)):
+        hit = x_view == pooled
+        if nan is not None:
+            # a window holding a NaN pools to NaN; its first NaN takes dout
+            hit |= nan & np.isnan(x_view)
+        if free is None:
+            free = ~hit
+        else:
+            hit &= free
+            free ^= hit
+        np.negative(hit, out=mask, dtype=np.int64)  # -1 is all ones
+        np.bitwise_and(dout_bits, mask, out=dx_view)
+    return dx

@@ -22,6 +22,7 @@ from fedunlearn.nn import (
     loss_and_grad,
     param_linear,
 )
+from fedunlearn.nn import engine
 from fedunlearn.nn.params import require_conformant
 from fedunlearn.seeds import derive_seed
 
@@ -189,6 +190,59 @@ def reference_forward(arch: ArchSpec, params: ParamSet, inputs: np.ndarray) -> n
     return e / e.sum(axis=1, keepdims=True)
 
 
+def reference_pool_forward(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling through a (B, C, Ho, Wo, window**2) copy of the tiles:
+    the pooled values and each window's argmax (ties to the first position
+    in row-major order)."""
+    b, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    tiles = (x.reshape(b, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
+             .reshape(b, c, ho, wo, window * window))
+    idx = tiles.argmax(axis=-1)
+    return np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_pool_backward(x_shape: tuple[int, ...], idx: np.ndarray, dout: np.ndarray,
+                            window: int) -> np.ndarray:
+    """The pooling input gradient: each dout entry put at its window's argmax
+    `idx` from reference_pool_forward, zero elsewhere."""
+    b, c, h, w = x_shape
+    ho, wo = h // window, w // window
+    dtiles = np.zeros((b, c, ho, wo, window * window))
+    np.put_along_axis(dtiles, idx[..., None], dout[..., None], axis=-1)
+    return (dtiles.reshape(b, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
+            .reshape(x_shape))
+
+
+def reference_col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
+    """The convolution input gradient from the (B, C*k*k, Ho*Wo) column
+    gradient, accumulated in a (B, C, H, W) array: k*k shifted adds in (i, j)
+    order onto zeros."""
+    b, c, h, w = x_shape
+    ho, wo = h - k + 1, w - k + 1
+    d6 = dcols.reshape(b, c, k, k, ho, wo)
+    dx = np.zeros(x_shape)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + ho, j : j + wo] += d6[:, :, i, j]
+    return dx
+
+
+def use_reference_kernels(monkeypatch) -> None:
+    """Route the engine's pooling and col2im through the reference kernels
+    above; everything else in loss_and_grad stays the engine's own."""
+    monkeypatch.setattr(engine, "_pool_forward",
+                        lambda x, window: reference_pool_forward(x, window)[0])
+
+    def pool_backward(layer, cache, dout):
+        x, _ = cache
+        _, idx = reference_pool_forward(x, layer.window)
+        return reference_pool_backward(x.shape, idx, dout, layer.window)
+
+    monkeypatch.setattr(engine, "_pool_backward", pool_backward)
+    monkeypatch.setattr(engine, "_col2im", reference_col2im)
+
+
 def reference_loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch):
     """The engine as it stood before its channel-major conv kernels: row-major
     im2col, an einsum weight gradient, a col2im loop, and an input gradient
@@ -212,13 +266,9 @@ def reference_loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch):
             caches.append((x.shape, cols, z))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
         elif isinstance(layer, MaxPool2d):
-            s = layer.window
-            b, c, h, w = x.shape
-            tiles = (x.reshape(b, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
-                     .reshape(b, c, h // s, w // s, s * s))
-            idx = tiles.argmax(axis=-1)
+            pooled, idx = reference_pool_forward(x, layer.window)
             caches.append((x.shape, idx))
-            x = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+            x = pooled
         elif isinstance(layer, Flatten):
             caches.append(x.shape)
             x = x.reshape(x.shape[0], -1)
@@ -257,12 +307,7 @@ def reference_loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch):
                     dx[:, :, di : di + ho, dj : dj + wo] += d6[:, :, :, :, di, dj]
         elif isinstance(layer, MaxPool2d):
             x_shape, idx = cache
-            s = layer.window
-            b, c, h, w = x_shape
-            dtiles = np.zeros((b, c, h // s, w // s, s * s))
-            np.put_along_axis(dtiles, idx[..., None], dx[..., None], axis=-1)
-            dx = (dtiles.reshape(b, c, h // s, w // s, s, s).transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(x_shape))
+            dx = reference_pool_backward(x_shape, idx, dx, layer.window)
         elif isinstance(layer, Flatten):
             dx = dx.reshape(cache)
     return loss, ParamSet((name, grads[name]) for name in params.names)

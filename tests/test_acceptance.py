@@ -550,7 +550,7 @@ def test_09_membership_attack_adult(adult_desk):
 #     calibration ratio, down with the retention interval.
 
 
-def test_10_sweep_wall_clock_monotonic(tmp_path):
+def test_10_sweep_wall_clock_monotonic(tmp_path, monkeypatch):
     ds = make_synthetic(6000, 30, 2, seed=0, separation=1.5)
     train, _ = train_test_split(ds, 0.2, 0)
     shards = partition_iid(train, 10, 0)
@@ -572,24 +572,48 @@ def test_10_sweep_wall_clock_monotonic(tmp_path):
                    initial_model=initial, retention_sink=store)
         stores[interval] = (store, initial)
 
-    ratio_times = []
-    for ratio in (0.1, 0.5, 1.0):
-        store, initial = stores[2]
-        result = fed_eraser(arch, initial, store, shards, config_for(2, ratio))
-        ratio_times.append(result.total_seconds)
-    interval_times = []
-    for interval in (1, 2, 5):
+    steps = 0
+    real = federation.loss_and_grad
+
+    def counting(arch, params, batch):
+        nonlocal steps
+        steps += 1
+        return real(arch, params, batch)
+
+    monkeypatch.setattr(federation, "loss_and_grad", counting)
+
+    def erase(interval, ratio):
+        """The eraser's wall-clock seconds and SGD steps at one sweep point,
+        and the steps the schedule's closed form gives it."""
+        nonlocal steps
+        steps = 0
+        config = config_for(interval, ratio)
         store, initial = stores[interval]
-        result = fed_eraser(arch, initial, store, shards,
-                            config_for(interval, 0.5))
-        interval_times.append(result.total_seconds)
+        result = fed_eraser(arch, initial, store, shards, config)
+        steps_per_epoch = sum(math.ceil(s.sample_count / config.batch_size)
+                              for s in shards if s.client_id != config.target_client)
+        closed_form = ((len(schedule(config.global_rounds, interval)) - 1)
+                       * config.calibration_epochs * steps_per_epoch)
+        return result.total_seconds, steps, closed_form
+
+    ratio_points = [erase(2, ratio) for ratio in (0.1, 0.5, 1.0)]
+    interval_points = [erase(interval, 0.5) for interval in (1, 2, 5)]
+    ratio_times = [seconds for seconds, _, _ in ratio_points]
+    interval_times = [seconds for seconds, _, _ in interval_points]
 
     assert ratio_times[0] < ratio_times[1] < ratio_times[2], \
         f"ratio sweep not increasing: {[f'{t:.3f}' for t in ratio_times]}"
     assert interval_times[0] > interval_times[1] > interval_times[2], \
         f"interval sweep not decreasing: {[f'{t:.3f}' for t in interval_times]}"
+    # 9 remaining clients x 15 steps per epoch; calibration epochs 1/3/5 over
+    # 4 calibrated rounds, then 3 epochs over 9/4/1 calibrated rounds
+    assert [(counted, closed) for _, counted, closed in ratio_points] == \
+        [(540, 540), (1620, 1620), (2700, 2700)]
+    assert [(counted, closed) for _, counted, closed in interval_points] == \
+        [(3645, 3645), (1620, 1620), (405, 405)]
     _pass(10, "sweep wall-clock monotonicity",
           "ratio 0.1/0.5/1.0 -> " +
           "/".join(f"{t:.3f}s" for t in ratio_times) +
           "; interval 1/2/5 -> " +
-          "/".join(f"{t:.3f}s" for t in interval_times))
+          "/".join(f"{t:.3f}s" for t in interval_times) +
+          "; SGD steps equal the closed form at every point")

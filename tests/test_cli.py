@@ -9,12 +9,13 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedunlearn import cli, data
+from fedunlearn import cli, data, evaluation
 from fedunlearn.cli import (
     METHODS,
     SWEEP_COLUMNS,
@@ -404,6 +405,40 @@ class TestArtifacts:
             timings = {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
         assert set(timings) == {"train", "eraser", "accum", "retrain"}
         assert all(v >= 0.0 for v in timings.values())
+
+
+class TestReportScoring:
+    def test_one_forward_pass_per_model_and_dataset(self, pipelines, tmp_path, monkeypatch):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        passes = []
+        real = evaluation.forward
+
+        def counting(arch, params, batch):
+            passes.append(len(batch))
+            return real(arch, params, batch)
+
+        monkeypatch.setattr(evaluation, "forward", counting)
+        assert main(["report", str(out)]) == 0
+        # 4 models, each scored in one batch over the 30 test rows and one
+        # over the target's 30 rows, prediction difference included
+        assert passes == [30] * 8
+        report = json.loads((out / "report.json").read_text())
+        assert report["methods"] == json.loads((run_dir / "report.json").read_text())["methods"]
+
+        # the same numbers, bit for bit, as scoring each model on its own
+        monkeypatch.setattr(evaluation, "forward", real)
+        run = cli.Run.build(parse_scenario(out / "scenario.ini"), out)
+        target = run.target_shard.dataset
+        retrain = load_params(run.model_path("retrain"))
+        for name, scores in report["methods"].items():
+            model = load_params(run.model_path(name))
+            accuracy, loss = evaluation.evaluate(run.arch, model, target)
+            assert (scores["target_accuracy"], scores["target_loss"]) == (accuracy, loss)
+            if name != "retrain":
+                assert scores["prediction_difference"] == evaluation.prediction_difference(
+                    run.arch, model, retrain, target)
 
 
 class TestDeterminism:

@@ -12,7 +12,10 @@ import pytest
 from fedunlearn.nn import (
     ArchSpec,
     Batch,
+    Conv2d,
     Dense,
+    Flatten,
+    MaxPool2d,
     ParamSet,
     adult_arch,
     build_model,
@@ -22,16 +25,25 @@ from fedunlearn.nn import (
     mnist_arch,
     purchase_arch,
 )
-from fedunlearn.nn.engine import _pool_forward, check_conformant_with_arch
+from fedunlearn.nn.engine import (
+    _col2im,
+    _pool_backward,
+    _pool_forward,
+    check_conformant_with_arch,
+)
 
 from oracles import (
     max_relative_grad_error,
     random_gradient_instance,
+    reference_col2im,
     reference_conv2d,
     reference_forward,
     reference_loss_and_grad,
+    reference_pool_backward,
+    reference_pool_forward,
     sgd_step,
     stacked_conv_instance,
+    use_reference_kernels,
 )
 
 
@@ -311,16 +323,126 @@ class TestEquivalenceToReferenceEngine:
         self.assert_close(*instance(seed))
 
 
+def pool_gradient(x: np.ndarray, window: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled values, and the input gradient of a dout of 0.5 everywhere."""
+    pooled = _pool_forward(x, window)
+    return pooled, _pool_backward(MaxPool2d(window), (x, pooled), np.full(pooled.shape, 0.5))
+
+
 class TestMaxPoolTieBreak:
     def test_tie_selects_first_position(self):
-        # A window of equal values must pick flat index 0 (row-major first).
-        x = np.ones((1, 1, 2, 2))
-        pooled, idx = _pool_forward(x, 2)
+        # A window of equal values sends the whole gradient to flat index 0
+        # (row-major first).
+        pooled, dx = pool_gradient(np.ones((1, 1, 2, 2)))
         assert pooled[0, 0, 0, 0] == 1.0
-        assert idx[0, 0, 0, 0] == 0
+        assert dx.ravel().tolist() == [0.5, 0.0, 0.0, 0.0]
 
     def test_max_position_is_row_major(self):
-        x = np.array([[[[3.0, 7.0], [9.0, 9.0]]]])
-        pooled, idx = _pool_forward(x, 2)
+        pooled, dx = pool_gradient(np.array([[[[3.0, 7.0], [9.0, 9.0]]]]))
         assert pooled[0, 0, 0, 0] == 9.0
-        assert idx[0, 0, 0, 0] == 2  # first 9 in row-major order
+        # first 9 in row-major order: flat index 2
+        assert dx.ravel().tolist() == [0.0, 0.0, 0.5, 0.0]
+
+
+def pool_input(kind: str, batch: int, window: int, seed: int = 0) -> np.ndarray:
+    """A (batch, 3, 2*window, 3*window) pooling input of the given kind."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, 3, 2 * window, 3 * window)
+    if kind == "random":
+        return rng.normal(size=shape)
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "repeated":  # many windows whose maximum sits at two or more positions
+        return rng.integers(-2, 2, size=shape).astype(np.float64)
+    if kind == "signed_zeros":
+        # what a convolution without a ReLU passes on: negative values, and
+        # maxima tied between 0.0 and -0.0 in either order
+        x = rng.choice([-0.0, 0.0, -1.5], size=shape)
+        x[0, 0, :2, :2] = [[0.0, -0.0], [-1.5, -1.5]]
+        x[0, 1, :2, :2] = [[-0.0, 0.0], [-1.5, -1.5]]
+        return x
+    if kind == "nan":  # a diverging step: NaN windows take their first NaN
+        x = rng.normal(size=shape)
+        x[rng.random(size=shape) < 0.1] = np.nan
+        x[0, 0, 0, 0] = np.inf
+        return x
+    raise ValueError(kind)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestKernelsBitEqualToReference:
+    """Pooling and col2im against the copy-and-argmax and batch-major
+    kernels of tests/oracles.py: the same bits on every input."""
+
+    @pytest.mark.parametrize("kind", ["random", "zeros", "repeated", "signed_zeros", "nan"])
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_pooling(self, kind, window, batch):
+        x = pool_input(kind, batch, window)
+        ref_pooled, idx = reference_pool_forward(x, window)
+        pooled = _pool_forward(x, window)
+        if kind == "nan":
+            # which NaN a NaN window yields is not pinned, only that it is NaN
+            assert np.array_equal(pooled, ref_pooled, equal_nan=True)
+        else:
+            assert bits(pooled) == bits(ref_pooled)
+        dout = np.random.default_rng(1).normal(size=pooled.shape)
+        dout[0, 0, 0, 0] = -0.0
+        # a conv's input gradient reaches pooling as a transposed view
+        dout_view = np.ascontiguousarray(dout.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        ref_dx = reference_pool_backward(x.shape, idx, dout, window)
+        for d in (dout, dout_view):
+            dx = _pool_backward(MaxPool2d(window), (x, pooled), d)
+            assert bits(dx) == bits(ref_dx)
+
+    @pytest.mark.parametrize("x_shape,k", [
+        ((12, 6, 14, 14), 5), ((12, 4, 28, 28), 5), ((1, 2, 9, 7), 3), ((3, 1, 4, 5), 2),
+        ((2, 3, 5, 5), 5),
+    ])
+    def test_col2im(self, x_shape, k):
+        b, c, h, w = x_shape
+        rng = np.random.default_rng(2)
+        dcols = rng.normal(size=(b, c * k * k, (h - k + 1) * (w - k + 1)))
+        dcols[rng.random(size=dcols.shape) < 0.05] = -0.0
+        dx = _col2im(dcols, x_shape, k)
+        assert dx.shape == x_shape
+        assert bits(dx) == bits(reference_col2im(dcols, x_shape, k))
+
+    @staticmethod
+    def assert_loss_and_grad_bit_equal(monkeypatch, arch, params, batch):
+        loss, grads = loss_and_grad(arch, params, batch)
+        with monkeypatch.context() as m:
+            use_reference_kernels(m)
+            ref_loss, ref_grads = loss_and_grad(arch, params, batch)
+        assert loss == ref_loss
+        assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+
+    @pytest.mark.parametrize("preset", [cifar10_arch, mnist_arch], ids=["cifar10", "mnist"])
+    @pytest.mark.parametrize("size", [12, 32])
+    def test_presets_loss_and_grad(self, monkeypatch, preset, size):
+        arch = preset()
+        self.assert_loss_and_grad_bit_equal(monkeypatch, arch, noisy_model(arch, 0),
+                                            random_batch(arch, size, 0))
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_conv_without_relu_then_pool(self, monkeypatch, window):
+        # the pool sees negative values, and one all-zero output channel
+        # (zero weights and bias) gives windows tied at 0.0 throughout
+        side = 2 + 2 * window
+        arch = ArchSpec(layers=(Conv2d(1, 2, 3), MaxPool2d(window), Flatten(),
+                                Dense(2 * 2 * 2, 3)), input_shape=(1, side, side))
+        tensors = {name: t.copy() for name, t in noisy_model(arch, 4).items()}
+        tensors["layer0.weight"][1] = 0.0
+        tensors["layer0.bias"][1] = 0.0
+        self.assert_loss_and_grad_bit_equal(monkeypatch, arch, ParamSet(tensors.items()),
+                                            random_batch(arch, 6, 4))
+
+    @pytest.mark.parametrize("instance,seed", [
+        (random_gradient_instance, 2), (random_gradient_instance, 5),
+        (stacked_conv_instance, 0), (stacked_conv_instance, 1),
+    ])
+    def test_random_conv_loss_and_grad(self, monkeypatch, instance, seed):
+        self.assert_loss_and_grad_bit_equal(monkeypatch, *instance(seed))

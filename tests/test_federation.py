@@ -182,6 +182,42 @@ class TestDivergence:
             "round 4, client 2: tensor 'layer0.weight' contains non-finite values"
         )
 
+    CONV = TestInPlaceLocalTrain.ARCHS["conv"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conv_pool_input_names_first_tensor(self, bad):
+        x = np.random.default_rng(0).normal(size=(4, 1, 6, 6))
+        x[1, 0, 2, 3] = bad
+        with pytest.raises(ValueError) as info:
+            loss_and_grad(self.CONV, build_model(self.CONV, 0), Batch(x, [0, 1, 2, 0]))
+        assert str(info.value) == "tensor 'layer0.weight' contains non-finite values"
+
+    def test_conv_divergence_through_pooling_names_round_client_and_step(self, monkeypatch):
+        # Inputs of 1e3 and a rate of 1e307 make step 2's convolution
+        # overflow, so NaNs reach the max pooling; each NaN window must pass
+        # its gradient to its first NaN, or the first non-finite gradient
+        # tensor is the dense one instead.
+        pool_inputs = []
+        real_pool = engine._pool_forward
+
+        def recording_pool(x, window):
+            pool_inputs.append(x.copy())
+            return real_pool(x, window)
+
+        monkeypatch.setattr(engine, "_pool_forward", recording_pool)
+        rng = np.random.default_rng(0)
+        shard = ClientShard(2, Dataset("big", 1e3 * rng.normal(size=(16, 1, 6, 6)),
+                                       rng.integers(0, 3, size=16), 3))
+        cfg = small_config(learning_rate=1e307, local_epochs=2, batch_size=4)
+        with pytest.raises(ValueError) as info:
+            local_train(self.CONV, build_model(self.CONV, 0), shard, cfg, round_index=3)
+        assert str(info.value) == (
+            "round 3, client 2, step 2: tensor 'layer0.weight' contains non-finite values"
+        )
+        assert len(pool_inputs) == 2
+        assert np.isfinite(pool_inputs[0]).all()
+        assert np.isnan(pool_inputs[1]).any()
+
 
 class TestAggregate:
     def test_hand_weighted_mean(self):
