@@ -12,8 +12,13 @@ A run lives in one output directory:
     models/*.fesp               initial, original, and reconstructed models
     heads/<method>.fesp         head weight after each step (tensors step0001,
                                 step0002, ...) for angle trajectories
+    unlearn.json                per-method reconstruction record; its
+                                total_seconds and round_timings are
+                                wall-clock
     attack.json                 membership-attack metrics per model
-    report.json, metrics.csv    final measurements (deterministic given seed)
+    report.json, metrics.csv    final measurements, deterministic given the
+                                scenario, except report.json's wall-clock
+                                timings
     timings.csv                 wall-clock numbers (machine-dependent)
 
 Every subcommand exits 0 on success; on failure it writes one JSON error
@@ -87,53 +92,28 @@ class ConfigError(ValueError):
     """The scenario file is malformed; the message lists every problem."""
 
 
-@dataclass(frozen=True)
-class Scenario(FedConfig):
-    """A fully validated run description (one INI file): the data, federation
-    and unlearning settings and their checks come from :class:`FedConfig`;
-    these fields describe the model width, the evaluation and the output."""
-
-    # [federation]
-    hidden_units: int = 32
-    # [evaluation]
-    attack_epochs: int = 30
-    attack_hidden: int = 16
-    attack_learning_rate: float = 0.1
-    eval_batch_size: int = 256
-    per_neuron_angles: bool = False
-    # [output]
-    out_dir: str = "runs/latest"
-
-
-# INI section -> the Scenario fields it holds, in file order. Each key is
-# its field's name, except [output] dir.
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "data": ("dataset", "path", "test_fraction", "max_samples", "synthetic_samples",
-             "synthetic_features", "synthetic_classes", "synthetic_separation",
-             "purchase_items", "purchase_classes"),
-    "federation": ("num_clients", "global_rounds", "local_epochs", "learning_rate",
-                   "batch_size", "seed", "aggregation", "hidden_units"),
-    "unlearning": ("target_client", "retain_interval", "calibration_ratio", "norm_mode"),
-    "evaluation": ("attack_epochs", "attack_hidden", "attack_learning_rate",
-                   "eval_batch_size", "per_neuron_angles"),
-    "output": ("out_dir",),
-}
-# (section, key) -> field name
+# (section, key) -> field name, in file order: each field's annotation names
+# its section, and each key is its field's name, except [output] dir
 _KEYS: dict[tuple[str, str], str] = {
-    (section, "dir" if name == "out_dir" else name): name
-    for section, names in _SECTIONS.items() for name in names
+    (hint.__metadata__[0], "dir" if name == "out_dir" else name): name
+    for name, hint in typing.get_type_hints(FedConfig, include_extras=True).items()
+}
+# INI section -> the fields it holds
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    section: tuple(name for (home, _), name in _KEYS.items() if home == section)
+    for section, _ in _KEYS
 }
 
 # field name -> the type its INI value parses to: `T` for a field typed `T | None`
 _PARSERS: dict[str, type] = {
     name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-    for name, hint in typing.get_type_hints(Scenario).items()
+    for name, hint in typing.get_type_hints(FedConfig).items()
 }
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None) -> Scenario:
+def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None) -> FedConfig:
     """Read and validate an INI scenario. Every unknown section, unknown key,
     and unparsable value is reported together in one error; when there are
     none, every out-of-range or unknown setting is."""
@@ -176,12 +156,12 @@ def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return Scenario(**values)
+        return FedConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def format_scenario(scenario: Scenario) -> str:
+def format_scenario(scenario: FedConfig) -> str:
     """The scenario as an INI file that parse_scenario reads back to an
     equal scenario; unset optional values are left out."""
     sections: dict[str, list[str]] = {}
@@ -201,7 +181,7 @@ def format_scenario(scenario: Scenario) -> str:
                      for section, lines in sections.items())
 
 
-def persist_scenario(config_path: Path, scenario: Scenario, out_dir: Path) -> None:
+def persist_scenario(config_path: Path, scenario: FedConfig, out_dir: Path) -> None:
     """Record the run's effective scenario as out_dir/scenario.ini, so later
     stages and `report` score with the settings the run used. The source
     file is copied as it is, comments included, when the overrides change
@@ -245,7 +225,7 @@ def setup_logging(out_dir: Path) -> None:
         root.addHandler(sh)
 
 
-def build_arch(scenario: Scenario, train: Dataset) -> ArchSpec:
+def build_arch(scenario: FedConfig, train: Dataset) -> ArchSpec:
     features = int(np.prod(train.feature_shape))
     if scenario.dataset == "adult":
         return adult_arch(features, hidden=scenario.hidden_units)
@@ -263,7 +243,7 @@ class Run:
     """What every stage of one command shares: the scenario, the directory
     its artifacts live in, and the data and architecture, loaded once."""
 
-    scenario: Scenario
+    scenario: FedConfig
     out_dir: Path
     train: Dataset
     test: Dataset
@@ -271,7 +251,7 @@ class Run:
     arch: ArchSpec
 
     @classmethod
-    def build(cls, scenario: Scenario, out_dir: Path) -> Run:
+    def build(cls, scenario: FedConfig, out_dir: Path) -> Run:
         train, test, shards = prepare_data(scenario)
         return cls(scenario, Path(out_dir), train, test, shards, build_arch(scenario, train))
 
@@ -305,30 +285,30 @@ def _record_timing(out_dir: Path, name: str, seconds: float) -> None:
 # Stages. Each public run_* builds its own Run; run_scenario and run_sweep
 # build one and hand it to the stage bodies.
 
-def run_train(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+def run_train(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Federated training with retention; writes the initial and final model."""
     _train(Run.build(scenario, out_dir), resume)
 
 
 def run_unlearn(
-    scenario: Scenario, out_dir: Path, resume: bool = False,
+    scenario: FedConfig, out_dir: Path, resume: bool = False,
     methods: tuple[str, ...] = METHODS,
 ) -> None:
     """All requested reconstruction routes from the stored artifacts."""
     _unlearn(Run.build(scenario, out_dir), resume, methods)
 
 
-def run_attack(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+def run_attack(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Membership inference against every model present in the run."""
     _attack(Run.build(scenario, out_dir), resume)
 
 
-def run_report(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+def run_report(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Final measurements: utility, divergence, angles, attack, timings."""
     _report(Run.build(scenario, out_dir), resume)
 
 
-def run_scenario(scenario: Scenario, out_dir: Path, resume: bool = False) -> None:
+def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     run = Run.build(scenario, out_dir)
     _train(run, resume)
     _unlearn(run, resume)
@@ -336,11 +316,14 @@ def run_scenario(scenario: Scenario, out_dir: Path, resume: bool = False) -> Non
     _report(run, resume)
 
 
+# The scores of the stored models. An unlearning that runs deletes them,
+# so none of them can pair with a replaced model.
+_SCORES = ("attack.json", "report.json", "metrics.csv")
 # Everything in a run directory derived from its training. A training that
 # runs deletes them, so none of them can pair with the new one.
 _TRAINING_DERIVED = ("retention", "timings.csv",
                      *(f"models/{m}.fesp" for m in METHODS), "heads",
-                     "unlearn.json", "attack.json", "report.json", "metrics.csv")
+                     "unlearn.json", *_SCORES)
 
 
 def _train(run: Run, resume: bool) -> None:
@@ -404,6 +387,8 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         return
     if not run.model_path("initial").exists():
         raise FileNotFoundError(f"no training artifacts under {run.out_dir}; run `train` first")
+    for rel in _SCORES:
+        (run.out_dir / rel).unlink(missing_ok=True)
     scenario, arch = run.scenario, run.arch
     initial = load_params(run.model_path("initial"))
     store = RetentionStore.open(run.out_dir / "retention")
@@ -599,7 +584,7 @@ def _report(run: Run, resume: bool) -> dict | None:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-# sweep parameter -> the Scenario field it sets
+# sweep parameter -> the FedConfig field it sets
 SWEEP_FIELDS = {"ratio": "calibration_ratio", "interval": "retain_interval",
                 "clients": "num_clients"}
 SWEEP_COLUMNS = (
@@ -612,7 +597,7 @@ SWEEP_COLUMNS = (
 )
 
 
-def _warn_merged_ratios(scenario: Scenario, ratios: list[float]) -> None:
+def _warn_merged_ratios(scenario: FedConfig, ratios: list[float]) -> None:
     """Calibration epochs are ceil(ratio x local_epochs), so distinct ratios
     can run the same schedule; say which."""
     by_epochs: dict[int, list[str]] = {}
@@ -632,7 +617,7 @@ def _warn_merged_ratios(scenario: Scenario, ratios: list[float]) -> None:
 
 
 def run_sweep(
-    scenario: Scenario, out_dir: Path, param: str, sweep_values: list[float],
+    scenario: FedConfig, out_dir: Path, param: str, sweep_values: list[float],
 ) -> None:
     """Utility-and-cost sweep over one knob: each point trains, runs eraser
     and retrain and reports in its own directory, and its row is read from

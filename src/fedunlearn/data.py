@@ -1,4 +1,4 @@
-"""Dataset ingestion, preprocessing, and client partitioning.
+"""Run settings, dataset ingestion, preprocessing, and client partitioning.
 
 Real loaders (census incomes, shopping baskets, digit and image corpora)
 read the documented on-disk formats; the synthetic generator produces a
@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -84,70 +85,73 @@ DATASET_NAMES = ("adult", "purchase", "mnist", "cifar10", "synthetic")
 
 @dataclass(frozen=True)
 class FedConfig:
-    """All settings of one federated training + unlearning run: the data,
-    the federation and the unlearning.
+    """All settings of one run, as one scenario INI file holds them: the
+    data, the federation, the unlearning, the evaluation and the output.
 
-    Every range and enum check of a run's settings is made here, and all
-    problems are reported in one ``ValueError``.
+    Each field's annotation names the INI section that holds it, and the
+    fields are declared in file order. Every range and enum check of the
+    settings is made here, and all problems are reported in one
+    ``ValueError``.
     """
 
-    # data
-    dataset: str = "synthetic"
-    path: str = ""
-    test_fraction: float = 0.2
-    max_samples: int | None = None
-    synthetic_samples: int = 1000
-    synthetic_features: int = 20
-    synthetic_classes: int = 2
-    synthetic_separation: float = 2.0
-    purchase_items: int = 600
-    purchase_classes: int = 2
-    # federation and unlearning
-    num_clients: int = 20
-    global_rounds: int = 20
-    local_epochs: int = 4
-    retain_interval: int = 2
-    calibration_ratio: float = 0.5
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    seed: int = 0
-    target_client: int = 1
-    aggregation: str = "standard"
-    norm_mode: str = "layer"
+    dataset: Annotated[str, "data"] = "synthetic"
+    path: Annotated[str, "data"] = ""
+    test_fraction: Annotated[float, "data"] = 0.2
+    max_samples: Annotated[int | None, "data"] = None
+    synthetic_samples: Annotated[int, "data"] = 1000
+    synthetic_features: Annotated[int, "data"] = 20
+    synthetic_classes: Annotated[int, "data"] = 2
+    synthetic_separation: Annotated[float, "data"] = 2.0
+    purchase_items: Annotated[int, "data"] = 600
+    purchase_classes: Annotated[int, "data"] = 2
+    num_clients: Annotated[int, "federation"] = 20
+    global_rounds: Annotated[int, "federation"] = 20
+    local_epochs: Annotated[int, "federation"] = 4
+    learning_rate: Annotated[float, "federation"] = 0.05
+    batch_size: Annotated[int, "federation"] = 32
+    seed: Annotated[int, "federation"] = 0
+    aggregation: Annotated[str, "federation"] = "standard"
+    hidden_units: Annotated[int, "federation"] = 32
+    target_client: Annotated[int, "unlearning"] = 1
+    retain_interval: Annotated[int, "unlearning"] = 2
+    calibration_ratio: Annotated[float, "unlearning"] = 0.5
+    norm_mode: Annotated[str, "unlearning"] = "layer"
+    attack_epochs: Annotated[int, "evaluation"] = 30
+    attack_hidden: Annotated[int, "evaluation"] = 16
+    attack_learning_rate: Annotated[float, "evaluation"] = 0.1
+    eval_batch_size: Annotated[int, "evaluation"] = 256
+    per_neuron_angles: Annotated[bool, "evaluation"] = False
+    out_dir: Annotated[str, "output"] = "runs/latest"
 
     def __post_init__(self):
         problems = []
         if self.dataset not in DATASET_NAMES:
             problems.append(f"unknown dataset {self.dataset!r}; expected one of {DATASET_NAMES}")
-        if self.num_clients < 2:
-            problems.append("num_clients must be at least 2")
-        if self.global_rounds < 1:
-            problems.append("global_rounds must be at least 1")
-        if self.local_epochs < 1:
-            problems.append("local_epochs must be at least 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            problems.append("test_fraction must be in (0, 1)")
+        # the loaders enforce the data ranges too, and keep their own checks
+        # for callers that pass these numbers directly
+        for name, least in (("max_samples", 1), ("synthetic_samples", 1),
+                            ("synthetic_features", 1), ("synthetic_classes", 2),
+                            ("purchase_items", 1), ("purchase_classes", 2),
+                            ("num_clients", 2), ("global_rounds", 1), ("local_epochs", 1),
+                            ("batch_size", 1), ("seed", 0), ("hidden_units", 1),
+                            ("attack_epochs", 1), ("attack_hidden", 1),
+                            ("eval_batch_size", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                problems.append(f"{name} must be at least {least}")
+        for name in ("learning_rate", "attack_learning_rate"):
+            if not getattr(self, name) > 0:
+                problems.append(f"{name} must be positive")
+        if self.aggregation not in AGGREGATION_MODES:
+            problems.append(f"unknown aggregation {self.aggregation!r}")
+        if not 1 <= self.target_client <= self.num_clients:
+            problems.append("target_client must be in [1, num_clients]")
         if not 1 <= self.retain_interval <= self.global_rounds:
             problems.append("retain_interval must be in [1, global_rounds]")
         if not 0.0 < self.calibration_ratio <= 1.0:
             problems.append("calibration_ratio must be in (0, 1]")
-        if self.learning_rate <= 0:
-            problems.append("learning_rate must be positive")
-        if self.batch_size < 1:
-            problems.append("batch_size must be at least 1")
-        if not 1 <= self.target_client <= self.num_clients:
-            problems.append("target_client must be in [1, num_clients]")
-        if not 0.0 < self.test_fraction < 1.0:
-            problems.append("test_fraction must be in (0, 1)")
-        # the ranges the loaders enforce, which keep their own checks for
-        # callers that pass these numbers directly
-        if self.max_samples is not None and self.max_samples < 1:
-            problems.append("max_samples must be at least 1")
-        for name, least in (("synthetic_samples", 1), ("synthetic_features", 1),
-                            ("synthetic_classes", 2), ("purchase_items", 1),
-                            ("purchase_classes", 2)):
-            if getattr(self, name) < least:
-                problems.append(f"{name} must be at least {least}")
-        if self.aggregation not in AGGREGATION_MODES:
-            problems.append(f"unknown aggregation {self.aggregation!r}")
         if self.norm_mode not in NORM_MODES:
             problems.append(f"unknown norm_mode {self.norm_mode!r}")
         if problems:
@@ -294,7 +298,9 @@ def load_adult(path: str | Path, drop_missing: bool = True) -> Dataset:
 
 
 def _read_idx(path: Path) -> np.ndarray:
-    opener = gzip.open if path.suffix == ".gz" or path.read_bytes()[:2] == b"\x1f\x8b" else open
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    opener = gzip.open if path.suffix == ".gz" or magic == b"\x1f\x8b" else open
     with opener(path, "rb") as fh:
         header = fh.read(4)
         if len(header) != 4 or header[:2] != b"\x00\x00":

@@ -9,6 +9,7 @@ network. The terminal softmax is implicit in the loss and is not a layer.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,8 +78,11 @@ class ArchSpec:
     def num_classes(self) -> int:
         return self.output_shape[0]
 
-    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Deterministic (name, shape) layout of the trainable tensors."""
+    @cached_property
+    def param_layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Deterministic (name, shape) layout of the trainable tensors,
+        computed once per spec; compares equal to the ``shapes()`` of every
+        conformant parameter set."""
         shapes: list[tuple[str, tuple[int, ...]]] = []
         for i, layer in enumerate(self.layers):
             if isinstance(layer, Dense):
@@ -92,13 +96,7 @@ class ArchSpec:
                     )
                 )
                 shapes.append((f"layer{i}.bias", (layer.out_channels,)))
-        return shapes
-
-    @cached_property
-    def param_layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """:meth:`param_shapes` as a tuple, computed once per spec; compares
-        equal to the ``shapes()`` of every conformant parameter set."""
-        return tuple(self.param_shapes())
+        return tuple(shapes)
 
     @cached_property
     def layer_table(self) -> tuple[tuple[Layer, int | None], ...]:
@@ -110,13 +108,7 @@ class ArchSpec:
                      for i, layer in enumerate(self.layers))
 
     def num_params(self) -> int:
-        total = 0
-        for _, shape in self.param_shapes():
-            n = 1
-            for d in shape:
-                n *= d
-            total += n
-        return total
+        return sum(math.prod(s) for _, s in self.param_layout)
 
     def describe(self) -> str:
         """Canonical one-line description; stable across processes."""
@@ -186,10 +178,7 @@ def _apply_shape(layer: Layer, shape: tuple[int, ...], index: int) -> tuple[int,
             )
         return (c, h // layer.window, w // layer.window)
     if isinstance(layer, Flatten):
-        n = 1
-        for d in shape:
-            n *= d
-        return (n,)
+        return (math.prod(shape),)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 

@@ -20,13 +20,12 @@ from fedunlearn.cli import (
     METHODS,
     SWEEP_COLUMNS,
     ConfigError,
-    Scenario,
     _record_timing,
     build_arch,
     main,
     parse_scenario,
 )
-from fedunlearn.data import make_synthetic
+from fedunlearn.data import FedConfig, make_synthetic
 from fedunlearn.evaluation import METRIC_COLUMNS
 from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
 
@@ -92,7 +91,7 @@ def last_stderr_record(capsys):
 class TestParseScenario:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = write_ini(tmp_path, "")
-        assert parse_scenario(path) == Scenario()
+        assert parse_scenario(path) == FedConfig()
 
     def test_full_file(self, tmp_path):
         scenario = parse_scenario(write_ini(tmp_path, TINY_INI))
@@ -113,7 +112,7 @@ class TestParseScenario:
     def test_blank_value_means_default(self, tmp_path):
         path = write_ini(tmp_path, "[federation]\nseed =\nbatch_size = 64\n")
         scenario = parse_scenario(path)
-        assert scenario.seed == Scenario().seed
+        assert scenario.seed == FedConfig().seed
         assert scenario.batch_size == 64
 
     def test_inline_comments(self, tmp_path):
@@ -137,7 +136,19 @@ class TestParseScenario:
 
     def test_every_field_sits_in_exactly_one_section(self):
         placed = [name for names in cli._SECTIONS.values() for name in names]
-        assert sorted(placed) == sorted(f.name for f in dataclasses.fields(Scenario))
+        assert sorted(placed) == sorted(f.name for f in dataclasses.fields(FedConfig))
+
+    def test_readme_reference_block_lists_every_default_in_file_order(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_scenario(write_ini(tmp_path, block)) == FedConfig()
+        keys, section = [], None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif line.strip():
+                keys.append((section, line.split("=", 1)[0].strip()))
+        assert keys == list(cli._KEYS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):
@@ -239,13 +250,13 @@ class TestParseScenario:
 class TestBuildArch:
     def test_synthetic_uses_dense_arch(self):
         train = make_synthetic(40, 8, 2, seed=0)
-        scenario = Scenario(synthetic_features=8, hidden_units=8)
+        scenario = FedConfig(synthetic_features=8, hidden_units=8)
         arch = build_arch(scenario, train)
         assert arch.arch_hash() == dense_arch(8, 2, hidden=8).arch_hash()
 
     def test_adult_uses_its_preset(self):
         train = make_synthetic(40, 8, 2, seed=0)
-        scenario = Scenario(dataset="adult", hidden_units=8)
+        scenario = FedConfig(dataset="adult", hidden_units=8)
         arch = build_arch(scenario, train)
         assert arch.arch_hash() == adult_arch(8, hidden=8).arch_hash()
 
@@ -645,6 +656,22 @@ class TestUnlearnCommand:
         assert after["eraser"] == before["eraser"]
         assert after["retrain"] == before["retrain"]
 
+    def test_unlearn_that_runs_drops_the_stale_scores(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        scores = [out / "attack.json", out / "report.json", out / "metrics.csv"]
+        before = [os.stat(p).st_mtime_ns for p in scores]
+        assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+        assert [os.stat(p).st_mtime_ns for p in scores] == before
+        assert main(["unlearn", str(ini), "--out", str(out), "--method", "eraser"]) == 0
+        for path in scores:
+            assert not path.exists(), path.name
+        assert main(["report", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["attack"] == {}
+        assert "attack_f1" not in report["methods"]["eraser"]
+
     def test_rejects_unknown_method_at_the_parser(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
         with pytest.raises(SystemExit):
@@ -666,6 +693,19 @@ class TestMainErrors:
         record = last_stderr_record(capsys)
         assert record["error"] == "ConfigError"
         assert "not a valid int" in record["message"]
+
+    def test_range_errors_stop_before_any_artifact(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, TINY_INI.replace("attack_epochs = 5", "attack_epochs = 0")
+                        + "eval_batch_size = 0\n")
+        out = tmp_path / "out"
+        assert main(["train", str(ini), "--out", str(out)]) == 1
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert "eval_batch_size must be at least 1" in record["message"]
+        assert "attack_epochs must be at least 1" in record["message"]
+        assert not (out / "retention").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", str(tmp_path / "absent.ini")]) == 1

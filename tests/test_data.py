@@ -400,6 +400,16 @@ class TestMnistLoader:
         ds = load_mnist(d)
         assert ds.labels[0] == 7
 
+    def test_plain_files_are_sniffed_without_reading_them_whole(self, tmp_path, monkeypatch):
+        d = write_mnist_dir(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
+                            np.array([3, 4]))
+
+        def read_whole(self):
+            raise AssertionError(f"{self} read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", read_whole)
+        np.testing.assert_array_equal(load_mnist(d).labels, [3, 4])
+
     def test_already_32_not_padded(self, tmp_path):
         imgs = np.full((1, 32, 32), 255, dtype=np.uint8)
         d = write_mnist_dir(tmp_path, imgs, np.array([0]))
@@ -628,6 +638,12 @@ class TestFedConfig:
         ("synthetic_classes", 1, "synthetic_classes"),
         ("purchase_items", 0, "purchase_items"),
         ("purchase_classes", 1, "purchase_classes"),
+        ("hidden_units", 0, "hidden_units"),
+        ("attack_epochs", 0, "attack_epochs"),
+        ("attack_hidden", 0, "attack_hidden"),
+        ("attack_learning_rate", 0.0, "attack_learning_rate"),
+        ("eval_batch_size", 0, "eval_batch_size"),
+        ("seed", -1, "seed"),
     ])
     def test_rejects_each_bad_field(self, field, value, phrase):
         with pytest.raises(ValueError, match=phrase):

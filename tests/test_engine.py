@@ -48,7 +48,7 @@ from oracles import (
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
-    return ParamSet((name, np.zeros(shape)) for name, shape in arch.param_shapes())
+    return ParamSet((name, np.zeros(shape)) for name, shape in arch.param_layout)
 
 
 class TestBatch:
@@ -79,7 +79,7 @@ class TestBuildModel:
     def test_matches_arch_shapes(self, arch):
         params = build_model(arch, 0)
         check_conformant_with_arch(arch, params)
-        assert params.shapes() == tuple(arch.param_shapes())
+        assert params.shapes() == arch.param_layout
 
     def test_biases_zero_weights_bounded(self):
         arch = ArchSpec(layers=(Dense(10, 4, "relu"), Dense(4, 3)), input_shape=(10,))

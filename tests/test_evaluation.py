@@ -28,7 +28,7 @@ from oracles import reference_train_attack
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
-    return ParamSet((name, np.zeros(shape)) for name, shape in arch.param_shapes())
+    return ParamSet((name, np.zeros(shape)) for name, shape in arch.param_layout)
 
 
 def saturated_binary_model(flip=False) -> tuple[ArchSpec, ParamSet]:
@@ -272,7 +272,7 @@ def fixed_attack(width, bias_toward=None) -> AttackModel:
     says 'non-member' for everyone."""
     arch = ArchSpec(layers=(Dense(width, 4, "relu"), Dense(4, 2)), input_shape=(width,))
     items = []
-    for name, shape in arch.param_shapes():
+    for name, shape in arch.param_layout:
         items.append((name, np.zeros(shape)))
     params = ParamSet(items)
     if bias_toward == "nonmember":
