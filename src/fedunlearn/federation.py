@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import AGGREGATION_MODES, ClientShard, FedConfig
 from .nn import ArchSpec, Batch, ParamSet, build_model, loss_and_grad, param_linear
-from .nn.params import require_conformant
+from .nn.params import _Layout, require_same_layout
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -133,36 +133,83 @@ def sgd_epochs(arch: ArchSpec, start: ParamSet, inputs: np.ndarray, labels: np.n
     return w, params, losses
 
 
+class RoundSum:
+    """One round's aggregate, as :func:`aggregate` defines it, folded one
+    client delta at a time.
+
+    It is built from the round's (client id, sample count) pairs; the deltas
+    must then be added in ascending client id. Each is weighted by its
+    client's sample count over the round's total: the first is written
+    straight into the sum, and each later one through one reused scratch
+    vector, since `np.multiply(w, v, out=scratch); total += scratch` is
+    `total += w * v` bit for bit. A caller that can spend a delta's vector
+    writes the delta into `scratch(layout)` and adds that, so the weighting
+    happens in place and no other vector is needed.
+    """
+
+    def __init__(self, sample_counts: Iterable[tuple[int, int]], mode: str = "standard"):
+        if mode not in AGGREGATION_MODES:
+            raise ValueError(f"unknown aggregation mode {mode!r}")
+        pairs = sorted(sample_counts)
+        if not pairs:
+            raise ValueError("cannot aggregate zero updates")
+        self._ids = [client_id for client_id, _ in pairs]
+        if len(set(self._ids)) != len(self._ids):
+            raise ValueError("duplicate client ids in aggregation")
+        total = float(sum(count for _, count in pairs))
+        self._weights = [count / total for _, count in pairs]
+        self._mode = mode
+        self._added = 0
+        self._layout = self._sum = self._scratch = None
+
+    def scratch(self, layout: _Layout) -> np.ndarray:
+        """The scratch vector, for a delta laid out as `layout`; every `add`
+        may overwrite it."""
+        if self._layout is None:
+            self._layout = layout
+            self._sum, self._scratch = np.empty(layout.size), np.empty(layout.size)
+        else:
+            require_same_layout(self._layout, layout)
+        return self._scratch
+
+    def add(self, client_id: int, layout: _Layout, vector: np.ndarray) -> None:
+        """Add the next client's delta, its values `vector` laid out as `layout`."""
+        scratch = self.scratch(layout)
+        j = self._added
+        if j == len(self._ids) or self._ids[j] != client_id:
+            raise ValueError(f"client {client_id} is not the next of {self._ids} to add")
+        if j == 0:
+            np.multiply(self._weights[0], vector, out=self._sum)
+        else:
+            np.multiply(self._weights[j], vector, out=scratch)
+            self._sum += scratch
+        self._added += 1
+
+    def result(self) -> ParamSet:
+        """The aggregate, once every client's delta is added."""
+        if self._added != len(self._ids):
+            raise ValueError(f"only {self._added} of the deltas of clients {self._ids} added")
+        if self._mode == "literal":
+            self._sum *= 1.0 / len(self._ids)
+        return ParamSet._adopt(self._layout, self._sum)
+
+
 def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamSet:
     """Combine client deltas into one global delta.
 
     "standard" weights each delta by its client's sample count (weights sum
     to one). "literal" further divides by the participant count, matching an
     update rule that averages the already-normalized sum across clients.
+    The deltas are summed in client-id order, by :class:`RoundSum`.
     """
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    if not updates:
-        raise ValueError("cannot aggregate zero updates")
+    total = RoundSum(((u.client_id, u.sample_count) for u in updates), mode)
     rounds = {u.round_index for u in updates}
     if len(rounds) != 1:
         raise ValueError(f"updates span rounds {sorted(rounds)}; expected one round")
-    ids = [u.client_id for u in updates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client ids in aggregation")
+    for u in sorted(updates, key=lambda u: u.client_id):
+        total.add(u.client_id, u.delta._layout, u.delta.vector)
+    return total.result()
 
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    total = float(sum(u.sample_count for u in ordered))
-    # One working vector, summed in client-id order: bit-equal to the chain
-    # param_linear(1.0, combined, w, delta), since 1.0 * x == x.
-    first = ordered[0].delta
-    combined = (ordered[0].sample_count / total) * first.vector
-    for u in ordered[1:]:
-        require_conformant(first, u.delta)
-        combined += (u.sample_count / total) * u.delta.vector
-    if mode == "literal":
-        combined *= 1.0 / len(ordered)
-    return ParamSet._adopt(first._layout, combined)
 
 def run_fedavg(
     arch: ArchSpec,

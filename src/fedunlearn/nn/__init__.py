@@ -19,6 +19,7 @@ from .params import (
     atomic_write,
     dump_param_bytes,
     load_params,
+    param_chunks,
     param_linear,
     parse_param_bytes,
     save_params,
@@ -43,6 +44,7 @@ __all__ = [
     "load_params",
     "loss_and_grad",
     "mnist_arch",
+    "param_chunks",
     "param_linear",
     "parse_param_bytes",
     "purchase_arch",

@@ -14,11 +14,11 @@ arithmetic between parameter sets requires the two operands to be
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class ConformanceError(ValueError):
 class _Layout:
     """A ``(name, shape)`` sequence and the vector segments derived from it."""
 
-    __slots__ = ("shapes", "names", "index", "spans", "size")
+    __slots__ = ("shapes", "names", "index", "spans", "size", "_headers")
 
     def __init__(self, shapes: tuple[tuple[str, tuple[int, ...]], ...]):
         names = tuple(name for name, _ in shapes)
@@ -50,12 +50,26 @@ class _Layout:
         self.index = {name: i for i, name in enumerate(names)}
         self.spans = tuple(spans)
         self.size = offset
+        self._headers = None
 
     def non_finite_tensor(self, vector: np.ndarray) -> str | None:
         if np.isfinite(vector).all():
             return None
         return next(name for name, (start, end, _) in zip(self.names, self.spans)
                     if not np.isfinite(vector[start:end]).all())
+
+    def headers(self) -> tuple[bytes, ...]:
+        """The serialized header bytes: first the magic, version and tensor
+        count, then each tensor's name length, name, rank and dims, which
+        precede its data. Built once per layout."""
+        if self._headers is None:
+            headers = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(self.shapes))]
+            for name, shape in self.shapes:
+                encoded = name.encode("utf-8")
+                headers.append(struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded),
+                                           encoded, len(shape), *shape))
+            self._headers = tuple(headers)
+        return self._headers
 
 
 class ParamSet:
@@ -191,16 +205,31 @@ def _check_finite(layout: _Layout, vector: np.ndarray) -> None:
 
 
 def require_conformant(x: ParamSet, y: ParamSet) -> None:
-    if not x.conforms_to(y):
-        raise ConformanceError(
-            f"parameter sets are not conformant: {x.shapes()} vs {y.shapes()}"
-        )
+    require_same_layout(x._layout, y._layout)
+
+
+def require_same_layout(a: _Layout, b: _Layout) -> None:
+    if a is not b and a.shapes != b.shapes:
+        raise ConformanceError(f"parameter sets are not conformant: {a.shapes} vs {b.shapes}")
 
 
 def param_linear(a: float, x: ParamSet, b: float, y: ParamSet) -> ParamSet:
     """Element-wise linear combination a*x + b*y of conformant sets."""
     require_conformant(x, y)
     return ParamSet._adopt(x._layout, float(a) * x._vector + float(b) * y._vector)
+
+
+def param_chunks(params: ParamSet) -> list:
+    """The bytes of :func:`dump_param_bytes` as chunks, the data not copied:
+    the header bytes, then per tensor its header bytes and a read-only
+    memoryview of its segment of the set's vector."""
+    layout = params._layout
+    data = params._vector.astype("<f8", copy=False)
+    file_header, *tensor_headers = layout.headers()
+    chunks: list = [file_header]
+    for header, (start, end, _) in zip(tensor_headers, layout.spans):
+        chunks += (header, memoryview(data[start:end]))
+    return chunks
 
 
 def dump_param_bytes(params: ParamSet) -> bytes:
@@ -210,17 +239,7 @@ def dump_param_bytes(params: ParamSet) -> bytes:
     tensor count; then per tensor: name length, UTF-8 name, rank, dims,
     and data as little-endian float64. Round-trips bit-exactly.
     """
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", FORMAT_VERSION, len(params))
-    for name, tensor in params.items():
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        out += struct.pack("<I", tensor.ndim)
-        out += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        out += tensor.astype("<f8", copy=False).tobytes(order="C")
-    return bytes(out)
+    return b"".join(param_chunks(params))
 
 
 class ParamReader:
@@ -232,15 +251,29 @@ class ParamReader:
     def __init__(self):
         self._header: tuple = ((), -1, None, ())
 
-    def parse(self, buf: bytes | memoryview) -> ParamSet:
-        chunks, size, layout, data_offsets = self._header
+    def layout_of(self, buf: bytes | memoryview) -> _Layout:
+        """The layout of the blob in `buf`, which `read_into` then reads."""
+        chunks, size, layout, _ = self._header
         if len(buf) != size or any(buf[o : o + len(h)] != h for o, h in chunks):
-            chunks, size, layout, data_offsets = self._header = _parse_header(buf)
-        vector = np.empty(layout.size)
+            self._header = _parse_header(buf)
+            layout = self._header[2]
+        return layout
+
+    def read_into(self, buf: bytes | memoryview, vector: np.ndarray) -> None:
+        """Copy the tensor data of the blob `layout_of` last saw into
+        `vector`, once, and check that every value is finite."""
+        _, _, layout, data_offsets = self._header
         for (start, end, _), data_offset in zip(layout.spans, data_offsets):
             vector[start:end] = np.frombuffer(buf, dtype="<f8", count=end - start,
                                               offset=data_offset)
-        return ParamSet._adopt(layout, vector)
+        _check_finite(layout, vector)
+
+    def parse(self, buf: bytes | memoryview) -> ParamSet:
+        layout = self.layout_of(buf)
+        vector = np.empty(layout.size)
+        self.read_into(buf, vector)
+        vector.flags.writeable = False
+        return ParamSet._over(layout, vector)
 
 
 def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:
@@ -283,16 +316,25 @@ def _parse_header(buf: bytes | memoryview) -> tuple:
     return tuple(chunks), offset, _Layout(tuple(shapes)), tuple(data_offsets)
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write `data` to `path` through a temp file and a rename, so a reader
-    sees either the old file whole or the new one whole, never a torn one."""
-    tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def atomic_write(path, *chunks) -> None:
+    """Write the chunks (bytes-like objects), one after another, to `path`
+    through a temp file and a rename, so a reader sees either the old file
+    whole or the new one whole, never a torn one. A failed write removes
+    its temp file and leaves `path` as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save_params(params: ParamSet, path) -> None:
-    atomic_write(path, dump_param_bytes(params))
+    atomic_write(path, *param_chunks(params))
 
 
 def load_params(path) -> ParamSet:

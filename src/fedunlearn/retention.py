@@ -13,6 +13,7 @@ run never leaves a torn file behind the manifest's back.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from collections.abc import Callable
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import FedConfig
-from .federation import ClientUpdate
-from .nn import ArchSpec, ParamSet, atomic_write, dump_param_bytes
+from .federation import ClientUpdate, RoundSum
+from .nn import ArchSpec, ParamSet, atomic_write, param_chunks
 from .nn.params import ParamReader
 
 MANIFEST_NAME = "manifest.json"
@@ -100,6 +101,7 @@ class RetentionStore:
         self._entries: dict[int, dict[int, dict]] = entries or {}
         self.bytes_read = 0
         self._reader = ParamReader()
+        self._buffer = bytearray()  # every blob is read into this one buffer
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -158,16 +160,20 @@ class RetentionStore:
                 f"need all of 1..{self.fingerprint.num_clients}"
             )
         entries: dict[int, dict] = {}
+        (self.root / f"round_{round_index}").mkdir(exist_ok=True)
         for u in updates:
             if u.round_index != round_index:
                 raise ValueError(
                     f"update for client {u.client_id} is from round {u.round_index}"
                 )
-            payload = dump_param_bytes(u.delta)
-            blob = payload + struct.pack("<I", zlib.crc32(payload))
+            # the payload is written from views of the delta's vector, and its
+            # CRC chained over the same chunks: nothing is copied
+            chunks = param_chunks(u.delta)
+            crc = 0
+            for chunk in chunks:
+                crc = zlib.crc32(chunk, crc)
             rel = f"round_{round_index}/client_{u.client_id}.fesp"
-            (self.root / f"round_{round_index}").mkdir(exist_ok=True)
-            atomic_write(self.root / rel, blob)
+            atomic_write(f"{self.root}/{rel}", *chunks, struct.pack("<I", crc))
             sq_norms = u.delta.sq_norms()
             entries[u.client_id] = {
                 "path": rel,
@@ -192,34 +198,44 @@ class RetentionStore:
             )
         return entry
 
-    def load_client(self, round_index: int, client_id: int) -> ClientUpdate:
+    def load_client(self, round_index: int, client_id: int, *,
+                    into: RoundSum | None = None) -> ClientUpdate | None:
+        """One stored update, its blob checked against its CRC, its header
+        and its finiteness. The blob is read into the store's one reused
+        buffer; the returned update owns a fresh copy of the delta. With
+        `into`, the delta is instead written into that round sum's scratch
+        vector and added to it, and nothing is returned."""
         entry = self._entry(round_index, client_id)
+        where = f"round {round_index} client {client_id}"
         # a string path and open(): cheaper per read than pathlib on small blobs
         blob_path = f"{self.root}/{entry['path']}"
         try:
             with open(blob_path, "rb") as fh:
-                blob = fh.read()
+                size = os.fstat(fh.fileno()).st_size
+                if len(self._buffer) < size:
+                    self._buffer = bytearray(size)
+                blob = memoryview(self._buffer)[:size]
+                size = fh.readinto(blob)
         except FileNotFoundError:
-            raise IntegrityError(
-                f"missing blob for round {round_index} client {client_id}: {blob_path}"
-            ) from None
-        self.bytes_read += len(blob)
-        if len(blob) < 4:
-            raise IntegrityError(
-                f"truncated blob for round {round_index} client {client_id}"
-            )
-        # a view, not a copy: the parser copies the data once, into the set
-        payload, (stored_crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
-        if zlib.crc32(payload) != stored_crc:
-            raise IntegrityError(
-                f"checksum mismatch for round {round_index} client {client_id}"
-            )
+            raise IntegrityError(f"missing blob for {where}: {blob_path}") from None
+        self.bytes_read += size
+        if size < 4:
+            raise IntegrityError(f"truncated blob for {where}")
+        payload = blob[: size - 4]
+        if zlib.crc32(payload) != int.from_bytes(blob[size - 4 : size], "little"):
+            raise IntegrityError(f"checksum mismatch for {where}")
         try:
-            delta = self._reader.parse(payload)
+            if into is None:
+                delta = self._reader.parse(payload)
+            else:
+                layout = self._reader.layout_of(payload)
+                scratch = into.scratch(layout)
+                self._reader.read_into(payload, scratch)
         except ValueError as exc:
-            raise IntegrityError(
-                f"undecodable blob for round {round_index} client {client_id}: {exc}"
-            ) from None
+            raise IntegrityError(f"undecodable blob for {where}: {exc}") from None
+        if into is not None:
+            into.add(client_id, layout, scratch)
+            return None
         return ClientUpdate(
             client_id=client_id,
             round_index=round_index,
@@ -253,15 +269,24 @@ class RetentionStore:
             load=lambda: self.load_client(round_index, client_id).delta,
         )
 
-    def load_round(self, round_index: int,
-                   client_ids: list[int] | None = None) -> list[ClientUpdate]:
+    def load_round(self, round_index: int, client_ids: list[int] | None = None, *,
+                   aggregation: str | None = None) -> list[ClientUpdate] | ParamSet:
         """Updates for one retained round, ascending by client id. An explicit
-        id list reads only those clients' blobs."""
+        id list reads only those clients' blobs. With `aggregation`, the
+        round's aggregate in that mode instead: `aggregate` of the same
+        updates bit for bit, each blob added to a :class:`RoundSum` straight
+        from the read buffer, so no update is kept."""
         if round_index not in self.retained_rounds:
             raise ValueError(f"round {round_index} is not in the retention schedule")
         if client_ids is None:
             client_ids = list(range(1, self.fingerprint.num_clients + 1))
-        return [self.load_client(round_index, cid) for cid in sorted(client_ids)]
+        if aggregation is None:
+            return [self.load_client(round_index, cid) for cid in sorted(client_ids)]
+        total = RoundSum(((cid, self._entry(round_index, cid)["sample_count"])
+                          for cid in client_ids), aggregation)
+        for cid in sorted(client_ids):
+            self.load_client(round_index, cid, into=total)
+        return total.result()
 
     def is_complete(self) -> bool:
         """Every scheduled update is recorded with its norms and has a blob."""

@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .data import NORM_MODES, ClientShard, FedConfig
-from .federation import ClientUpdate, aggregate, local_train, run_fedavg
+from .federation import RoundSum, local_train, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
 from .nn.params import require_conformant
 from .retention import RetentionStore, StoredNorms, StoreFingerprint, schedule
@@ -114,14 +114,16 @@ def _replay(
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
-    calibrate: Callable[[ParamSet, StoredNorms], ClientUpdate] | None = None,
+    calibrate: Callable[[ParamSet, StoredNorms], ParamSet] | None = None,
 ) -> UnlearnResult:
     """Walk the retention schedule from the initial model, applying the
     aggregate of the remaining clients' stored updates at each retained
     round and keeping the head weight after each. With `calibrate`, every
-    round after the first reads only the stored norms and applies
-    calibrate(current model, norms) per client, and each round is logged;
-    without it the replay is plain and silent."""
+    round after the first reads only the stored norms and applies the
+    deltas calibrate(current model, norms), and each round is logged;
+    without it the replay is plain and silent. Either way each round's
+    deltas are added to one :class:`RoundSum` as they come, so no round
+    holds more than one of them."""
     expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
         raise ValueError(
@@ -136,11 +138,17 @@ def _replay(
     for j, round_index in enumerate(store.retained_rounds):
         step_start = time.perf_counter()
         if calibrate is not None and j >= 1:
-            updates = [calibrate(model, store.load_norms(round_index, cid))
-                       for cid in remaining]
+            stored = [store.load_norms(round_index, cid) for cid in remaining]
+            total = RoundSum(((s.client_id, s.sample_count) for s in stored),
+                             config.aggregation)
+            for s in stored:
+                calibrated = calibrate(model, s)
+                total.add(s.client_id, calibrated._layout, calibrated.vector)
+            delta = total.result()
         else:
-            updates = store.load_round(round_index, client_ids=remaining)
-        model = param_linear(1.0, model, 1.0, aggregate(updates, config.aggregation))
+            delta = store.load_round(round_index, client_ids=remaining,
+                                     aggregation=config.aggregation)
+        model = param_linear(1.0, model, 1.0, delta)
         heads.append(arch.head_weight(model))
         timings.append(time.perf_counter() - step_start)
         if calibrate is not None:
@@ -190,7 +198,7 @@ def fed_eraser(
         nonlocal fallbacks
         fallbacks += 1
 
-    def calibrate(model: ParamSet, stored: StoredNorms) -> ClientUpdate:
+    def calibrate(model: ParamSet, stored: StoredNorms) -> ParamSet:
         fresh = local_train(
             arch,
             model,
@@ -199,10 +207,8 @@ def fed_eraser(
             stored.round_index,
             epochs=config.calibration_epochs,
         )
-        delta = calibrate_update(stored, fresh.delta, norm_mode=config.norm_mode,
-                                 on_fallback=count_fallback)
-        return ClientUpdate(stored.client_id, stored.round_index, delta,
-                            stored.sample_count)
+        return calibrate_update(stored, fresh.delta, norm_mode=config.norm_mode,
+                                on_fallback=count_fallback)
 
     result = _replay("eraser", arch, initial_model, store, config, calibrate)
     return replace(result, eps_fallbacks=fallbacks)

@@ -1,8 +1,7 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+import fedunlearn.nn.params as params
 from fedunlearn.data import FedConfig, make_synthetic, partition_iid, train_test_split
 from fedunlearn.federation import run_fedavg
 from fedunlearn.nn import ArchSpec, Dense, build_model
@@ -16,15 +15,36 @@ def small_arch(features=6, classes=3, hidden=8) -> ArchSpec:
     )
 
 
-def tear_writes(monkeypatch) -> None:
-    """From here on every `Path.write_bytes` stops halfway with an error, as
-    a crash in the middle of a write would leave the file."""
-    def write_half(path, data):
-        with open(path, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
+def tear_writes(monkeypatch, chunk: int = 0) -> None:
+    """From here on every atomic write stops halfway into its chunk number
+    `chunk` with an error, as a crash or a full disk in the middle of a
+    write would leave the file: the chunks before it are written, and half
+    of it."""
+    real_open = open
 
-    monkeypatch.setattr(Path, "write_bytes", write_half)
+    class TornFile:
+        def __init__(self, fh):
+            self._fh, self._written = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            if self._written == chunk:
+                data = memoryview(data).cast("B")
+                self._fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+            self._written += 1
+            return self._fh.write(data)
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(params, "open", torn_open, raising=False)
 
 
 def small_config(**overrides) -> FedConfig:

@@ -346,14 +346,15 @@ class _ReadLog:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def load_client(self, round_index, client_id):
+    def load_client(self, round_index, client_id, **kwargs):
         self.reads.append((round_index, client_id))
-        return self._store.load_client(round_index, client_id)
+        return self._store.load_client(round_index, client_id, **kwargs)
 
-    def load_round(self, round_index, client_ids=None):
-        updates = self._store.load_round(round_index, client_ids)
-        self.reads.extend((round_index, u.client_id) for u in updates)
-        return updates
+    def load_round(self, round_index, client_ids=None, **kwargs):
+        ids = (client_ids if client_ids is not None
+               else range(1, self._store.fingerprint.num_clients + 1))
+        self.reads.extend((round_index, c) for c in sorted(ids))
+        return self._store.load_round(round_index, client_ids, **kwargs)
 
     def load_norms(self, round_index, client_id):
         self.reads.append((round_index, client_id))

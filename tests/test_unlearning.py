@@ -165,15 +165,15 @@ class LoggingStore:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def load_round(self, round_index, client_ids=None):
+    def load_round(self, round_index, client_ids=None, **kwargs):
         ids = (client_ids if client_ids is not None
                else list(range(1, self._inner.fingerprint.num_clients + 1)))
         self.requested.extend((round_index, c) for c in ids)
-        return self._inner.load_round(round_index, client_ids)
+        return self._inner.load_round(round_index, client_ids, **kwargs)
 
-    def load_client(self, round_index, client_id):
+    def load_client(self, round_index, client_id, **kwargs):
         self.requested.append((round_index, client_id))
-        return self._inner.load_client(round_index, client_id)
+        return self._inner.load_client(round_index, client_id, **kwargs)
 
     def load_norms(self, round_index, client_id):
         self.requested.append((round_index, client_id))
@@ -333,9 +333,9 @@ def record_blob_reads(monkeypatch) -> list[tuple[int, int]]:
     reads = []
     real = RetentionStore.load_client
 
-    def recording(self, round_index, client_id):
+    def recording(self, round_index, client_id, **kwargs):
         reads.append((round_index, client_id))
-        return real(self, round_index, client_id)
+        return real(self, round_index, client_id, **kwargs)
 
     monkeypatch.setattr(RetentionStore, "load_client", recording)
     return reads
