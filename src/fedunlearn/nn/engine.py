@@ -76,8 +76,7 @@ def check_conformant_with_arch(arch: ArchSpec, params: ParamSet) -> None:
 def forward(arch: ArchSpec, params: ParamSet, batch: Batch) -> np.ndarray:
     """Class probability matrix (batch x classes); rows sum to one."""
     check_conformant_with_arch(arch, params)
-    logits, _ = _forward_cached(arch, params.tensors, batch.inputs)
-    return _softmax(logits)
+    return _softmax(_forward(arch, params.tensors, batch.inputs))
 
 
 def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float, ParamSet]:
@@ -88,7 +87,8 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise ValueError(f"label out of range [0, {c})")
     tensors = params.tensors
-    logits, caches = _forward_cached(arch, tensors, batch.inputs)
+    caches: list = []
+    logits = _forward(arch, tensors, batch.inputs, caches)
     n = len(labels)
     rows = np.arange(n)
     log_probs = _log_softmax(logits)
@@ -142,19 +142,28 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _forward_cached(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray):
+def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray,
+             caches: list | None = None) -> np.ndarray:
+    """The logits. With `caches`, each layer's backward cache is appended
+    to it; without, each layer's input and im2col columns are dropped as
+    soon as the layer is done, so a pass holds only one layer's arrays."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != arch.input_shape:
         raise ValueError(
             f"input shape {x.shape[1:]} does not match architecture input {arch.input_shape}"
         )
-    caches: list = []
+    keep = caches is not None
     for layer, p in arch.layer_table:
         if isinstance(layer, Dense):
             z = x @ tensors[p]
             z += tensors[p + 1]
-            caches.append((x, z))
-            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            if keep:
+                caches.append((x, z))
+            if layer.activation == "relu":
+                # in place when z is not cached: the same values
+                x = np.maximum(z, 0.0, out=None if keep else z)
+            else:
+                x = z
         elif isinstance(layer, Conv2d):
             k = layer.kernel_size
             cols = _im2col(x, k)
@@ -165,17 +174,21 @@ def _forward_cached(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.
                 b, layer.out_channels, ho, wo)
             if layer.activation == "relu":
                 np.maximum(x, 0.0, out=x)
-            # the output, not the pre-activation z: relu(z) > 0 exactly where
-            # z > 0, and a pooling layer next caches this same array
-            caches.append((x_shape, cols, x))
+            if keep:
+                # the output, not the pre-activation z: relu(z) > 0 exactly
+                # where z > 0, and a pooling layer next caches this same array
+                caches.append((x_shape, cols, x))
+            del cols
         elif isinstance(layer, MaxPool2d):
             pooled = _pool_forward(x, layer.window)
-            caches.append((x, pooled))
+            if keep:
+                caches.append((x, pooled))
             x = pooled
         elif isinstance(layer, Flatten):
-            caches.append(x.shape)
+            if keep:
+                caches.append(x.shape)
             x = x.reshape(x.shape[0], -1)
-    return x, caches
+    return x
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:

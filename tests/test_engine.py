@@ -6,6 +6,8 @@ differences computed by tests/oracles.py — two independent routes to the same
 numbers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,10 @@ from fedunlearn.nn import (
 )
 from fedunlearn.nn.engine import (
     _col2im,
+    _forward,
     _pool_backward,
     _pool_forward,
+    _softmax,
     check_conformant_with_arch,
 )
 
@@ -321,6 +325,38 @@ class TestEquivalenceToReferenceEngine:
     ])
     def test_random_conv_close(self, instance, seed):
         self.assert_close(*instance(seed))
+
+
+class TestForwardKeepsNoCaches:
+    """`forward` runs the pass `loss_and_grad` runs but keeps no layer's
+    backward cache: the same probabilities, bit for bit, in less memory."""
+
+    @pytest.mark.parametrize("arch", [adult_arch(12, hidden=8), cifar10_arch(), mnist_arch()],
+                             ids=["adult", "cifar10", "mnist"])
+    def test_probabilities_bit_equal_to_the_caching_pass(self, arch):
+        params, batch = noisy_model(arch, 1), random_batch(arch, 9, 1)
+        caches: list = []
+        logits = _forward(arch, params.tensors, batch.inputs, caches)
+        assert len(caches) == len(arch.layers)
+        assert bits(forward(arch, params, batch)) == bits(_softmax(logits))
+
+    def test_conv_columns_are_dropped_layer_by_layer(self):
+        arch = cifar10_arch()
+        params, batch = noisy_model(arch, 0), random_batch(arch, 16, 0)
+
+        def peak(fn) -> int:
+            fn()  # warm-up
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the im2col columns of the two conv layers: (rows, C*k*k, Ho*Wo)
+        columns = 16 * 8 * (3 * 5 * 5 * 28 * 28 + 6 * 5 * 5 * 10 * 10)
+        assert peak(lambda: forward(arch, params, batch)) < columns
+        assert peak(lambda: _forward(arch, params.tensors, batch.inputs, [])) > columns
 
 
 def pool_gradient(x: np.ndarray, window: int = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from fedunlearn import federation
 from fedunlearn.data import ClientShard, Dataset
 from fedunlearn.federation import (
     ClientUpdate,
+    RoundSum,
     aggregate,
     local_train,
     run_fedavg,
@@ -304,6 +305,49 @@ class TestAggregate:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown aggregation mode"):
             aggregate([constant_update(1, 1.0)], mode="mean")
+
+
+class TestRoundSum:
+    """The fold `aggregate` runs on, used as the replay uses it: each delta
+    written into the scratch vector and added from there."""
+
+    @staticmethod
+    def updates(seed=3, counts=(5, 1, 7, 2)):
+        rng = np.random.default_rng(seed)
+        return [ClientUpdate(i, 1, ParamSet([("a", rng.normal(size=(2, 3))),
+                                             ("b", rng.normal(size=4))]), n)
+                for i, n in enumerate(counts, start=1)]
+
+    @pytest.mark.parametrize("mode", ["standard", "literal"])
+    def test_in_place_weighting_is_bit_equal_to_aggregate(self, mode):
+        updates = self.updates()
+        total = RoundSum(((u.client_id, u.sample_count) for u in reversed(updates)), mode)
+        for u in updates:
+            layout = u.delta._layout
+            scratch = total.scratch(layout)
+            scratch[:] = u.delta.vector
+            total.add(u.client_id, layout, scratch)
+        assert total.result() == aggregate(updates, mode)
+
+    def test_clients_come_in_ascending_id(self):
+        updates = self.updates()
+        total = RoundSum((u.client_id, u.sample_count) for u in updates)
+        with pytest.raises(ValueError, match="client 2 is not the next of"):
+            total.add(2, updates[1].delta._layout, updates[1].delta.vector)
+
+    def test_result_needs_every_client(self):
+        updates = self.updates()
+        total = RoundSum((u.client_id, u.sample_count) for u in updates)
+        total.add(1, updates[0].delta._layout, updates[0].delta.vector)
+        with pytest.raises(ValueError, match="only 1 of the deltas"):
+            total.result()
+
+    def test_rejects_another_layout(self):
+        total = RoundSum([(1, 1), (2, 1)])
+        first, other = constant_update(1, 1.0), constant_update(2, 1.0, shape=(4,))
+        total.add(1, first.delta._layout, first.delta.vector)
+        with pytest.raises(ConformanceError):
+            total.add(2, other.delta._layout, other.delta.vector)
 
 
 class RecordingSink:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fedunlearn.nn import (
     atomic_write,
     dump_param_bytes,
     load_params,
+    param_chunks,
     param_linear,
     parse_param_bytes,
     save_params,
@@ -199,6 +202,27 @@ class TestBinaryFormat:
         ps = ParamSet([("poids_couche", np.ones(2))])
         assert parse_param_bytes(dump_param_bytes(ps)).names == ("poids_couche",)
 
+    def test_hand_encoded_bytes(self):
+        ps = ParamSet([("w", [[1.0, -2.0]]), ("bias", [0.5])])
+        assert dump_param_bytes(ps) == b"".join([
+            b"FESP", struct.pack("<II", 1, 2),
+            struct.pack("<I", 1), b"w", struct.pack("<III", 2, 1, 2),
+            struct.pack("<2d", 1.0, -2.0),
+            struct.pack("<I", 4), b"bias", struct.pack("<II", 1, 1), struct.pack("<d", 0.5),
+        ])
+        assert dump_param_bytes(ParamSet([])) == b"FESP" + struct.pack("<II", 1, 0)
+
+    def test_chunks_are_views_of_the_vector(self):
+        ps = make_set(5, shapes=(("w", (3, 2)), ("s", ()), ("b", (2,))))
+        chunks = param_chunks(ps)
+        assert b"".join(chunks) == dump_param_bytes(ps)
+        data = chunks[2::2]
+        assert [c.nbytes for c in data] == [48, 8, 16]
+        for chunk, tensor in zip(data, ps.tensors):
+            assert chunk.readonly
+            assert np.shares_memory(np.asarray(chunk), ps.vector)
+            assert bytes(chunk) == tensor.tobytes()
+
     def test_reader_shares_one_layout_across_blobs(self):
         rng = np.random.default_rng(4)
         a, b = (ParamSet([("w", rng.normal(size=(3, 2))), ("b", rng.normal(size=2))])
@@ -263,6 +287,20 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="disk full"):
             atomic_write(path, b"replacement that never lands")
         assert path.read_bytes() == b"previous"
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["replace", "create"])
+    def test_failing_chunk_mid_file_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                                        previous):
+        path = tmp_path / "model.fesp"
+        if previous:
+            save_params(make_set(0), path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        # chunks: file header, then header and data per tensor; the write
+        # fails halfway through the second tensor's data
+        tear_writes(monkeypatch, chunk=4)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(make_set(1), path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
     def test_failed_save_keeps_the_previous_model(self, tmp_path, monkeypatch):
         path = tmp_path / "model.fesp"

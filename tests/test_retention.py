@@ -2,12 +2,14 @@
 detection and crash-safety details."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from fedunlearn.federation import ClientUpdate
-from fedunlearn.nn import ParamSet
+from fedunlearn.federation import ClientUpdate, aggregate
+from fedunlearn.nn import ParamSet, dump_param_bytes
 from fedunlearn.retention import (
     IntegrityError,
     RetentionStore,
@@ -20,13 +22,18 @@ FP = StoreFingerprint(arch_hash="abc123", num_clients=3, global_rounds=4,
                       retain_interval=2, seed=5)
 
 
-def make_updates(round_index, num_clients=3, seed=0, with_loss=True):
+DENSE = (("w", (3, 2)), ("b", (2,)))
+CONV = (("layer0.weight", (2, 1, 3, 3)), ("layer0.bias", (2,)),
+        ("layer3.weight", (8, 3)), ("layer3.bias", (3,)))
+
+
+def make_updates(round_index, num_clients=3, seed=0, with_loss=True, shapes=DENSE):
     rng = np.random.default_rng(seed + round_index)
     return [
         ClientUpdate(
             client_id=cid,
             round_index=round_index,
-            delta=ParamSet([("w", rng.normal(size=(3, 2))), ("b", rng.normal(size=2))]),
+            delta=ParamSet([(name, rng.normal(size=shape)) for name, shape in shapes]),
             sample_count=int(rng.integers(1, 50)),
             train_loss=float(rng.random()) if with_loss else None,
         )
@@ -285,3 +292,56 @@ class TestAccounting:
         # (name+rank+dims+data) + 4-byte checksum
         per_blob = 12 + (4 + 1 + 4 + 8 + 48) + (4 + 1 + 4 + 4 + 16) + 4
         assert store.total_blob_bytes() == 6 * per_blob
+
+
+class TestCopyFreeIO:
+    """Blobs are written from views of the deltas and read through one
+    reused buffer; nothing read may alias that buffer."""
+
+    @pytest.mark.parametrize("shapes", [DENSE, CONV], ids=["dense", "conv"])
+    def test_blob_is_the_dump_and_its_crc(self, tmp_path, shapes):
+        store = RetentionStore.create(tmp_path / "store", FP)
+        updates = make_updates(1, shapes=shapes)
+        store.store_round(1, updates)
+        for u in updates:
+            payload = dump_param_bytes(u.delta)
+            blob = (store.root / f"round_1/client_{u.client_id}.fesp").read_bytes()
+            assert blob == payload + struct.pack("<I", zlib.crc32(payload))
+        assert not list(store.root.rglob("*.tmp"))
+
+    def test_loaded_deltas_do_not_alias_the_read_buffer(self, tmp_path):
+        store = full_store(tmp_path)
+        one = store.load_client(1, 1).delta
+        first = store.load_round(1)
+        folded = store.load_round(3, aggregation="standard")
+        store.load_round(3)
+        store.load_client(1, 3)
+        assert one == make_updates(1)[0].delta
+        assert [u.delta for u in first] == [u.delta for u in make_updates(1)]
+        assert folded == aggregate(make_updates(3))
+
+    def test_fold_needs_every_requested_entry(self, tmp_path):
+        store = full_store(tmp_path)
+        with pytest.raises(IntegrityError, match="no stored update for round 1 client 4"):
+            store.load_round(1, client_ids=[1, 4], aggregation="standard")
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            store.load_round(1, client_ids=[2, 2], aggregation="standard")
+
+    def test_flipped_byte_is_caught_by_the_fold(self, tmp_path):
+        store = full_store(tmp_path)
+        blob_path = store.root / "round_3" / "client_2.fesp"
+        blob = bytearray(blob_path.read_bytes())
+        blob[-20] ^= 0x01
+        blob_path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum mismatch for round 3 client 2"):
+            store.load_round(3, client_ids=[1, 2, 3], aggregation="standard")
+
+    def test_non_finite_blob_with_a_valid_crc_is_caught_by_the_fold(self, tmp_path):
+        store = full_store(tmp_path)
+        payload = bytearray(dump_param_bytes(make_updates(1)[2].delta))
+        payload[-8:] = struct.pack("<d", float("nan"))  # the last value of "b"
+        (store.root / "round_1" / "client_3.fesp").write_bytes(
+            bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(IntegrityError,
+                           match="round 1 client 3: tensor 'b' contains non-finite values"):
+            store.load_round(1, aggregation="literal")

@@ -3,6 +3,7 @@ geometry identities."""
 
 import json
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import fedunlearn.unlearning as unlearning
 from fedunlearn.data import ClientShard, Dataset, FedConfig, partition_iid
-from fedunlearn.federation import aggregate, local_train, run_fedavg
+from fedunlearn.federation import ClientUpdate, aggregate, local_train, run_fedavg
 from fedunlearn.nn import (
     ArchSpec,
     Conv2d,
@@ -434,6 +435,50 @@ class TestEraserReadsStoredNorms:
             (store.root / f"round_{r}/client_{c}.fesp").stat().st_size
             for r in store.retained_rounds for c in (2, 3))
         assert result.eps_fallbacks == 0
+
+
+class TestFoldedReplay:
+    """Replayed rounds add each blob to one round sum from the store's read
+    buffer; the result must be the plain load-then-aggregate replay's."""
+
+    @pytest.mark.parametrize("mode", ["standard", "literal"])
+    def test_bit_equal_to_aggregating_loaded_updates(self, stored_run, mode):
+        arch, config, _, initial, store = stored_run
+        config = replace(config, aggregation=mode)
+        remaining = [2, 3]
+        expected = initial
+        for round_index in store.retained_rounds:
+            updates = store.load_round(round_index, client_ids=remaining)
+            aggregated = aggregate(updates, mode)
+            assert store.load_round(round_index, client_ids=remaining,
+                                    aggregation=mode) == aggregated
+            expected = param_linear(1.0, expected, 1.0, aggregated)
+        assert fed_accum(arch, initial, store, config).model == expected
+
+    def test_allocation_peak_is_a_few_blobs(self, tmp_path):
+        # 16 clients, 15 remaining, and blobs of 0.1 MB: loading a round's
+        # updates before aggregating them would hold 15 blobs at once
+        arch = ArchSpec(layers=(Dense(100, 128, "relu"), Dense(128, 2)), input_shape=(100,))
+        config = small_config(num_clients=16, global_rounds=2, retain_interval=1)
+        rng = np.random.default_rng(0)
+        store = RetentionStore.create(tmp_path / "store", StoreFingerprint.of(arch, config))
+        initial = build_model(arch, 0)
+        for round_index in store.retained_rounds:
+            store.store_round(round_index, [
+                ClientUpdate(c, round_index, ParamSet(
+                    (name, rng.normal(size=t.shape)) for name, t in initial.items()),
+                    int(rng.integers(5, 50)))
+                for c in range(1, config.num_clients + 1)])
+        blob = (store.root / "round_1" / "client_1.fesp").stat().st_size
+        assert blob >= 100_000
+        store = RetentionStore.open(store.root)
+        tracemalloc.start()
+        try:
+            fed_accum(arch, initial, store, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * blob, f"peak {peak / blob:.1f} blob sizes"
 
 
 class TestFedRetrain:
