@@ -391,7 +391,9 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         (run.out_dir / rel).unlink(missing_ok=True)
     scenario, arch = run.scenario, run.arch
     initial = load_params(run.model_path("initial"))
-    store = RetentionStore.open(run.out_dir / "retention")
+    # retraining reads nothing from the store, so only the replays open it
+    store = (RetentionStore.open(run.out_dir / "retention")
+             if {"eraser", "accum"} & set(todo) else None)
     reconstruct = {
         "eraser": lambda: fed_eraser(arch, initial, store, run.shards, scenario),
         "accum": lambda: fed_accum(arch, initial, store, scenario),
@@ -411,7 +413,7 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         summary[name] = {
             "total_seconds": result.total_seconds,
             "round_timings": list(result.round_timings),
-            "calibration_rounds": result.calibration_rounds,
+            "calibration_rounds": len(result.heads),
             "store_bytes_read": result.store_bytes_read,
         }
         if name == "eraser":

@@ -15,6 +15,7 @@ None of these may read the target client's data or stored updates.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -40,8 +41,6 @@ class UnlearnResult:
     model: ParamSet
     round_timings: tuple[float, ...]  # seconds per reconstruction step
     total_seconds: float
-    calibration_rounds: int  # reconstruction steps walked (retained rounds,
-    # or full training rounds for the retraining route)
     heads: tuple[np.ndarray, ...] = ()  # head weight after each step
     store_bytes_read: int = 0  # retention blob bytes read
     eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
@@ -114,44 +113,56 @@ def _replay(
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
-    calibrate: Callable[[ParamSet, StoredNorms], ParamSet] | None = None,
+    shards: Sequence[ClientShard] | None = None,
 ) -> UnlearnResult:
     """Walk the retention schedule from the initial model, applying the
     aggregate of the remaining clients' stored updates at each retained
-    round and keeping the head weight after each. With `calibrate`, every
-    round after the first reads only the stored norms and applies the
-    deltas calibrate(current model, norms), and each round is logged;
-    without it the replay is plain and silent. Either way each round's
-    deltas are added to one :class:`RoundSum` as they come, so no round
-    holds more than one of them."""
+    round and keeping the head weight after each.
+
+    Given the remaining clients' shards, every round after the first is
+    calibrated: its stored norms are read, each remaining client trains
+    from the current model, its stored update is redirected along the fresh
+    one, and the result is added to the round's :class:`RoundSum` as soon
+    as it is made; each round is logged. Without shards the replay is plain
+    and silent, and every round is folded from the stored blobs."""
+    remaining = _remaining_ids(config)
+    if shards is not None:
+        by_id = {s.client_id: s for s in shards}
+        missing = [c for c in remaining if c not in by_id]
+        if missing:
+            raise ValueError(f"shards missing for clients {missing}")
+        cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
     expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
         raise ValueError(
             f"store fingerprint {store.fingerprint} does not match run {expected}"
         )
-    remaining = _remaining_ids(config)
     model = initial_model
     heads: list[np.ndarray] = []
     timings: list[float] = []
+    fallbacks = itertools.count()  # ticked once per tensor kept uncalibrated
     bytes_before = store.bytes_read
     start = time.perf_counter()
     for j, round_index in enumerate(store.retained_rounds):
         step_start = time.perf_counter()
-        if calibrate is not None and j >= 1:
+        if shards is None or j == 0:
+            delta = store.load_round(round_index, client_ids=remaining,
+                                     aggregation=config.aggregation)
+        else:
             stored = [store.load_norms(round_index, cid) for cid in remaining]
             total = RoundSum(((s.client_id, s.sample_count) for s in stored),
                              config.aggregation)
             for s in stored:
-                calibrated = calibrate(model, s)
+                fresh = local_train(arch, model, by_id[s.client_id], cali_config,
+                                    round_index, epochs=config.calibration_epochs)
+                calibrated = calibrate_update(s, fresh.delta, norm_mode=config.norm_mode,
+                                              on_fallback=fallbacks.__next__)
                 total.add(s.client_id, calibrated._layout, calibrated.vector)
             delta = total.result()
-        else:
-            delta = store.load_round(round_index, client_ids=remaining,
-                                     aggregation=config.aggregation)
         model = param_linear(1.0, model, 1.0, delta)
         heads.append(arch.head_weight(model))
         timings.append(time.perf_counter() - step_start)
-        if calibrate is not None:
+        if shards is not None:
             logger.info(
                 "calibrated reconstruction %d/%d (round %d) in %.3fs",
                 j + 1, len(store.retained_rounds), round_index, timings[-1],
@@ -161,9 +172,9 @@ def _replay(
         model=model,
         round_timings=tuple(timings),
         total_seconds=time.perf_counter() - start,
-        calibration_rounds=len(store.retained_rounds),
         heads=tuple(heads),
         store_bytes_read=store.bytes_read - bytes_before,
+        eps_fallbacks=next(fallbacks),
     )
 
 
@@ -187,31 +198,7 @@ def fed_eraser(
     fresh tensor falls back to its stored value.
     The target client's shard and stored updates are never touched.
     """
-    by_id = {s.client_id: s for s in shards}
-    missing = [c for c in _remaining_ids(config) if c not in by_id]
-    if missing:
-        raise ValueError(f"shards missing for clients {missing}")
-    cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
-    fallbacks = 0
-
-    def count_fallback() -> None:
-        nonlocal fallbacks
-        fallbacks += 1
-
-    def calibrate(model: ParamSet, stored: StoredNorms) -> ParamSet:
-        fresh = local_train(
-            arch,
-            model,
-            by_id[stored.client_id],
-            cali_config,
-            stored.round_index,
-            epochs=config.calibration_epochs,
-        )
-        return calibrate_update(stored, fresh.delta, norm_mode=config.norm_mode,
-                                on_fallback=count_fallback)
-
-    result = _replay("eraser", arch, initial_model, store, config, calibrate)
-    return replace(result, eps_fallbacks=fallbacks)
+    return _replay("eraser", arch, initial_model, store, config, shards)
 
 
 def fed_accum(
@@ -244,9 +231,8 @@ def fed_retrain(
     return UnlearnResult(
         method="retrain",
         model=model,
-        round_timings=(),
+        round_timings=tuple(r.duration_seconds for r in history.records),
         total_seconds=total,
-        calibration_rounds=config.global_rounds,
         heads=tuple(history.heads),
     )
 

@@ -392,7 +392,7 @@ class TestArtifacts:
         assert summary["eraser"]["calibration_rounds"] == 2
         assert summary["retrain"]["calibration_rounds"] == 4
         assert len(summary["eraser"]["round_timings"]) == 2
-        assert summary["retrain"]["round_timings"] == []
+        assert len(summary["retrain"]["round_timings"]) == 4
 
     def test_unlearn_summary_counts_store_reads(self, pipelines):
         _, run_dir, _ = pipelines
@@ -672,6 +672,21 @@ class TestUnlearnCommand:
         assert report["attack"] == {}
         assert "attack_f1" not in report["methods"]["eraser"]
 
+    def test_retrain_needs_no_retention_store(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        assert main(["train", str(ini), "--out", str(out)]) == 0
+        shutil.rmtree(out / "retention")
+        assert main(["unlearn", str(ini), "--out", str(out), "--method", "retrain"]) == 0
+        assert (out / "models" / "retrain.fesp").exists()
+        summary = json.loads((out / "unlearn.json").read_text())
+        assert len(summary["retrain"]["round_timings"]) == 4
+
+    def test_library_rejects_unknown_method(self, tmp_path):
+        scenario = parse_scenario(write_ini(tmp_path, TINY_INI))
+        with pytest.raises(ConfigError, match=r"unknown methods \['bogus'\]"):
+            cli.run_unlearn(scenario, tmp_path / "out", methods=("bogus",))
+
     def test_rejects_unknown_method_at_the_parser(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
         with pytest.raises(SystemExit):
@@ -718,6 +733,19 @@ class TestMainErrors:
         record = last_stderr_record(capsys)
         assert record["error"] == "ConfigError"
         assert "no such config file" in record["message"]
+
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_scoring_before_train_fails(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        ini = write_ini(out, TINY_INI)
+        # report reads the scenario from the run directory
+        args = [str(ini), "--out", str(out)] if command == "attack" else [str(out)]
+        assert main([command, *args]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "FileNotFoundError"
+        assert "no trained model" in record["message"]
+        assert "run `train` first" in record["message"]
 
     def test_seed_flag_overrides_the_file(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)

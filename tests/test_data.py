@@ -25,10 +25,13 @@ from fedunlearn.data import (
     load_purchase,
     make_synthetic,
     partition_iid,
+    prepare_data,
     read_adult_records,
     subsample,
     train_test_split,
 )
+from fedunlearn.cli import build_arch
+from fedunlearn.nn import Batch, build_model, cifar10_arch, forward, mnist_arch, purchase_arch
 
 
 def identity_dataset(n: int, num_classes: int = 2) -> Dataset:
@@ -704,3 +707,33 @@ class TestLoadDataset:
         ds = load_dataset(FedConfig(dataset="adult", path=str(d)))
         assert ds.name == "adult"
         assert ds.num_samples == 2
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10", "purchase"])
+    def test_file_sets_through_prepare_data_and_their_presets(self, tmp_path, dataset):
+        rng = np.random.default_rng(1)
+        if dataset == "mnist":
+            path = write_mnist_dir(tmp_path, rng.integers(0, 256, size=(10, 28, 28)),
+                                   rng.integers(0, 10, size=10))
+            preset = mnist_arch()
+        elif dataset == "cifar10":
+            path = tmp_path / "cifar"
+            path.mkdir()
+            records = rng.integers(0, 256, size=(10, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            (path / "data_batch_1.bin").write_bytes(records.tobytes())
+            preset = cifar10_arch()
+        else:
+            path = write_purchase_csv(tmp_path, [f"c{i},item{(i + j) % 6}"
+                                                 for i in range(10) for j in range(3)])
+            preset = purchase_arch(4, num_classes=2)
+        config = FedConfig(dataset=dataset, path=str(path), num_clients=2,
+                           purchase_items=4, purchase_classes=2)
+        train, test, shards = prepare_data(config)
+        assert train.name == dataset
+        assert (train.num_samples, test.num_samples) == (8, 2)
+        assert [s.sample_count for s in shards] == [4, 4]
+        arch = build_arch(config, train)
+        assert arch.arch_hash() == preset.arch_hash()
+        first = shards[0].dataset
+        probs = forward(arch, build_model(arch, 0), Batch(first.inputs, first.labels))
+        assert probs.shape == (4, train.num_classes)

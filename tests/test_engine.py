@@ -75,6 +75,48 @@ class TestBatch:
             Batch(np.zeros((0, 2)), np.array([], dtype=np.int64))
 
 
+class TestArchSpecValidation:
+    """Each check that keeps an invalid ArchSpec from being built, and the
+    head lookup of a spec without a dense layer."""
+
+    @pytest.mark.parametrize("build,error,message", [
+        pytest.param(lambda: ArchSpec((), (4,)), ValueError,
+                     "needs at least one layer", id="no-layers"),
+        pytest.param(lambda: ArchSpec((Dense(4, 2),), (4, 0)), ValueError,
+                     r"non-positive input dimension in \(4, 0\)", id="input-dim"),
+        pytest.param(lambda: ArchSpec((Conv2d(1, 2, 3),), (1, 5, 5)), ValueError,
+                     r"flat class vector, got shape \(2, 3, 3\)", id="output-not-flat"),
+        pytest.param(lambda: ArchSpec((Dense(4, 0),), (4,)), ValueError,
+                     "layer 0: non-positive dense dimensions", id="dense-dims"),
+        pytest.param(lambda: ArchSpec((Dense(4, 2, "tanh"),), (4,)), ValueError,
+                     "layer 0: unknown activation 'tanh'", id="dense-activation"),
+        pytest.param(lambda: ArchSpec((Dense(4, 3), Dense(2, 2)), (4,)), ValueError,
+                     r"layer 1: dense expects flat input of 2, got \(3,\)", id="dense-input"),
+        pytest.param(lambda: ArchSpec((Conv2d(1, 0, 3), Flatten()), (1, 5, 5)), ValueError,
+                     "layer 0: non-positive convolution dimensions", id="conv-dims"),
+        pytest.param(lambda: ArchSpec((Conv2d(1, 2, 3, "sigmoid"), Flatten()), (1, 5, 5)),
+                     ValueError, "layer 0: unknown activation 'sigmoid'", id="conv-activation"),
+        pytest.param(lambda: ArchSpec((Conv2d(2, 2, 3), Flatten()), (1, 5, 5)), ValueError,
+                     r"layer 0: convolution expects \(2,H,W\) input, got \(1, 5, 5\)",
+                     id="conv-input"),
+        pytest.param(lambda: ArchSpec((Conv2d(1, 2, 6), Flatten()), (1, 5, 5)), ValueError,
+                     "layer 0: kernel 6 larger than input 5x5", id="conv-kernel"),
+        pytest.param(lambda: ArchSpec((MaxPool2d(0), Flatten()), (1, 4, 4)), ValueError,
+                     "layer 0: non-positive pooling window", id="pool-window"),
+        pytest.param(lambda: ArchSpec((Flatten(), MaxPool2d(2)), (1, 4, 4)), ValueError,
+                     r"layer 1: pooling expects \(C,H,W\) input, got \(16,\)", id="pool-input"),
+        pytest.param(lambda: ArchSpec((MaxPool2d(2), Flatten()), (1, 5, 5)), ValueError,
+                     "layer 0: input 5x5 not divisible by pooling window 2", id="pool-divisor"),
+        pytest.param(lambda: ArchSpec((Flatten(),), (4,)).last_dense_index(), ValueError,
+                     "architecture has no dense layer", id="no-dense-head"),
+        pytest.param(lambda: ArchSpec(("dense",), (4,)), TypeError,
+                     "unknown layer type str", id="unknown-layer"),
+    ])
+    def test_rejects(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+
 class TestBuildModel:
     def test_deterministic_per_seed(self, arch):
         assert build_model(arch, 5) == build_model(arch, 5)

@@ -266,6 +266,11 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             parse_param_bytes(buf[: len(buf) // 2])
 
+    def test_last_tensor_cut_short_rejected(self):
+        buf = dump_param_bytes(make_set())
+        with pytest.raises(ValueError, match="tensor data runs past the end"):
+            parse_param_bytes(buf[:-8])
+
     def test_file_round_trip(self, tmp_path):
         ps = make_set(seed=13)
         save_params(ps, tmp_path / "model.fesp")

@@ -201,6 +201,19 @@ class TestIntegrity:
             reopened.load_norms(3, 1)
         reopened.load_norms(3, 2)  # the other entries still check out
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda entry: entry["sq_norms"].__setitem__(0, "x"), id="not-numeric"),
+        pytest.param(lambda entry: entry.pop("sq_norms_crc"), id="crc-missing"),
+    ])
+    def test_malformed_norms_entry(self, tmp_path, damage):
+        store = full_store(tmp_path)
+        path = store.root / "manifest.json"
+        doc = json.loads(path.read_text())
+        damage(doc["rounds"]["3"]["1"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match="norms checksum mismatch for round 3 client 1"):
+            RetentionStore.open(store.root).load_norms(3, 1)
+
     def test_manifest_without_norms(self, tmp_path):
         store = full_store(tmp_path)
         path = store.root / "manifest.json"

@@ -1,6 +1,7 @@
 """Calibrated reconstruction, plain replay, retraining, and the calibration
 geometry identities."""
 
+import inspect
 import json
 import shutil
 import tracemalloc
@@ -213,7 +214,6 @@ class TestFedAccum:
     def test_step_bookkeeping(self, trained_run):
         arch, config, _, _, initial, _, store, _ = trained_run
         result = fed_accum(arch, initial, store, config)
-        assert result.calibration_rounds == len(store.retained_rounds)
         assert len(result.round_timings) == len(store.retained_rounds)
         assert len(result.heads) == len(store.retained_rounds)
         np.testing.assert_array_equal(result.heads[-1], arch.head_weight(result.model))
@@ -268,7 +268,7 @@ class TestFedEraser:
         assert len(calls) == (len(retained) - 1) * remaining
         assert {r for _, r in calls} == set(retained[1:])
         assert all(c != config.target_client for c, _ in calls)
-        assert result.calibration_rounds == len(retained)
+        assert len(result.heads) == len(retained)
 
     def test_runs_without_target_shard_and_reads_no_target_update(self, trained_run):
         arch, config, shards, _, initial, _, store, _ = trained_run
@@ -437,6 +437,49 @@ class TestEraserReadsStoredNorms:
         assert result.eps_fallbacks == 0
 
 
+def record_bound_calls(monkeypatch, name: str) -> list[dict]:
+    """From now on, the arguments of every call to `unlearning.<name>`,
+    bound as perfbench's tracer binds them: `inspect.signature(fn).bind`,
+    then `apply_defaults`."""
+    calls = []
+    real = getattr(unlearning, name)
+    signature = inspect.signature(real)
+
+    def recording(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs)
+        arguments.apply_defaults()
+        calls.append(arguments.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unlearning, name, recording)
+    return calls
+
+
+class TestTracerContract:
+    """perfbench's tracer replaces `calibrate_update` and `local_train` in
+    this module's globals and reads their arguments by name."""
+
+    def test_eraser_binds_the_traced_arguments(self, stored_run, monkeypatch):
+        arch, config, shards, initial, store = stored_run
+        bound = {name: record_bound_calls(monkeypatch, name)
+                 for name in ("calibrate_update", "local_train")}
+        result = fed_eraser(arch, initial, store, shards, config)
+
+        retained, remaining = store.retained_rounds, config.num_clients - 1
+        assert len(bound["local_train"]) == (len(retained) - 1) * remaining
+        assert len(bound["calibrate_update"]) == (len(retained) - 1) * remaining
+        assert [a["round_index"] for a in bound["local_train"]] == \
+            [r for r in retained[1:] for _ in range(remaining)]
+        for a in bound["calibrate_update"]:
+            assert isinstance(a["fresh"], ParamSet)
+            assert a["norm_mode"] == config.norm_mode
+            assert a["epsilon"] >= 0
+        # the tracer's epsilon-fallback count, taken from the bound arguments
+        traced_fallbacks = sum(int(np.linalg.norm(t) <= a["epsilon"])
+                               for a in bound["calibrate_update"] for t in a["fresh"].tensors)
+        assert traced_fallbacks == result.eps_fallbacks
+
+
 class TestFoldedReplay:
     """Replayed rounds add each blob to one round sum from the store's read
     buffer; the result must be the plain load-then-aggregate replay's."""
@@ -486,10 +529,9 @@ class TestFedRetrain:
         arch, config, shards, _, _, original, _, _ = trained_run
         result = fed_retrain(arch, shards, config)
         assert result.method == "retrain"
-        assert result.calibration_rounds == config.global_rounds
         assert len(result.heads) == config.global_rounds
         np.testing.assert_array_equal(result.heads[-1], arch.head_weight(result.model))
-        assert result.round_timings == ()
+        assert len(result.round_timings) == config.global_rounds
         assert result.model != original
         # other data of the same shape in the target's shard changes nothing
         swapped = [
