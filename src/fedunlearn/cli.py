@@ -36,7 +36,6 @@ import logging
 import os
 import shutil
 import sys
-import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,32 +328,34 @@ _TRAINING_DERIVED = ("retention", "timings.csv",
 def _train(run: Run, resume: bool) -> None:
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
     store_dir = out_dir / "retention"
-    done = (
-        run.model_path("original").exists()
-        and run.model_path("initial").exists()
-        and (store_dir / "manifest.json").exists()
-    )
-    if resume and done and RetentionStore.open(store_dir).is_complete():
-        logger.info("training artifacts already present; skipping")
-        return
+    fingerprint = StoreFingerprint.of(arch, scenario)
+    if resume and all(path.exists() for path in (
+            run.model_path("original"), run.model_path("initial"), store_dir / "manifest.json")):
+        found = RetentionStore.open(store_dir)
+        if found.fingerprint != fingerprint:
+            logger.warning("training again: the run directory was trained for %s, not %s",
+                           found.fingerprint, fingerprint)
+        elif not found.is_complete():
+            logger.warning("training again: the retention store is incomplete")
+        else:
+            logger.info("training artifacts already present; skipping")
+            return
     for rel in _TRAINING_DERIVED:
         path = out_dir / rel
         if path.is_dir():
             shutil.rmtree(path)
         else:
             path.unlink(missing_ok=True)
-    store = RetentionStore.create(store_dir, StoreFingerprint.of(arch, scenario))
+    store = RetentionStore.create(store_dir, fingerprint)
 
     initial = build_model(arch, scenario.seed)
-    start = time.perf_counter()
-    model, history = run_fedavg(arch, run.shards, scenario, initial_model=initial,
-                                retention_sink=store)
-    train_seconds = time.perf_counter() - start
+    trained = run_fedavg(arch, run.shards, scenario, initial_model=initial,
+                         retention_sink=store)
 
     (out_dir / "models").mkdir(parents=True, exist_ok=True)
     save_params(initial, run.model_path("initial"))
-    save_params(model, run.model_path("original"))
-    test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
+    save_params(trained.model, run.model_path("original"))
+    test_acc, test_loss = evaluate(arch, trained.model, run.test, scenario.eval_batch_size)
     manifest = {
         "scenario": dataclasses.asdict(scenario),
         "architecture": arch.describe(),
@@ -365,12 +366,12 @@ def _train(run: Run, resume: bool) -> None:
         "train_samples": run.train.num_samples,
         "test_samples": run.test.num_samples,
         "client_sample_counts": {s.client_id: s.sample_count for s in run.shards},
-        "final_train_loss": history.records[-1].mean_client_loss,
+        "final_train_loss": trained.mean_losses[-1],
         "original_test_accuracy": test_acc,
         "original_test_loss": test_loss,
     }
     write_report_json(out_dir / "manifest.json", manifest)
-    _record_timing(out_dir, "train", train_seconds)
+    _record_timing(out_dir, "train", trained.total_seconds)
     logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
 
 

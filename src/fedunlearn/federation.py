@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -39,17 +39,18 @@ class ClientUpdate:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    round_index: int
-    participants: tuple[int, ...]
-    mean_client_loss: float
-    duration_seconds: float
+class Trajectory:
+    """One walk of a global model, step by step: a FedAvg run (train,
+    retrain) steps once per round, a replay (eraser, accum) once per
+    retained round."""
 
-
-@dataclass
-class RoundHistory:
-    records: list[RoundRecord] = field(default_factory=list)
-    heads: list[np.ndarray] = field(default_factory=list)  # post-round head weights
+    model: ParamSet
+    round_timings: tuple[float, ...]  # seconds per step
+    total_seconds: float
+    heads: tuple[np.ndarray, ...] = ()  # head weight after each step
+    mean_losses: tuple[float, ...] = ()  # mean client train loss per round; none for replays
+    store_bytes_read: int = 0  # retention blob bytes read
+    eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
 
 
 class UpdateSink(Protocol):
@@ -217,36 +218,35 @@ def run_fedavg(
     config: FedConfig,
     initial_model: ParamSet | None = None,
     retention_sink: UpdateSink | None = None,
-    exclude: frozenset[int] | set[int] = frozenset(),
-) -> tuple[ParamSet, RoundHistory]:
-    """The outer federated loop: each round every participating client trains
-    locally, deltas are aggregated in `config.aggregation` mode, and the
-    weighted delta is added to the global model; the history keeps each
-    round's head weight. When a retention sink is given, the full per-client
-    update list is handed to it at each of its retained rounds — which is
-    only meaningful (and only allowed) when no client is excluded."""
+) -> Trajectory:
+    """The outer federated loop over exactly the given clients' shards: each
+    round every one of them trains locally, the deltas are aggregated in
+    `config.aggregation` mode, and the weighted delta is added to the global
+    model. When a retention sink is given, the shards must be every
+    client's, and the full per-client update list is handed to it at each
+    of its retained rounds."""
+    start = time.perf_counter()
     by_id = {s.client_id: s for s in shards}
     if len(by_id) != len(shards):
         raise ValueError("duplicate client ids in shards")
-    expected = set(range(1, config.num_clients + 1))
-    if set(by_id) != expected:
-        raise ValueError(f"shards cover clients {sorted(by_id)}; expected {sorted(expected)}")
-    exclude = frozenset(exclude)
-    if not exclude <= expected:
-        raise ValueError(f"exclude {sorted(exclude)} lists unknown clients")
-    if exclude == expected:
-        raise ValueError("cannot exclude every client")
+    clients = set(range(1, config.num_clients + 1))
+    if not by_id or not set(by_id) <= clients:
+        raise ValueError(f"shards cover clients {sorted(by_id)}; expected some of "
+                         f"{sorted(clients)}")
     retained: set[int] = set()
     if retention_sink is not None:
-        if exclude:
-            raise ValueError("retention requires updates from all clients; cannot exclude any")
+        if set(by_id) != clients:
+            raise ValueError(f"retention needs every client's updates; shards cover "
+                             f"clients {sorted(by_id)}")
         retained = set(retention_sink.retained_rounds)
         if not retained <= set(range(1, config.global_rounds + 1)):
             raise ValueError("retention schedule outside [1, global_rounds]")
 
-    participants = [cid for cid in sorted(by_id) if cid not in exclude]
+    participants = sorted(by_id)
     model = initial_model if initial_model is not None else build_model(arch, config.seed)
-    history = RoundHistory()
+    timings: list[float] = []
+    heads: list[np.ndarray] = []
+    losses: list[float] = []
     for round_index in range(1, config.global_rounds + 1):
         round_start = time.perf_counter()
         updates = [
@@ -255,15 +255,13 @@ def run_fedavg(
         if retention_sink is not None and round_index in retained:
             retention_sink.store_round(round_index, updates)
         model = param_linear(1.0, model, 1.0, aggregate(updates, config.aggregation))
-        mean_loss = float(np.mean([u.train_loss for u in updates]))
-        duration = time.perf_counter() - round_start
-        history.records.append(
-            RoundRecord(round_index, tuple(participants), mean_loss, duration)
-        )
-        history.heads.append(arch.head_weight(model))
+        losses.append(float(np.mean([u.train_loss for u in updates])))
+        timings.append(time.perf_counter() - round_start)
+        heads.append(arch.head_weight(model))
         logger.info(
             "round %d/%d: %d clients, mean train loss %.4f, %.1f ms",
-            round_index, config.global_rounds, len(participants), mean_loss,
-            duration * 1e3,
+            round_index, config.global_rounds, len(participants), losses[-1],
+            timings[-1] * 1e3,
         )
-    return model, history
+    return Trajectory(model, tuple(timings), time.perf_counter() - start, tuple(heads),
+                      tuple(losses))

@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .data import NORM_MODES, ClientShard, FedConfig
-from .federation import RoundSum, local_train, run_fedavg
+from .federation import RoundSum, Trajectory, local_train, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
 from .nn.params import require_conformant
 from .retention import RetentionStore, StoredNorms, StoreFingerprint, schedule
@@ -33,17 +33,6 @@ from .seeds import derive_seed
 logger = logging.getLogger(__name__)
 
 _ZERO_NORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class UnlearnResult:
-    method: str
-    model: ParamSet
-    round_timings: tuple[float, ...]  # seconds per reconstruction step
-    total_seconds: float
-    heads: tuple[np.ndarray, ...] = ()  # head weight after each step
-    store_bytes_read: int = 0  # retention blob bytes read
-    eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
 
 
 def _norms(sq_norms: np.ndarray, norm_mode: str) -> np.ndarray:
@@ -107,14 +96,22 @@ def _remaining_ids(config: FedConfig) -> list[int]:
     return [c for c in range(1, config.num_clients + 1) if c != config.target_client]
 
 
+def _remaining_shards(shards: Sequence[ClientShard], config: FedConfig) -> list[ClientShard]:
+    """The remaining clients' shards, in ascending id; the target's is not needed."""
+    by_id = {s.client_id: s for s in shards}
+    missing = [c for c in _remaining_ids(config) if c not in by_id]
+    if missing:
+        raise ValueError(f"shards missing for clients {missing}")
+    return [by_id[c] for c in _remaining_ids(config)]
+
+
 def _replay(
-    method: str,
     arch: ArchSpec,
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
     shards: Sequence[ClientShard] | None = None,
-) -> UnlearnResult:
+) -> Trajectory:
     """Walk the retention schedule from the initial model, applying the
     aggregate of the remaining clients' stored updates at each retained
     round and keeping the head weight after each.
@@ -127,10 +124,7 @@ def _replay(
     and silent, and every round is folded from the stored blobs."""
     remaining = _remaining_ids(config)
     if shards is not None:
-        by_id = {s.client_id: s for s in shards}
-        missing = [c for c in remaining if c not in by_id]
-        if missing:
-            raise ValueError(f"shards missing for clients {missing}")
+        shards = _remaining_shards(shards, config)
         cali_config = replace(config, seed=derive_seed(config.seed, "cali"))
     expected = StoreFingerprint.of(arch, config)
     if store.fingerprint != expected:
@@ -152,8 +146,8 @@ def _replay(
             stored = [store.load_norms(round_index, cid) for cid in remaining]
             total = RoundSum(((s.client_id, s.sample_count) for s in stored),
                              config.aggregation)
-            for s in stored:
-                fresh = local_train(arch, model, by_id[s.client_id], cali_config,
+            for s, shard in zip(stored, shards):
+                fresh = local_train(arch, model, shard, cali_config,
                                     round_index, epochs=config.calibration_epochs)
                 calibrated = calibrate_update(s, fresh.delta, norm_mode=config.norm_mode,
                                               on_fallback=fallbacks.__next__)
@@ -167,8 +161,7 @@ def _replay(
                 "calibrated reconstruction %d/%d (round %d) in %.3fs",
                 j + 1, len(store.retained_rounds), round_index, timings[-1],
             )
-    return UnlearnResult(
-        method=method,
+    return Trajectory(
         model=model,
         round_timings=tuple(timings),
         total_seconds=time.perf_counter() - start,
@@ -184,7 +177,7 @@ def fed_eraser(
     store: RetentionStore,
     shards: Sequence[ClientShard],
     config: FedConfig,
-) -> UnlearnResult:
+) -> Trajectory:
     """Calibrated reconstruction from the retained updates, rescaled in
     `config.norm_mode`.
 
@@ -198,7 +191,7 @@ def fed_eraser(
     fresh tensor falls back to its stored value.
     The target client's shard and stored updates are never touched.
     """
-    return _replay("eraser", arch, initial_model, store, config, shards)
+    return _replay(arch, initial_model, store, config, shards)
 
 
 def fed_accum(
@@ -206,35 +199,21 @@ def fed_accum(
     initial_model: ParamSet,
     store: RetentionStore,
     config: FedConfig,
-) -> UnlearnResult:
+) -> Trajectory:
     """Plain replay of the retained non-target updates — no new training."""
-    return _replay("accum", arch, initial_model, store, config)
+    return _replay(arch, initial_model, store, config)
 
 
 def fed_retrain(
     arch: ArchSpec,
     shards: Sequence[ClientShard],
     config: FedConfig,
-    seed: int | None = None,
-) -> UnlearnResult:
-    """Train from a fresh seeded initialization with the target excluded.
-
-    The initialization seed defaults to the run seed, giving the same
-    starting point as the original training run (and hence comparable
-    parameter trajectories); pass a different seed for an independent start.
-    """
-    start = time.perf_counter()
-    initial = build_model(arch, config.seed if seed is None else seed)
-    model, history = run_fedavg(arch, shards, config, initial_model=initial,
-                                exclude={config.target_client})
-    total = time.perf_counter() - start
-    return UnlearnResult(
-        method="retrain",
-        model=model,
-        round_timings=tuple(r.duration_seconds for r in history.records),
-        total_seconds=total,
-        heads=tuple(history.heads),
-    )
+) -> Trajectory:
+    """FedAvg over the remaining clients alone, from the run seed's
+    initialization: the same starting point as the original training run,
+    and hence comparable parameter trajectories."""
+    return run_fedavg(arch, _remaining_shards(shards, config), config,
+                      initial_model=build_model(arch, config.seed))
 
 
 def expected_speedup(calibration_ratio: float, retain_interval: int) -> float:

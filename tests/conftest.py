@@ -90,7 +90,7 @@ def shards(split, config):
 def trained_run(tmp_path_factory):
     """One complete small training run with retention, shared by read-only
     tests: (arch, config, shards, test split, initial model, final model,
-    store, history)."""
+    store, trajectory)."""
     arch = small_arch()
     config = small_config()
     ds = make_synthetic(samples=180, features=6, classes=3, seed=11, separation=2.5)
@@ -100,7 +100,7 @@ def trained_run(tmp_path_factory):
         tmp_path_factory.mktemp("store"), StoreFingerprint.of(arch, config)
     )
     initial = build_model(arch, config.seed)
-    model, history = run_fedavg(
+    trained = run_fedavg(
         arch, shard_list, config, initial_model=initial, retention_sink=store
     )
-    return arch, config, shard_list, test, initial, model, store, history
+    return arch, config, shard_list, test, initial, trained.model, store, trained

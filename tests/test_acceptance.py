@@ -78,8 +78,8 @@ def _reconstruction_suite(tmp: Path, arch, shards, config, with_accum=True):
                          config.seed),
     )
     initial = build_model(arch, config.seed)
-    original, _ = run_fedavg(arch, shards, config, initial_model=initial,
-                             retention_sink=store)
+    original = run_fedavg(arch, shards, config, initial_model=initial,
+                          retention_sink=store).model
     eraser = fed_eraser(arch, initial, store, shards, config)
     accum = fed_accum(arch, initial, store, config) if with_accum else None
     retrain = fed_retrain(arch, shards, config)

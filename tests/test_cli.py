@@ -527,6 +527,23 @@ class TestResume:
         fresh = json.loads((run_dir / "report.json").read_text())["angles"]
         assert angles["eraser"] == fresh["eraser"]
 
+    @pytest.mark.parametrize("text,flags", [
+        (TINY_INI, ["--seed", "9"]),
+        (TINY_INI.replace("retain_interval = 2", "retain_interval = 1"), []),
+    ], ids=["seed", "schedule"])
+    def test_resume_under_another_scenario_trains_again(self, tmp_path, caplog, text, flags):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        ini = write_ini(tmp_path, text, name="other.ini")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["train", str(ini), "--out", str(out), "--resume", *flags]) == 0
+        assert any(r.getMessage().startswith("training again: the run directory was trained")
+                   for r in caplog.records)
+        assert main(["train", str(ini), "--out", str(fresh), *flags]) == 0
+        for rel in ("models/initial.fesp", "models/original.fesp", "retention/manifest.json"):
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
     def test_resume_rebuilds_a_store_without_norms(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ from fedunlearn.data import ClientShard, Dataset
 from fedunlearn.federation import (
     ClientUpdate,
     RoundSum,
+    Trajectory,
     aggregate,
     local_train,
     run_fedavg,
@@ -400,87 +401,100 @@ class TestStepCounterContract:
 
 class TestRunFedavg:
     def test_round_loop_and_history(self, arch, config, shards):
-        model, history = run_fedavg(arch, shards, config)
-        check_conformant_with_arch(arch, model)
-        assert [r.round_index for r in history.records] == [1, 2, 3, 4]
-        assert all(r.participants == (1, 2, 3) for r in history.records)
-        assert all(r.duration_seconds >= 0 for r in history.records)
-        assert len(history.heads) == config.global_rounds
-        np.testing.assert_array_equal(history.heads[-1], arch.head_weight(model))
+        trained = run_fedavg(arch, shards, config)
+        assert isinstance(trained, Trajectory)
+        check_conformant_with_arch(arch, trained.model)
+        assert len(trained.round_timings) == config.global_rounds
+        assert all(t >= 0 for t in trained.round_timings)
+        assert trained.total_seconds >= sum(trained.round_timings)
+        assert len(trained.mean_losses) == config.global_rounds
+        assert len(trained.heads) == config.global_rounds
+        np.testing.assert_array_equal(trained.heads[-1], arch.head_weight(trained.model))
+        assert (trained.store_bytes_read, trained.eps_fallbacks) == (0, 0)
+
+    def test_one_log_record_per_round(self, arch, config, shards, caplog):
+        with caplog.at_level(logging.INFO, logger="fedunlearn.federation"):
+            run_fedavg(arch, shards, config)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == \
+            [f"round {r}/{config.global_rounds}" for r in range(1, config.global_rounds + 1)]
 
     def test_deterministic(self, arch, config, shards):
-        a, _ = run_fedavg(arch, shards, config)
-        b, _ = run_fedavg(arch, shards, config)
-        assert a == b
+        assert run_fedavg(arch, shards, config).model == run_fedavg(arch, shards, config).model
 
     def test_default_initial_model_is_seeded_build(self, arch, config, shards):
-        implicit, _ = run_fedavg(arch, shards, config)
-        explicit, _ = run_fedavg(
+        implicit = run_fedavg(arch, shards, config)
+        explicit = run_fedavg(
             arch, shards, config, initial_model=build_model(arch, config.seed)
         )
-        assert implicit == explicit
+        assert implicit.model == explicit.model
 
     def test_training_reduces_loss(self, arch, config, shards):
-        _, history = run_fedavg(arch, shards, config)
-        assert history.records[-1].mean_client_loss < history.records[0].mean_client_loss
+        losses = run_fedavg(arch, shards, config).mean_losses
+        assert losses[-1] < losses[0]
 
-    def test_exclusion_drops_participant_and_changes_model(self, arch, config, shards):
-        full, _ = run_fedavg(arch, shards, config)
-        partial, history = run_fedavg(arch, shards, config, exclude={2})
-        assert all(r.participants == (1, 3) for r in history.records)
-        assert partial != full
+    def test_exclusion_drops_participant_and_changes_model(self, arch, config, shards,
+                                                           monkeypatch):
+        # run_fedavg trains exactly the shards it is given: leave client 2's out
+        full = run_fedavg(arch, shards, config)
+        calls = []
+        real = federation.local_train
+
+        def recording(arch_, model_, shard_, config_, round_index, epochs=None):
+            calls.append((round_index, shard_.client_id))
+            return real(arch_, model_, shard_, config_, round_index, epochs)
+
+        monkeypatch.setattr(federation, "local_train", recording)
+        partial = run_fedavg(arch, [shards[2], shards[0]], config)
+        assert calls == [(r, c) for r in range(1, config.global_rounds + 1) for c in (1, 3)]
+        assert partial.model != full.model
 
     def test_sink_called_exactly_at_retained_rounds(self, arch, config, shards):
         sink = RecordingSink([1, 3])
         initial = build_model(arch, config.seed)
-        _, history = run_fedavg(arch, shards, config, initial_model=initial,
-                                retention_sink=sink)
+        trained = run_fedavg(arch, shards, config, initial_model=initial,
+                             retention_sink=sink)
         assert [r for r, _ in sink.calls] == [1, 3]
         for round_index, updates in sink.calls:
             assert sorted(u.client_id for u in updates) == [1, 2, 3]
             assert all(u.round_index == round_index for u in updates)
         # the stored round-1 updates are exactly what produced the round-1
-        # model: the whole of it, and the head the history kept
+        # model: the whole of it, and the head the trajectory kept
         first_round = sink.calls[0][1]
         reconstructed = param_linear(1.0, initial, 1.0, aggregate(first_round))
-        one_round, _ = run_fedavg(arch, shards,
-                                  replace(config, global_rounds=1, retain_interval=1),
-                                  initial_model=initial)
-        assert reconstructed == one_round
-        np.testing.assert_array_equal(history.heads[0], arch.head_weight(reconstructed))
+        one_round = run_fedavg(arch, shards,
+                               replace(config, global_rounds=1, retain_interval=1),
+                               initial_model=initial)
+        assert reconstructed == one_round.model
+        np.testing.assert_array_equal(trained.heads[0], arch.head_weight(reconstructed))
 
     def test_aggregation_mode_comes_from_the_config(self, arch, config, shards):
         literal = replace(config, aggregation="literal")
-        assert run_fedavg(arch, shards, literal)[0] != run_fedavg(arch, shards, config)[0]
+        assert run_fedavg(arch, shards, literal).model != run_fedavg(arch, shards, config).model
         sink = RecordingSink([1])
         initial = build_model(arch, config.seed)
-        model, _ = run_fedavg(arch, shards,
-                              replace(literal, global_rounds=1, retain_interval=1),
-                              initial_model=initial, retention_sink=sink)
-        assert model == param_linear(1.0, initial, 1.0,
+        trained = run_fedavg(arch, shards,
+                             replace(literal, global_rounds=1, retain_interval=1),
+                             initial_model=initial, retention_sink=sink)
+        assert trained.model == param_linear(1.0, initial, 1.0,
                                      aggregate(sink.calls[0][1], "literal"))
 
     def test_sink_with_exclusion_is_rejected(self, arch, config, shards):
-        with pytest.raises(ValueError, match="cannot exclude"):
-            run_fedavg(arch, shards, config, retention_sink=RecordingSink([1]),
-                       exclude={1})
+        with pytest.raises(ValueError, match="retention needs every client's updates"):
+            run_fedavg(arch, shards[1:], config, retention_sink=RecordingSink([1]))
 
     def test_sink_schedule_must_fit_run(self, arch, config, shards):
         with pytest.raises(ValueError, match="retention schedule"):
             run_fedavg(arch, shards, config, retention_sink=RecordingSink([99]))
 
-    def test_shards_must_cover_every_client(self, arch, config, shards):
-        with pytest.raises(ValueError, match="shards cover clients"):
-            run_fedavg(arch, shards[:2], config)
-
     def test_rejects_duplicate_shards(self, arch, config, shards):
         with pytest.raises(ValueError, match="duplicate client ids"):
             run_fedavg(arch, [shards[0]] * 3, config)
 
-    def test_rejects_unknown_exclusion(self, arch, config, shards):
-        with pytest.raises(ValueError, match="unknown clients"):
-            run_fedavg(arch, shards, config, exclude={7})
+    def test_rejects_unknown_client_ids(self, arch, config, shards):
+        stranger = ClientShard(7, shards[0].dataset)
+        with pytest.raises(ValueError, match=r"shards cover clients \[1, 7\]"):
+            run_fedavg(arch, [shards[0], stranger], config)
 
-    def test_rejects_excluding_everyone(self, arch, config, shards):
-        with pytest.raises(ValueError, match="every client"):
-            run_fedavg(arch, shards, config, exclude={1, 2, 3})
+    def test_rejects_excluding_everyone(self, arch, config):
+        with pytest.raises(ValueError, match=r"shards cover clients \[\]"):
+            run_fedavg(arch, [], config)

@@ -1,0 +1,27 @@
+"""README's "Library use" example runs as written, against the current API."""
+
+import re
+from pathlib import Path
+
+from fedunlearn.federation import Trajectory
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use_block() -> str:
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the example creates its store in the working directory
+    namespace: dict = {}
+    exec(compile(library_use_block(), str(README), "exec"), namespace)
+    config, store = namespace["config"], namespace["store"]
+    assert (tmp_path / "demo-store" / "manifest.json").exists()
+    for name in ("original", "erased", "retrained"):
+        assert isinstance(namespace[name], Trajectory), name
+    assert len(namespace["original"].mean_losses) == config.global_rounds
+    assert len(namespace["retrained"].heads) == config.global_rounds
+    assert len(namespace["erased"].heads) == len(store.retained_rounds)
+    assert namespace["erased"].mean_losses == ()

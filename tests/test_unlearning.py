@@ -12,7 +12,7 @@ import pytest
 
 import fedunlearn.unlearning as unlearning
 from fedunlearn.data import ClientShard, Dataset, FedConfig, partition_iid
-from fedunlearn.federation import ClientUpdate, aggregate, local_train, run_fedavg
+from fedunlearn.federation import ClientUpdate, Trajectory, aggregate, local_train, run_fedavg
 from fedunlearn.nn import (
     ArchSpec,
     Conv2d,
@@ -207,7 +207,8 @@ class TestFedAccum:
         arch, config, _, _, initial, _, store, _ = trained_run
         log = LoggingStore(store)
         result = fed_accum(arch, initial, log, config)
-        assert result.method == "accum"
+        assert isinstance(result, Trajectory)
+        assert result.mean_losses == ()  # a replay trains nothing
         assert log.requested  # something was read
         assert all(c != config.target_client for _, c in log.requested)
 
@@ -528,7 +529,9 @@ class TestFedRetrain:
     def test_excludes_target_and_reports_full_rounds(self, trained_run):
         arch, config, shards, _, _, original, _, _ = trained_run
         result = fed_retrain(arch, shards, config)
-        assert result.method == "retrain"
+        assert isinstance(result, Trajectory)
+        assert len(result.mean_losses) == config.global_rounds
+        assert result.store_bytes_read == 0
         assert len(result.heads) == config.global_rounds
         np.testing.assert_array_equal(result.heads[-1], arch.head_weight(result.model))
         assert len(result.round_timings) == config.global_rounds
@@ -549,20 +552,32 @@ class TestFedRetrain:
 
     def test_default_init_matches_run_seed(self, trained_run):
         arch, config, shards, _, initial, _, _, _ = trained_run
-        default = fed_retrain(arch, shards, config)
-        explicit = fed_retrain(arch, shards, config, seed=config.seed)
-        fresh = fed_retrain(arch, shards, config, seed=config.seed + 1)
-        assert default.model == explicit.model
-        assert default.model != fresh.model
-        assert build_model(arch, config.seed) == initial
+        remaining = [s for s in shards if s.client_id != config.target_client]
+        result = fed_retrain(arch, shards, config)
+        assert result.model == run_fedavg(arch, remaining, config, initial_model=initial).model
+        fresh = run_fedavg(arch, remaining, config,
+                           initial_model=build_model(arch, config.seed + 1))
+        assert result.model != fresh.model
+
+    def test_remaining_shards_alone_suffice(self, trained_run):
+        arch, config, shards, _, _, _, _, _ = trained_run
+        remaining = [s for s in shards if s.client_id != config.target_client]
+        assert fed_retrain(arch, remaining, config).model == \
+            fed_retrain(arch, shards, config).model
+
+    def test_rejects_missing_remaining_shard(self, trained_run):
+        arch, config, shards, _, _, _, _, _ = trained_run
+        only_target = [s for s in shards if s.client_id == config.target_client]
+        with pytest.raises(ValueError, match=r"shards missing for clients \[2, 3\]"):
+            fed_retrain(arch, only_target, config)
 
     def test_aggregation_mode_comes_from_the_config(self, trained_run):
         arch, config, shards, _, _, _, _, _ = trained_run
         literal = replace(config, aggregation="literal")
         result = fed_retrain(arch, shards, literal)
         assert result.model != fed_retrain(arch, shards, config).model
-        assert result.model == run_fedavg(arch, shards, literal,
-                                          exclude={config.target_client})[0]
+        remaining = [s for s in shards if s.client_id != config.target_client]
+        assert result.model == run_fedavg(arch, remaining, literal).model
 
 
 class TestExpectedSpeedup:
