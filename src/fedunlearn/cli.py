@@ -1,5 +1,9 @@
 """Command-line entry point: config parsing, run orchestration, artifacts.
 
+Each stage calls the package (the attack is evaluation.membership_attack)
+and reads and writes the run directory. `report RUN` takes its scenario
+from RUN/scenario.ini alone; every subcommand but `sweep` takes --resume.
+
 A run lives in one output directory:
 
     run.log                     stage log (timestamps; not part of the
@@ -42,18 +46,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClientShard, Dataset, FedConfig, prepare_data, subsample
+from .data import ClientShard, Dataset, FedConfig, prepare_data
 from .evaluation import (
     MethodMetrics,
     accuracy_and_loss,
     angle_deviation,
-    attack_metrics,
     batched_probs,
-    build_membership_features,
     evaluate,
     last_layer_angles,
     mean_probability_distance,
-    train_attack,
+    membership_attack,
     write_csv,
     write_metrics_csv,
     write_report_json,
@@ -73,7 +75,6 @@ from .nn import (
     save_params,
 )
 from .retention import RetentionStore, StoreFingerprint
-from .seeds import derive_seed
 from .unlearning import (
     expected_speedup,
     fed_accum,
@@ -423,59 +424,24 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         logger.info("%s finished in %.2fs", name, result.total_seconds)
 
 
+def _stored_models(run: Run) -> dict[str, ParamSet]:
+    """The original model and every reconstruction present, loaded once."""
+    if not run.model_path("original").exists():
+        raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
+    return {name: load_params(run.model_path(name))
+            for name in ("original",) + METHODS if run.model_path(name).exists()}
+
+
 def _attack(run: Run, resume: bool) -> None:
-    scenario, arch, test = run.scenario, run.arch, run.test
     attack_path = run.out_dir / "attack.json"
     if resume and attack_path.exists():
         logger.info("attack artifacts already present; skipping")
         return
-    if not run.model_path("original").exists():
-        raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
-    original = load_params(run.model_path("original"))
-
-    members = [s for s in run.shards if s.client_id != scenario.target_client]
-    member_train = Dataset(
-        "members",
-        np.concatenate([s.dataset.inputs for s in members]),
-        np.concatenate([s.dataset.labels for s in members]),
-        run.train.num_classes,
-    )
-    rng = np.random.default_rng(derive_seed(scenario.seed, "attack-split"))
-    order = rng.permutation(test.num_samples)
-    half = test.num_samples // 2
-    fit_holdout = test.subset(np.sort(order[:half]))
-    eval_holdout = test.subset(np.sort(order[half:]))
-    # the member pool dwarfs the held-out one; an attack fitted on the raw
-    # pools just learns the base rate and calls everything a member
-    fit_size = min(member_train.num_samples, fit_holdout.num_samples)
-    member_fit = subsample(member_train, fit_size,
-                           derive_seed(scenario.seed, "attack-fit"))
-    nonmember_fit = subsample(fit_holdout, fit_size,
-                              derive_seed(scenario.seed, "attack-fit"))
-
-    attack = train_attack(
-        build_membership_features(arch, original, member_fit),
-        build_membership_features(arch, original, nonmember_fit),
-        seed=scenario.seed,
-        hidden=scenario.attack_hidden,
-        epochs=scenario.attack_epochs,
-        learning_rate=scenario.attack_learning_rate,
-    )
-
-    results = {}
-    for name in ("original",) + METHODS:
-        path = run.model_path(name)
-        if not path.exists():
-            continue
-        model = load_params(path)
-        results[name] = attack_metrics(
-            attack, arch, model, run.target_shard.dataset, eval_holdout,
-            seed=scenario.seed,
-        )
-        logger.info(
-            "attack on %s: precision %.3f recall %.3f f1 %.3f",
-            name, results[name]["precision"], results[name]["recall"], results[name]["f1"],
-        )
+    results = membership_attack(run.arch, _stored_models(run), run.shards, run.test,
+                                run.scenario)
+    for name, scores in results.items():
+        logger.info("attack on %s: precision %.3f recall %.3f f1 %.3f",
+                    name, scores["precision"], scores["recall"], scores["f1"])
     write_report_json(attack_path, results)
 
 
@@ -512,14 +478,7 @@ def _report(run: Run, resume: bool) -> dict | None:
         logger.info("report already present; skipping")
         return None
     target = run.target_shard.dataset
-
-    models = {}
-    for name in ("original",) + METHODS:
-        path = run.model_path(name)
-        if path.exists():
-            models[name] = load_params(path)
-    if "original" not in models:
-        raise FileNotFoundError(f"no trained model under {out_dir}; run `train` first")
+    models = _stored_models(run)
     retrain = models.get("retrain")
 
     attack_results = {}
@@ -671,13 +630,6 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Entry point
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-    sub.add_argument("--seed", type=int, default=None, help="override [federation] seed")
-    sub.add_argument("--resume", action="store_true",
-                     help="skip stages whose artifacts already exist")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedunlearn",
@@ -689,36 +641,40 @@ def build_parser() -> argparse.ArgumentParser:
         ("unlearn", "reconstruct models without the target client"),
         ("attack", "membership inference against the stored models"),
         ("run", "train, unlearn, attack, and report in one go"),
+        ("report", "write report.json and metrics.csv"),
+        ("sweep", "vary one knob and compare cost/utility"),
     ):
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("config", help="scenario INI file")
-        _add_common(sub)
+        if name == "report":
+            sub.add_argument("run_dir", help="run directory; its scenario.ini is the scenario")
+        else:
+            sub.add_argument("config", help="scenario INI file")
+            sub.add_argument("--out", default=None,
+                             help="output directory (overrides [output] dir)")
+            sub.add_argument("--seed", type=int, default=None,
+                             help="override [federation] seed")
+        if name != "sweep":
+            sub.add_argument("--resume", action="store_true",
+                             help="skip stages whose artifacts already exist")
         if name == "unlearn":
             sub.add_argument("--method", action="append", choices=METHODS,
                              help="repeatable; default is all three methods")
-    report = commands.add_parser("report", help="write report.json and metrics.csv")
-    report.add_argument("run_dir", help="run directory produced by earlier stages")
-    _add_common(report)
-    sweep = commands.add_parser("sweep", help="vary one knob and compare cost/utility")
-    sweep.add_argument("config", help="scenario INI file")
-    _add_common(sweep)
-    sweep.add_argument("--param", required=True, choices=SWEEP_FIELDS)
-    sweep.add_argument("--values", required=True,
-                       help="comma-separated values, e.g. 0.1,0.5,1.0")
+        if name == "sweep":
+            sub.add_argument("--param", required=True, choices=SWEEP_FIELDS)
+            sub.add_argument("--values", required=True,
+                             help="comma-separated values, e.g. 0.1,0.5,1.0")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides: dict[str, object] = {"seed": args.seed, "out_dir": args.out}
         if args.command == "report":
             config_path = Path(args.run_dir) / "scenario.ini"
-            if args.out is None:
-                overrides["out_dir"] = args.run_dir
+            scenario = parse_scenario(config_path, {"out_dir": args.run_dir})
         else:
             config_path = Path(args.config)
-        scenario = parse_scenario(config_path, overrides)
+            scenario = parse_scenario(config_path, {"seed": args.seed, "out_dir": args.out})
         out_dir = Path(scenario.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         setup_logging(out_dir)

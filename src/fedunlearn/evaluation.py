@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import ClientShard, Dataset, FedConfig, subsample
 from .nn import (
     ArchSpec,
     Batch,
@@ -255,6 +255,45 @@ def attack_metrics(
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + int((~pred_nonmembers).sum())) / (2 * size)
     return {"precision": precision, "recall": recall, "f1": f1, "accuracy": accuracy}
+
+
+def membership_attack(
+    arch: ArchSpec,
+    models: Mapping[str, ParamSet],
+    shards: Sequence[ClientShard],
+    test: Dataset,
+    config: FedConfig,
+) -> dict[str, dict[str, float]]:
+    """attack_metrics of one attack, fitted on models["original"], against
+    every model in `models`.
+
+    The test set is split in half (seeded): the attack is fitted on the
+    remaining clients' records against one half, and each model is scored
+    on the target client's shard against the other half.
+    """
+    members = [s.dataset for s in shards if s.client_id != config.target_client]
+    member_train = Dataset("members", np.concatenate([ds.inputs for ds in members]),
+                           np.concatenate([ds.labels for ds in members]), test.num_classes)
+    rng = np.random.default_rng(derive_seed(config.seed, "attack-split"))
+    order = rng.permutation(test.num_samples)
+    half = test.num_samples // 2
+    fit_holdout = test.subset(np.sort(order[:half]))
+    eval_holdout = test.subset(np.sort(order[half:]))
+    # the member pool dwarfs the held-out one; an attack fitted on the raw
+    # pools just learns the base rate and calls everything a member
+    fit_size = min(member_train.num_samples, fit_holdout.num_samples)
+    fit_seed = derive_seed(config.seed, "attack-fit")
+    attack = train_attack(
+        build_membership_features(arch, models["original"],
+                                  subsample(member_train, fit_size, fit_seed)),
+        build_membership_features(arch, models["original"],
+                                  subsample(fit_holdout, fit_size, fit_seed)),
+        seed=config.seed, hidden=config.attack_hidden, epochs=config.attack_epochs,
+        learning_rate=config.attack_learning_rate,
+    )
+    target = next(s for s in shards if s.client_id == config.target_client).dataset
+    return {name: attack_metrics(attack, arch, model, target, eval_holdout, seed=config.seed)
+            for name, model in models.items()}
 
 
 # ---------------------------------------------------------------------------

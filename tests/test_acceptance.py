@@ -28,21 +28,13 @@ from fedunlearn.data import (
     load_dataset,
     make_synthetic,
     partition_iid,
-    subsample,
     train_test_split,
 )
-from fedunlearn.evaluation import (
-    attack_metrics,
-    build_membership_features,
-    evaluate,
-    last_layer_angles,
-    train_attack,
-)
+from fedunlearn.evaluation import evaluate, last_layer_angles, membership_attack
 from fedunlearn import federation
 from fedunlearn.federation import run_fedavg
 from fedunlearn.nn import ParamSet, adult_arch, build_model, dense_arch
 from fedunlearn.retention import RetentionStore, StoreFingerprint, schedule
-from fedunlearn.seeds import derive_seed
 from fedunlearn.unlearning import (
     calibrate_update,
     fed_accum,
@@ -88,44 +80,11 @@ def _reconstruction_suite(tmp: Path, arch, shards, config, with_accum=True):
                                  accum=accum, retrain=retrain)
 
 
-def _attack_f1(arch, models, shards, test, config,
-               epochs=30, hidden=16, learning_rate=0.1):
-    """Member-class F1 of one fitted attack against several victim models.
-
-    Same composition as the attack stage of the CLI: the attack trains on
-    the original model's features of non-target training samples versus one
-    half of the test split (both subsampled to a balanced pool), and is
-    evaluated on the target shard versus the other half.
-    """
-    target = config.target_client
-    members = Dataset(
-        "members",
-        np.concatenate([s.dataset.inputs for s in shards if s.client_id != target]),
-        np.concatenate([s.dataset.labels for s in shards if s.client_id != target]),
-        test.num_classes,
-    )
-    rng = np.random.default_rng(derive_seed(config.seed, "attack-split"))
-    order = rng.permutation(test.num_samples)
-    half = test.num_samples // 2
-    fit_holdout = test.subset(np.sort(order[:half]))
-    eval_holdout = test.subset(np.sort(order[half:]))
-    fit_size = min(members.num_samples, fit_holdout.num_samples)
-    attack = train_attack(
-        build_membership_features(
-            arch, models["original"],
-            subsample(members, fit_size, derive_seed(config.seed, "attack-fit"))),
-        build_membership_features(
-            arch, models["original"],
-            subsample(fit_holdout, fit_size, derive_seed(config.seed, "attack-fit"))),
-        seed=config.seed, hidden=hidden, epochs=epochs,
-        learning_rate=learning_rate,
-    )
-    target_data = next(s for s in shards if s.client_id == target).dataset
-    return {
-        name: attack_metrics(attack, arch, model, target_data, eval_holdout,
-                             seed=config.seed)["f1"]
-        for name, model in models.items()
-    }
+def _attack_f1(arch, models, shards, test, config):
+    """Member-class F1 of the CLI's attack stage, one attack fitted on the
+    original model, against each of `models`."""
+    return {name: scores["f1"] for name, scores in
+            membership_attack(arch, models, shards, test, config).items()}
 
 
 # ---------------------------------------------------------------------------

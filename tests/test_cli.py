@@ -764,6 +764,28 @@ class TestMainErrors:
         assert "no trained model" in record["message"]
         assert "run `train` first" in record["message"]
 
+    @pytest.mark.parametrize("command,flags", [
+        ("report", ["--seed", "9"]),  # would score the run's models on seed 9's data
+        ("report", ["--out", "elsewhere"]),
+        ("sweep", ["--resume"]),  # would train every point again
+    ])
+    def test_flags_a_subcommand_does_not_take_are_refused(self, tmp_path, monkeypatch,
+                                                          command, flags):
+        monkeypatch.chdir(tmp_path)
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "out"
+        if command == "report":
+            assert main(["train", str(ini), "--out", str(out)]) == 0
+            args = [str(out), *flags]
+        else:
+            args = [str(ini), "--out", str(out), "--param", "ratio", "--values", "0.5", *flags]
+        with pytest.raises(SystemExit) as refused:
+            main([command, *args])
+        assert refused.value.code == 2
+        assert not (out / "report.json").exists()
+        assert not (out / "ratio_0.5").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
     def test_seed_flag_overrides_the_file(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"

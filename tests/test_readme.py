@@ -25,3 +25,8 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     assert len(namespace["retrained"].heads) == config.global_rounds
     assert len(namespace["erased"].heads) == len(store.retained_rounds)
     assert namespace["erased"].mean_losses == ()
+    scores = namespace["scores"]
+    assert list(scores) == list(namespace["models"])
+    for record in scores.values():
+        assert set(record) == {"precision", "recall", "f1", "accuracy"}
+        assert all(0.0 <= value <= 1.0 for value in record.values())
