@@ -1,16 +1,18 @@
 """Command-line entry point: config parsing, run orchestration, artifacts.
 
 Each stage calls the package (the attack is evaluation.membership_attack)
-and reads and writes the run directory. `report RUN` takes its scenario
-from RUN/scenario.ini alone; every subcommand but `sweep` takes --resume.
+and reads and writes the run directory. `train`, `run` and `sweep` take a
+scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
+`report RUN` take their scenario from RUN/scenario.ini alone. Every
+subcommand but `sweep` takes --resume.
 
 A run lives in one output directory:
 
     run.log                     stage log (timestamps; not part of the
                                 deterministic surface)
-    scenario.ini                the effective scenario (--seed and --out
-                                applied; the source file itself when they
-                                change nothing but the output directory)
+    scenario.ini                the scenario the run was trained under
+                                (--seed and --out applied), written by
+                                training alone
     manifest.json               dataset/architecture/schedule summary
     retention/                  stored per-client updates
     models/*.fesp               initial, original, and reconstructed models
@@ -181,22 +183,6 @@ def format_scenario(scenario: FedConfig) -> str:
                      for section, lines in sections.items())
 
 
-def persist_scenario(config_path: Path, scenario: FedConfig, out_dir: Path) -> None:
-    """Record the run's effective scenario as out_dir/scenario.ini, so later
-    stages and `report` score with the settings the run used. The source
-    file is copied as it is, comments included, when the overrides change
-    nothing but the output directory, which a run directory's own stages
-    take from the directory itself."""
-    dest = out_dir / "scenario.ini"
-    if config_path.resolve() == dest.resolve():
-        return
-    if dataclasses.replace(parse_scenario(config_path),
-                           out_dir=scenario.out_dir) == scenario:
-        atomic_write(dest, config_path.read_bytes())
-    else:
-        atomic_write(dest, format_scenario(scenario).encode())
-
-
 # ---------------------------------------------------------------------------
 # Shared setup
 
@@ -321,19 +307,27 @@ def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> No
 _SCORES = ("attack.json", "report.json", "metrics.csv")
 # Everything in a run directory derived from its training. A training that
 # runs deletes them, so none of them can pair with the new one.
-_TRAINING_DERIVED = ("retention", "timings.csv",
-                     *(f"models/{m}.fesp" for m in METHODS), "heads",
+_TRAINING_DERIVED = ("retention", "timings.csv", "manifest.json", "models", "heads",
                      "unlearn.json", *_SCORES)
 
 
 def _train(run: Run, resume: bool) -> None:
+    """Train unless `resume` finds this scenario's training complete in the
+    run directory; a training that runs starts a clean directory and
+    records the scenario in it before training."""
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
-    store_dir = out_dir / "retention"
+    store_dir, scenario_path = out_dir / "retention", out_dir / "scenario.ini"
     fingerprint = StoreFingerprint.of(arch, scenario)
     if resume and all(path.exists() for path in (
-            run.model_path("original"), run.model_path("initial"), store_dir / "manifest.json")):
+            scenario_path, run.model_path("original"), run.model_path("initial"),
+            store_dir / "manifest.json")):
+        recorded = dataclasses.asdict(parse_scenario(scenario_path))
+        changed = {name: value for name, value in recorded.items()
+                   if name != "out_dir" and value != getattr(scenario, name)}
         found = RetentionStore.open(store_dir)
-        if found.fingerprint != fingerprint:
+        if changed:
+            logger.warning("training again: the run directory was trained with %s", changed)
+        elif found.fingerprint != fingerprint:
             logger.warning("training again: the run directory was trained for %s, not %s",
                            found.fingerprint, fingerprint)
         elif not found.is_complete():
@@ -348,12 +342,13 @@ def _train(run: Run, resume: bool) -> None:
         else:
             path.unlink(missing_ok=True)
     store = RetentionStore.create(store_dir, fingerprint)
+    atomic_write(scenario_path, format_scenario(scenario).encode())
 
     initial = build_model(arch, scenario.seed)
     trained = run_fedavg(arch, run.shards, scenario, initial_model=initial,
                          retention_sink=store)
 
-    (out_dir / "models").mkdir(parents=True, exist_ok=True)
+    (out_dir / "models").mkdir()
     save_params(initial, run.model_path("initial"))
     save_params(trained.model, run.model_path("original"))
     test_acc, test_loss = evaluate(arch, trained.model, run.test, scenario.eval_batch_size)
@@ -601,8 +596,10 @@ def run_sweep(
         try:
             if kind is int and kind(value) != value:
                 raise ConfigError(f"{field_name} takes whole numbers, not {value:g}")
-            point = dataclasses.replace(scenario, **{field_name: kind(value)})
-            run = Run.build(point, out_dir / f"{param}_{format(value, 'g')}")
+            point_dir = out_dir / f"{param}_{format(value, 'g')}"
+            point = dataclasses.replace(scenario, out_dir=str(point_dir),
+                                        **{field_name: kind(value)})
+            run = Run.build(point, point_dir)
             _train(run, resume=False)
             _unlearn(run, resume=False, methods=("eraser", "retrain"))
             report = _report(run, resume=False)
@@ -630,6 +627,10 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Entry point
 
+# subcommands that act on a trained run directory and take its scenario.ini
+RUN_DIR_COMMANDS = ("unlearn", "attack", "report")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedunlearn",
@@ -645,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "vary one knob and compare cost/utility"),
     ):
         sub = commands.add_parser(name, help=help_text)
-        if name == "report":
+        if name in RUN_DIR_COMMANDS:
             sub.add_argument("run_dir", help="run directory; its scenario.ini is the scenario")
         else:
             sub.add_argument("config", help="scenario INI file")
@@ -669,16 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            config_path = Path(args.run_dir) / "scenario.ini"
-            scenario = parse_scenario(config_path, {"out_dir": args.run_dir})
+        if args.command in RUN_DIR_COMMANDS:
+            scenario = parse_scenario(Path(args.run_dir) / "scenario.ini",
+                                      {"out_dir": args.run_dir})
         else:
-            config_path = Path(args.config)
-            scenario = parse_scenario(config_path, {"seed": args.seed, "out_dir": args.out})
+            scenario = parse_scenario(args.config, {"seed": args.seed, "out_dir": args.out})
         out_dir = Path(scenario.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         setup_logging(out_dir)
-        persist_scenario(config_path, scenario, out_dir)
 
         if args.command == "train":
             run_train(scenario, out_dir, args.resume)

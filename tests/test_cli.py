@@ -298,9 +298,9 @@ def pipelines(tmp_path_factory):
     run_dir = base / "combined"
     stage_dir = base / "staged"
     assert main(["run", str(ini), "--out", str(run_dir)]) == 0
-    for command in ("train", "unlearn", "attack"):
-        assert main([command, str(ini), "--out", str(stage_dir)]) == 0
-    assert main(["report", str(stage_dir)]) == 0
+    assert main(["train", str(ini), "--out", str(stage_dir)]) == 0
+    for command in ("unlearn", "attack", "report"):
+        assert main([command, str(stage_dir)]) == 0
     return ini, run_dir, stage_dir
 
 
@@ -315,7 +315,10 @@ class TestArtifacts:
             "models/eraser.fesp", "models/accum.fesp", "models/retrain.fesp",
         ):
             assert (run_dir / rel).exists(), rel
-        assert (run_dir / "scenario.ini").read_text() == ini.read_text()
+        # training records the scenario it ran, in the one canonical form
+        scenario = parse_scenario(ini, {"out_dir": str(run_dir)})
+        assert parse_scenario(run_dir / "scenario.ini") == scenario
+        assert (run_dir / "scenario.ini").read_bytes() == cli.format_scenario(scenario).encode()
 
     def test_state_trajectories(self, pipelines):
         _, run_dir, _ = pipelines
@@ -509,7 +512,7 @@ class TestResume:
         (out / "heads" / "eraser.fesp").unlink()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
-            assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+            assert main(["unlearn", str(out), "--resume"]) == 0
         finished = [r.getMessage().split()[0] for r in caplog.records
                     if r.name == "fedunlearn.cli" and " finished in " in r.getMessage()]
         assert finished == ["eraser"]
@@ -520,7 +523,7 @@ class TestResume:
         out = tmp_path / "out"
         assert main(["run", str(ini), "--out", str(out)]) == 0
         (out / "heads" / "eraser.fesp").unlink()
-        assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+        assert main(["unlearn", str(out), "--resume"]) == 0
         assert (out / "heads" / "eraser.fesp").exists()
         assert main(["report", str(out)]) == 0
         angles = json.loads((out / "report.json").read_text())["angles"]
@@ -530,7 +533,9 @@ class TestResume:
     @pytest.mark.parametrize("text,flags", [
         (TINY_INI, ["--seed", "9"]),
         (TINY_INI.replace("retain_interval = 2", "retain_interval = 1"), []),
-    ], ids=["seed", "schedule"])
+        # outside the store's fingerprint: only the recorded scenario tells
+        (TINY_INI.replace("learning_rate = 0.1", "learning_rate = 0.02"), []),
+    ], ids=["seed", "schedule", "learning_rate"])
     def test_resume_under_another_scenario_trains_again(self, tmp_path, caplog, text, flags):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
@@ -543,6 +548,41 @@ class TestResume:
         assert main(["train", str(ini), "--out", str(fresh), *flags]) == 0
         for rel in ("models/initial.fesp", "models/original.fesp", "retention/manifest.json"):
             assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+    def test_resume_under_another_target_redoes_every_stage(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        target_3 = write_ini(tmp_path, TINY_INI.replace("target_client = 1", "target_client = 3"),
+                             name="target_3.ini")
+        assert main(["run", str(target_3), "--out", str(out), "--resume"]) == 0
+        assert main(["run", str(target_3), "--out", str(fresh)]) == 0
+        for name in ("initial", "original", *METHODS):
+            rel = f"models/{name}.fesp"
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        methods = [json.loads((run / "report.json").read_text())["methods"]
+                   for run in (out, fresh)]
+        assert methods[0] == methods[1]
+
+    def test_resume_after_a_training_cut_short_trains_again(self, tmp_path, monkeypatch):
+        # the new training's store is complete and its scenario.ini written
+        # when saving its models fails: the old models must not pass for its own
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        ini = write_ini(tmp_path, TINY_INI.replace("learning_rate = 0.1", "learning_rate = 0.02"),
+                        name="other.ini")
+
+        def cut_short(params, path):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "save_params", cut_short)
+            assert main(["train", str(ini), "--out", str(out)]) == 1
+        assert main(["train", str(ini), "--out", str(out), "--resume"]) == 0
+        assert main(["train", str(ini), "--out", str(fresh)]) == 0
+        for rel in ("models/initial.fesp", "models/original.fesp", "manifest.json"):
+            assert (out / rel).exists(), rel
+        assert ((out / "models" / "original.fesp").read_bytes()
+                == (fresh / "models" / "original.fesp").read_bytes())
 
     def test_resume_rebuilds_a_store_without_norms(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
@@ -650,16 +690,14 @@ class TestUnlearnCommand:
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"
         assert main(["train", str(ini), "--out", str(out)]) == 0
-        assert main(["unlearn", str(ini), "--out", str(out),
-                     "--method", "eraser", "--method", "retrain"]) == 0
+        assert main(["unlearn", str(out), "--method", "eraser", "--method", "retrain"]) == 0
         assert (out / "models" / "eraser.fesp").exists()
         assert (out / "models" / "retrain.fesp").exists()
         assert not (out / "models" / "accum.fesp").exists()
         summary = json.loads((out / "unlearn.json").read_text())
         assert set(summary) == {"eraser", "retrain"}
 
-        assert main(["unlearn", str(ini), "--out", str(out),
-                     "--method", "accum"]) == 0
+        assert main(["unlearn", str(out), "--method", "accum"]) == 0
         assert (out / "models" / "accum.fesp").exists()
 
     def test_one_method_rerun_keeps_the_other_records(self, tmp_path):
@@ -667,7 +705,7 @@ class TestUnlearnCommand:
         out = tmp_path / "out"
         assert main(["run", str(ini), "--out", str(out)]) == 0
         before = json.loads((out / "unlearn.json").read_text())
-        assert main(["unlearn", str(ini), "--out", str(out), "--method", "accum"]) == 0
+        assert main(["unlearn", str(out), "--method", "accum"]) == 0
         after = json.loads((out / "unlearn.json").read_text())
         assert set(after) == set(METHODS)
         assert after["eraser"] == before["eraser"]
@@ -679,9 +717,9 @@ class TestUnlearnCommand:
         assert main(["run", str(ini), "--out", str(out)]) == 0
         scores = [out / "attack.json", out / "report.json", out / "metrics.csv"]
         before = [os.stat(p).st_mtime_ns for p in scores]
-        assert main(["unlearn", str(ini), "--out", str(out), "--resume"]) == 0
+        assert main(["unlearn", str(out), "--resume"]) == 0
         assert [os.stat(p).st_mtime_ns for p in scores] == before
-        assert main(["unlearn", str(ini), "--out", str(out), "--method", "eraser"]) == 0
+        assert main(["unlearn", str(out), "--method", "eraser"]) == 0
         for path in scores:
             assert not path.exists(), path.name
         assert main(["report", str(out)]) == 0
@@ -694,7 +732,7 @@ class TestUnlearnCommand:
         out = tmp_path / "out"
         assert main(["train", str(ini), "--out", str(out)]) == 0
         shutil.rmtree(out / "retention")
-        assert main(["unlearn", str(ini), "--out", str(out), "--method", "retrain"]) == 0
+        assert main(["unlearn", str(out), "--method", "retrain"]) == 0
         assert (out / "models" / "retrain.fesp").exists()
         summary = json.loads((out / "unlearn.json").read_text())
         assert len(summary["retrain"]["round_timings"]) == 4
@@ -710,9 +748,17 @@ class TestUnlearnCommand:
             main(["unlearn", str(ini), "--method", "osmosis"])
 
     def test_unlearn_before_train_fails(self, tmp_path, capsys):
-        ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"
-        assert main(["unlearn", str(ini), "--out", str(out)]) == 1
+        out.mkdir()
+        # no scenario.ini: not a run directory
+        assert main(["unlearn", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "no such config file" in record["message"]
+        assert not (out / "run.log").exists()
+        # a scenario but no training
+        write_ini(out, TINY_INI)
+        assert main(["unlearn", str(out)]) == 1
         record = last_stderr_record(capsys)
         assert record["error"] == "FileNotFoundError"
         assert "run `train` first" in record["message"]
@@ -755,10 +801,15 @@ class TestMainErrors:
     def test_scoring_before_train_fails(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         out.mkdir()
-        ini = write_ini(out, TINY_INI)
-        # report reads the scenario from the run directory
-        args = [str(ini), "--out", str(out)] if command == "attack" else [str(out)]
-        assert main([command, *args]) == 1
+        # no scenario.ini: not a run directory
+        assert main([command, str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "no such config file" in record["message"]
+        assert not (out / "run.log").exists()
+        # a scenario but no training
+        write_ini(out, TINY_INI)
+        assert main([command, str(out)]) == 1
         record = last_stderr_record(capsys)
         assert record["error"] == "FileNotFoundError"
         assert "no trained model" in record["message"]
@@ -768,21 +819,29 @@ class TestMainErrors:
         ("report", ["--seed", "9"]),  # would score the run's models on seed 9's data
         ("report", ["--out", "elsewhere"]),
         ("sweep", ["--resume"]),  # would train every point again
+        ("attack", ["--seed", "9"]),  # would score the seed-5 models on seed 9's data
+        ("attack", ["--out", "elsewhere"]),
+        ("unlearn", ["--seed", "9"]),  # would retrain under seed 9 beside seed-5 models
     ])
     def test_flags_a_subcommand_does_not_take_are_refused(self, tmp_path, monkeypatch,
                                                           command, flags):
         monkeypatch.chdir(tmp_path)
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"
-        if command == "report":
+        if command == "sweep":
+            args = [str(ini), "--out", str(out), "--param", "ratio", "--values", "0.5", *flags]
+            scenario = None
+        else:
             assert main(["train", str(ini), "--out", str(out)]) == 0
             args = [str(out), *flags]
-        else:
-            args = [str(ini), "--out", str(out), "--param", "ratio", "--values", "0.5", *flags]
+            scenario = (out / "scenario.ini").read_bytes()
         with pytest.raises(SystemExit) as refused:
             main([command, *args])
         assert refused.value.code == 2
-        assert not (out / "report.json").exists()
+        if scenario is not None:
+            assert (out / "scenario.ini").read_bytes() == scenario
+        for rel in ("report.json", "attack.json", "unlearn.json"):
+            assert not (out / rel).exists(), rel
         assert not (out / "ratio_0.5").exists()
         assert not (tmp_path / "elsewhere").exists()
 
@@ -883,6 +942,20 @@ class TestSweep:
             column = key if key.endswith("speedup") else f"{key}_seconds"
             assert row[column] == format(report["timings"][key], ".6f")
         assert (out / f"{param}_{value}" / "metrics.csv").exists()
+
+    def test_each_point_is_a_run_directory(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(ini), "--out", str(out),
+                     "--param", "ratio", "--values", "0.5"]) == 0
+        point = out / "ratio_0.5"
+        assert parse_scenario(point / "scenario.ini") == dataclasses.replace(
+            parse_scenario(ini), calibration_ratio=0.5, out_dir=str(point))
+        assert not (out / "scenario.ini").exists()  # the sweep itself is not a run
+        assert main(["attack", str(point)]) == 0
+        assert main(["report", str(point)]) == 0
+        report = json.loads((point / "report.json").read_text())
+        assert set(report["attack"]) == {"original", "eraser", "retrain"}
 
     def test_ratios_with_the_same_calibration_epochs_warn(self, tmp_path, caplog):
         ini = write_ini(tmp_path, TINY_INI)

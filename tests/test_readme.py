@@ -1,8 +1,13 @@
-"""README's "Library use" example runs as written, against the current API."""
+"""README's "Library use" example runs as written, and its `fedunlearn`
+commands parse, against the current API and CLI."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from fedunlearn import cli
 from fedunlearn.federation import Trajectory
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +35,27 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     for record in scores.values():
         assert set(record) == {"precision", "recall", "f1", "accuracy"}
         assert all(0.0 <= value <= 1.0 for value in record.values())
+
+
+def readme_commands() -> list[str]:
+    """Every `fedunlearn` command of README's `sh` blocks, continuation
+    lines joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["fedunlearn"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {words[0] for words in commands} == {
+        "run", "train", "unlearn", "attack", "report", "sweep"}
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fedunlearn {shlex.join(words)}")
