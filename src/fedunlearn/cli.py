@@ -363,6 +363,8 @@ def _train(run: Run, resume: bool) -> None:
         "test_samples": run.test.num_samples,
         "client_sample_counts": {s.client_id: s.sample_count for s in run.shards},
         "final_train_loss": trained.mean_losses[-1],
+        "sgd_steps": trained.sgd_steps,
+        "sample_grads": trained.sample_grads,
         "original_test_accuracy": test_acc,
         "original_test_loss": test_loss,
     }
@@ -412,6 +414,8 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
             "round_timings": list(result.round_timings),
             "calibration_rounds": len(result.heads),
             "store_bytes_read": result.store_bytes_read,
+            "sgd_steps": result.sgd_steps,
+            "sample_grads": result.sample_grads,
         }
         if name == "eraser":
             summary[name]["eps_fallbacks"] = result.eps_fallbacks

@@ -28,6 +28,9 @@ class ClientUpdate:
     delta: ParamSet
     sample_count: int
     train_loss: float | None = None
+    # the local SGD that made the delta; 0 for an update read back from a store
+    sgd_steps: int = 0
+    sample_grads: int = 0
 
     def __post_init__(self):
         if self.client_id < 1:
@@ -51,6 +54,8 @@ class Trajectory:
     mean_losses: tuple[float, ...] = ()  # mean client train loss per round; none for replays
     store_bytes_read: int = 0  # retention blob bytes read
     eps_fallbacks: int = 0  # stored tensors the eraser kept uncalibrated
+    sgd_steps: int = 0  # local SGD steps of every client, summed
+    sample_grads: int = 0  # per-sample gradients those steps took
 
 
 class UpdateSink(Protocol):
@@ -102,6 +107,8 @@ def local_train(
         delta=delta,
         sample_count=n,
         train_loss=float(np.mean(losses)),
+        sgd_steps=len(losses),
+        sample_grads=epochs * n,  # each epoch steps over every row once
     )
 
 
@@ -212,6 +219,26 @@ def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamS
     return total.result()
 
 
+def _work(update: ClientUpdate) -> tuple[float, int, int]:
+    """What a round records of one client's update once its delta is spent."""
+    return update.train_loss, update.sgd_steps, update.sample_grads
+
+
+def _folded_round(arch: ArchSpec, model: ParamSet, shards: Sequence[ClientShard],
+                  config: FedConfig, round_index: int) -> tuple[ParamSet, list[tuple]]:
+    """One round whose updates nothing stores: each client, in ascending id,
+    trains and its delta is added to the round sum at once. Returns the
+    aggregate, bit for bit :func:`aggregate`'s, and each client's `_work`."""
+    total = RoundSum(((s.client_id, s.sample_count) for s in shards), config.aggregation)
+    work = []
+    for shard in shards:
+        update = local_train(arch, model, shard, config, round_index)
+        total.add(shard.client_id, update.delta._layout, update.delta.vector)
+        work.append(_work(update))
+        del update  # before the next client trains
+    return total.result(), work
+
+
 def run_fedavg(
     arch: ArchSpec,
     shards: Sequence[ClientShard],
@@ -224,7 +251,9 @@ def run_fedavg(
     `config.aggregation` mode, and the weighted delta is added to the global
     model. When a retention sink is given, the shards must be every
     client's, and the full per-client update list is handed to it at each
-    of its retained rounds."""
+    of its retained rounds, then aggregated. Every other round is folded:
+    each delta goes into the round's :class:`RoundSum` as soon as its client
+    has trained, so the round holds one client's update at a time."""
     start = time.perf_counter()
     by_id = {s.client_id: s for s in shards}
     if len(by_id) != len(shards):
@@ -247,15 +276,29 @@ def run_fedavg(
     timings: list[float] = []
     heads: list[np.ndarray] = []
     losses: list[float] = []
+    sgd_steps = sample_grads = 0
     for round_index in range(1, config.global_rounds + 1):
         round_start = time.perf_counter()
-        updates = [
-            local_train(arch, model, by_id[cid], config, round_index) for cid in participants
-        ]
-        if retention_sink is not None and round_index in retained:
+        updates = None  # the round's update list, where a sink takes it
+        if round_index in retained:
+            updates = [
+                local_train(arch, model, by_id[cid], config, round_index) for cid in participants
+            ]
             retention_sink.store_round(round_index, updates)
-        model = param_linear(1.0, model, 1.0, aggregate(updates, config.aggregation))
-        losses.append(float(np.mean([u.train_loss for u in updates])))
+            delta = aggregate(updates, config.aggregation)
+            work = [_work(u) for u in updates]
+        else:
+            delta, work = _folded_round(arch, model, [by_id[cid] for cid in participants],
+                                        config, round_index)
+        model = param_linear(1.0, model, 1.0, delta)
+        # freed only now, below the new model, the list's pages stay with the
+        # process for the next round; freed before it, they can sit at the
+        # top of the heap, go back to the system, and fault in again
+        del delta, updates
+        client_losses, steps, grads = zip(*work)
+        sgd_steps += sum(steps)
+        sample_grads += sum(grads)
+        losses.append(float(np.mean(client_losses)))
         timings.append(time.perf_counter() - round_start)
         heads.append(arch.head_weight(model))
         logger.info(
@@ -264,4 +307,4 @@ def run_fedavg(
             timings[-1] * 1e3,
         )
     return Trajectory(model, tuple(timings), time.perf_counter() - start, tuple(heads),
-                      tuple(losses))
+                      tuple(losses), sgd_steps=sgd_steps, sample_grads=sample_grads)

@@ -21,6 +21,9 @@ import numpy as np
 from .arch import ArchSpec, Conv2d, Dense, Flatten, MaxPool2d
 from .params import ParamSet
 
+# im2col entries a pass without caches builds at once (4 MiB of float64)
+_COLS_BUDGET = (4 << 20) // 8
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -146,7 +149,9 @@ def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray
              caches: list | None = None) -> np.ndarray:
     """The logits. With `caches`, each layer's backward cache is appended
     to it; without, each layer's input and im2col columns are dropped as
-    soon as the layer is done, so a pass holds only one layer's arrays."""
+    soon as the layer is done, so a pass holds only one layer's arrays, and
+    a convolution's columns are built for as many samples at a time as fit
+    in `_COLS_BUDGET` entries."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != arch.input_shape:
         raise ValueError(
@@ -166,19 +171,27 @@ def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray
                 x = z
         elif isinstance(layer, Conv2d):
             k = layer.kernel_size
-            cols = _im2col(x, k)
             w_mat = tensors[p].reshape(layer.out_channels, -1)
             b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
-            x_shape = x.shape
-            x = (w_mat @ cols + tensors[p + 1][:, None]).reshape(
-                b, layer.out_channels, ho, wo)
+            if keep:
+                cols = _im2col(x, k)
+                z = w_mat @ cols
+            else:
+                # no backward to feed: the columns are built a chunk of
+                # samples at a time; matmul runs one GEMM per sample either way
+                z = np.empty((b, layer.out_channels, ho * wo))
+                step = max(1, _COLS_BUDGET // (x.shape[1] * k * k * ho * wo))
+                for first in range(0, b, step):
+                    np.matmul(w_mat, _im2col(x[first:first + step], k),
+                              out=z[first:first + step])
+            z += tensors[p + 1][:, None]
+            x_shape, x = x.shape, z.reshape(b, layer.out_channels, ho, wo)
             if layer.activation == "relu":
                 np.maximum(x, 0.0, out=x)
             if keep:
                 # the output, not the pre-activation z: relu(z) > 0 exactly
                 # where z > 0, and a pooling layer next caches this same array
                 caches.append((x_shape, cols, x))
-            del cols
         elif isinstance(layer, MaxPool2d):
             pooled = _pool_forward(x, layer.window)
             if keep:

@@ -135,6 +135,7 @@ def _replay(
     heads: list[np.ndarray] = []
     timings: list[float] = []
     fallbacks = itertools.count()  # ticked once per tensor kept uncalibrated
+    sgd_steps = sample_grads = 0
     bytes_before = store.bytes_read
     start = time.perf_counter()
     for j, round_index in enumerate(store.retained_rounds):
@@ -149,6 +150,8 @@ def _replay(
             for s, shard in zip(stored, shards):
                 fresh = local_train(arch, model, shard, cali_config,
                                     round_index, epochs=config.calibration_epochs)
+                sgd_steps += fresh.sgd_steps
+                sample_grads += fresh.sample_grads
                 calibrated = calibrate_update(s, fresh.delta, norm_mode=config.norm_mode,
                                               on_fallback=fallbacks.__next__)
                 total.add(s.client_id, calibrated._layout, calibrated.vector)
@@ -168,6 +171,8 @@ def _replay(
         heads=tuple(heads),
         store_bytes_read=store.bytes_read - bytes_before,
         eps_fallbacks=next(fallbacks),
+        sgd_steps=sgd_steps,
+        sample_grads=sample_grads,
     )
 
 

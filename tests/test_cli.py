@@ -413,6 +413,17 @@ class TestArtifacts:
         assert summary["retrain"]["store_bytes_read"] == 0
         assert "eps_fallbacks" not in summary["accum"]
 
+    def test_work_counts(self, pipelines):
+        _, run_dir, _ = pipelines
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        summary = json.loads((run_dir / "unlearn.json").read_text())
+        # 30 rows per client at batch 16 is two steps an epoch; train runs 3
+        # clients x 4 rounds x 2 epochs, retrain 2 clients, and the eraser
+        # calibrates round 3 alone, 2 clients x 1 epoch
+        assert (manifest["sgd_steps"], manifest["sample_grads"]) == (48, 720)
+        assert {m: (summary[m]["sgd_steps"], summary[m]["sample_grads"]) for m in METHODS} \
+            == {"eraser": (4, 60), "accum": (0, 0), "retrain": (32, 480)}
+
     def test_timings_csv(self, pipelines):
         _, run_dir, _ = pipelines
         with open(run_dir / "timings.csv", newline="") as fh:

@@ -28,6 +28,7 @@ from fedunlearn.nn import (
     purchase_arch,
 )
 from fedunlearn.nn.engine import (
+    _COLS_BUDGET,
     _col2im,
     _forward,
     _pool_backward,
@@ -399,6 +400,49 @@ class TestForwardKeepsNoCaches:
         columns = 16 * 8 * (3 * 5 * 5 * 28 * 28 + 6 * 5 * 5 * 10 * 10)
         assert peak(lambda: forward(arch, params, batch)) < columns
         assert peak(lambda: _forward(arch, params.tensors, batch.inputs, [])) > columns
+
+    @staticmethod
+    def chunk_rows(arch: ArchSpec) -> list[int]:
+        """Samples per column chunk of each conv layer in a pass without caches."""
+        rows, shape = [], arch.input_shape
+        for layer in arch.layers:
+            if isinstance(layer, Conv2d):
+                k = layer.kernel_size
+                ho, wo = shape[1] - k + 1, shape[2] - k + 1
+                rows.append(max(1, _COLS_BUDGET // (shape[0] * k * k * ho * wo)))
+                shape = (layer.out_channels, ho, wo)
+            elif isinstance(layer, MaxPool2d):
+                shape = (shape[0], shape[1] // layer.window, shape[2] // layer.window)
+        return rows
+
+    @pytest.mark.parametrize("arch", [cifar10_arch(), mnist_arch()], ids=["cifar10", "mnist"])
+    def test_chunked_columns_bit_equal_to_the_caching_pass(self, arch):
+        rows = 37
+        chunks = self.chunk_rows(arch)
+        assert len(chunks) == 2
+        # every conv layer runs a full chunk and then a ragged one
+        assert all(step < rows and rows % step for step in chunks), chunks
+        params, batch = noisy_model(arch, 2), random_batch(arch, rows, 2)
+        logits = _forward(arch, params.tensors, batch.inputs, [])
+        assert bits(_forward(arch, params.tensors, batch.inputs)) == bits(logits)
+        assert bits(forward(arch, params, batch)) == bits(_softmax(logits))
+
+    def test_peak_is_one_column_chunk_and_the_layer_outputs(self):
+        arch = cifar10_arch()
+        rows = 64
+        params, batch = noisy_model(arch, 0), random_batch(arch, rows, 0)
+        forward(arch, params, batch)  # warm-up
+        tracemalloc.start()
+        try:
+            forward(arch, params, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # conv, pool, conv, pool, dense, dense, softmax outputs
+        outputs = rows * 8 * (6 * 28 * 28 + 6 * 14 * 14 + 16 * 10 * 10 + 16 * 5 * 5
+                              + 120 + 10 + 10)
+        # all 64 rows of conv-1 columns at once would be 30 MB
+        assert peak < 8 * _COLS_BUDGET + outputs, f"{peak / 1e6:.1f} MB"
 
 
 def pool_gradient(x: np.ndarray, window: int = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -467,6 +467,17 @@ class TestRunFedavg:
         assert reconstructed == one_round.model
         np.testing.assert_array_equal(trained.heads[0], arch.head_weight(reconstructed))
 
+    def test_work_counts(self, arch, config, shards):
+        # 48 rows per client at batch 10: four full steps and a ragged one of 8
+        config = replace(config, batch_size=10)
+        trained = run_fedavg(arch, shards, config, retention_sink=RecordingSink([1, 3]))
+        sizes = [s.sample_count for s in shards]
+        assert trained.sgd_steps == config.global_rounds * sum(
+            config.local_epochs * math.ceil(n / config.batch_size) for n in sizes)
+        assert trained.sample_grads == config.global_rounds * config.local_epochs * sum(sizes)
+        update = local_train(arch, trained.model, shards[0], config, 1, epochs=3)
+        assert (update.sgd_steps, update.sample_grads) == (3 * 5, 3 * 48)
+
     def test_aggregation_mode_comes_from_the_config(self, arch, config, shards):
         literal = replace(config, aggregation="literal")
         assert run_fedavg(arch, shards, literal).model != run_fedavg(arch, shards, config).model
@@ -498,3 +509,32 @@ class TestRunFedavg:
     def test_rejects_excluding_everyone(self, arch, config):
         with pytest.raises(ValueError, match=r"shards cover clients \[\]"):
             run_fedavg(arch, [], config)
+
+
+class TestFoldedRounds:
+    """Rounds that no sink takes are folded into a round sum client by
+    client; retained rounds hand the sink the round's full update list."""
+
+    def test_a_sink_changes_nothing_of_the_trajectory(self, arch, config, shards):
+        plain = run_fedavg(arch, shards, config)
+        kept = run_fedavg(arch, shards, config, retention_sink=RecordingSink([2, 3]))
+        assert kept.model == plain.model
+        assert [h.tobytes() for h in kept.heads] == [h.tobytes() for h in plain.heads]
+        assert kept.mean_losses == plain.mean_losses
+        assert (kept.sgd_steps, kept.sample_grads) == (plain.sgd_steps, plain.sample_grads)
+
+    def test_the_sink_gets_every_clients_update_of_its_rounds(self, arch, config, shards):
+        sink = RecordingSink([2, 4])
+        run_fedavg(arch, shards, config, retention_sink=sink)
+        assert [r for r, _ in sink.calls] == [2, 4]
+        for round_index, updates in sink.calls:
+            # the model the round started from: the rounds before it, unretained
+            before = run_fedavg(arch, shards, replace(config, global_rounds=round_index - 1,
+                                                      retain_interval=1)).model
+            assert [u.client_id for u in updates] == [1, 2, 3]
+            for update, shard in zip(updates, shards):
+                fresh = local_train(arch, before, shard, config, round_index)
+                assert update.round_index == round_index
+                assert update.delta == fresh.delta
+                assert (update.sample_count, update.train_loss, update.sgd_steps) == \
+                    (fresh.sample_count, fresh.train_loss, fresh.sgd_steps)

@@ -1,19 +1,21 @@
 """The benchmark's tracer (perfbench/tracing.py) patches this package from
 outside: it finds each function it wraps by name, at every module that
 binds it, and its counting hooks read call arguments by name. A rename
-that breaks either would otherwise show only under `perfbench/run.py
---trace 1`. The tracer module is loaded from its file, unchanged."""
+that breaks either, or a loop change that breaks its work counts, would
+otherwise show only under `perfbench/run.py --trace 1`. The tracer and
+workload modules are loaded from their files, unchanged."""
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-import fedunlearn.cli  # noqa: F401 - imports every module the tracer patches
+from fedunlearn import cli  # imports every module the tracer patches
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # (module, function or Class.method) -> the arguments its tracer hook reads
 HOOK_ARGUMENTS = {
@@ -26,12 +28,18 @@ HOOK_ARGUMENTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load("tracing")
 
 
 def resolve(module: str, dotted: str):
@@ -83,3 +91,65 @@ def test_install_then_uninstall_restores_every_patched_attribute(tracing):
         assert now.keys() == attributes.keys(), owner
         changed = [attr for attr, value in attributes.items() if now[attr] is not value]
         assert not changed, (owner, changed)
+
+
+# 93 training rows over 4 clients (24, 23, 23, 23) at batch 10: every epoch
+# of every client ends on a ragged step
+COUNTED_INI = """\
+[data]
+dataset = synthetic
+test_fraction = 0.25
+synthetic_samples = 124
+synthetic_features = 6
+synthetic_classes = 2
+
+[federation]
+num_clients = 4
+global_rounds = 4
+local_epochs = 2
+batch_size = 10
+seed = 3
+hidden_units = 4
+
+[unlearning]
+target_client = 2
+retain_interval = 2
+calibration_ratio = 0.5
+
+[output]
+dir = {out}
+"""
+
+
+def test_work_counters_match_the_closed_form_and_the_trajectories(tracing, tmp_path):
+    out = tmp_path / "out"
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(COUNTED_INI.format(out=out))
+    scenario = cli.parse_scenario(ini)
+    target = scenario.target_client
+    stages = {"train": (cli.run_train, {}),
+              **{m: (cli.run_unlearn, {"methods": (m,)}) for m in ("eraser", "retrain")}}
+    traced = {}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for stage, (fn, kwargs) in stages.items():
+            before = tracer.counters["sample_grads"]
+            tracer.stage(stage, target, fn, scenario, out, **kwargs)
+            traced[stage] = (tracer.counters[f"sgd_steps.{stage}"],
+                             tracer.counters["sample_grads"] - before)
+    finally:
+        tracer.uninstall()
+
+    train, test, _ = cli.prepare_data(scenario)
+    schedule = load("workloads").Schedule.of(scenario, train.num_samples + test.num_samples)
+    closed_form = {stage: (schedule.sgd_steps(stage, target),
+                           schedule.sample_grads(stage, target)) for stage in stages}
+    assert closed_form["eraser"][0] > 0
+    assert traced == closed_form
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary = json.loads((out / "unlearn.json").read_text())
+    recorded = {"train": (manifest["sgd_steps"], manifest["sample_grads"]),
+                **{m: (summary[m]["sgd_steps"], summary[m]["sample_grads"])
+                   for m in ("eraser", "retrain")}}
+    assert recorded == closed_form

@@ -579,6 +579,37 @@ class TestFedRetrain:
         remaining = [s for s in shards if s.client_id != config.target_client]
         assert result.model == run_fedavg(arch, remaining, literal).model
 
+    @pytest.mark.parametrize("num_clients", [9, 25])
+    def test_allocation_peak_is_a_few_updates_whatever_the_clients(self, num_clients):
+        # a wide dense net on little data: the update vectors are what a
+        # round holds. Keeping a round's updates until it aggregates would
+        # hold num_clients - 1 of them
+        arch = ArchSpec(layers=(Dense(100, 128, "relu"), Dense(128, 2)), input_shape=(100,))
+        config = small_config(num_clients=num_clients, global_rounds=2, retain_interval=1,
+                              local_epochs=1)
+        rng = np.random.default_rng(0)
+        shards = [ClientShard(c, Dataset("wide", rng.normal(size=(8, 100)),
+                                         rng.integers(0, 2, size=8), 2))
+                  for c in range(1, num_clients + 1)]
+        update = 8 * arch.num_params()
+        assert update >= 100_000
+        fed_retrain(arch, shards, config)  # warm-up
+        tracemalloc.start()
+        try:
+            fed_retrain(arch, shards, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * update, f"peak {peak / update:.1f} update sizes"
+
+    def test_work_counts(self, trained_run):
+        arch, config, shards, _, _, _, _, _ = trained_run
+        remaining = [s.sample_count for s in shards if s.client_id != config.target_client]
+        result = fed_retrain(arch, shards, config)
+        assert result.sgd_steps == config.global_rounds * config.local_epochs * sum(
+            -(-n // config.batch_size) for n in remaining)
+        assert result.sample_grads == config.global_rounds * config.local_epochs * sum(remaining)
+
 
 class TestExpectedSpeedup:
     @pytest.mark.parametrize("ratio,interval,expected", [
