@@ -18,9 +18,9 @@ A run lives in one output directory:
     models/*.fesp               initial, original, and reconstructed models
     heads/<method>.fesp         head weight after each step (tensors step0001,
                                 step0002, ...) for angle trajectories
-    unlearn.json                per-method reconstruction record; its
-                                total_seconds and round_timings are
-                                wall-clock
+    unlearn.json                per-method reconstruction record with its
+                                target client; its total_seconds and
+                                round_timings are wall-clock
     attack.json                 membership-attack metrics per model
     report.json, metrics.csv    final measurements, deterministic given the
                                 scenario, except report.json's wall-clock
@@ -373,14 +373,21 @@ def _train(run: Run, resume: bool) -> None:
     logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
 
 
+def _read_json(path: Path) -> dict:
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
 def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
     """The requested methods in METHODS order, skipping under `resume` each
-    one with both its files; each record is merged into unlearn.json."""
+    one made for this target with both its files; records merge into unlearn.json."""
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
+    target, summary_path = run.scenario.target_client, run.out_dir / "unlearn.json"
+    summary = _read_json(summary_path)
     todo = [m for m in METHODS if m in methods and not (
-        resume and run.model_path(m).exists() and run.head_path(m).exists())]
+        resume and run.model_path(m).exists() and run.head_path(m).exists()
+        and summary.get(m, {}).get("target_client") == target)]
     if not todo:
         logger.info("unlearning artifacts already present; skipping")
         return
@@ -399,8 +406,6 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         "retrain": lambda: fed_retrain(arch, run.shards, scenario),
     }
 
-    summary_path = run.out_dir / "unlearn.json"
-    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
     (run.out_dir / "heads").mkdir(exist_ok=True)
     for name in todo:
         result = reconstruct[name]()
@@ -410,6 +415,7 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
                     run.head_path(name))
         _record_timing(run.out_dir, name, result.total_seconds)
         summary[name] = {
+            "target_client": target,
             "total_seconds": result.total_seconds,
             "round_timings": list(result.round_timings),
             "calibration_rounds": len(result.heads),
@@ -424,11 +430,18 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
 
 
 def _stored_models(run: Run) -> dict[str, ParamSet]:
-    """The original model and every reconstruction present, loaded once."""
+    """The original model and every reconstruction present, loaded once; each
+    reconstruction must be recorded for the given scenario's target client."""
     if not run.model_path("original").exists():
         raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
-    return {name: load_params(run.model_path(name))
-            for name in ("original",) + METHODS if run.model_path(name).exists()}
+    present = [name for name in METHODS if run.model_path(name).exists()]
+    records, target = _read_json(run.out_dir / "unlearn.json"), run.scenario.target_client
+    for name in present:
+        made = records.get(name, {}).get("target_client", "unrecorded")
+        if made != target:
+            raise ValueError(f"the {name} model under {run.out_dir} was made for target "
+                             f"client {made}, not {target}; run `unlearn` for target {target}")
+    return {name: load_params(run.model_path(name)) for name in ("original", *present)}
 
 
 def _attack(run: Run, resume: bool) -> None:
@@ -480,10 +493,7 @@ def _report(run: Run, resume: bool) -> dict | None:
     models = _stored_models(run)
     retrain = models.get("retrain")
 
-    attack_results = {}
-    attack_path = out_dir / "attack.json"
-    if attack_path.exists():
-        attack_results = json.loads(attack_path.read_text())
+    attack_results = _read_json(out_dir / "attack.json")
 
     # one forward pass per model over the target shard serves its accuracy,
     # its loss and its prediction difference to retrain

@@ -1,11 +1,12 @@
 """Federated averaging: local SGD on client shards, weighted delta aggregation,
-and the outer round loop with optional retention of per-client updates."""
+and the outer round loop with optional retention of per-client updates. All
+local training goes through one round producer, :func:`client_updates`."""
 
 from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -199,6 +200,7 @@ class RoundSum:
             raise ValueError(f"only {self._added} of the deltas of clients {self._ids} added")
         if self._mode == "literal":
             self._sum *= 1.0 / len(self._ids)
+        self._scratch = None  # not held while the caller makes the new model
         return ParamSet._adopt(self._layout, self._sum)
 
 
@@ -219,24 +221,13 @@ def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamS
     return total.result()
 
 
-def _work(update: ClientUpdate) -> tuple[float, int, int]:
-    """What a round records of one client's update once its delta is spent."""
-    return update.train_loss, update.sgd_steps, update.sample_grads
-
-
-def _folded_round(arch: ArchSpec, model: ParamSet, shards: Sequence[ClientShard],
-                  config: FedConfig, round_index: int) -> tuple[ParamSet, list[tuple]]:
-    """One round whose updates nothing stores: each client, in ascending id,
-    trains and its delta is added to the round sum at once. Returns the
-    aggregate, bit for bit :func:`aggregate`'s, and each client's `_work`."""
-    total = RoundSum(((s.client_id, s.sample_count) for s in shards), config.aggregation)
-    work = []
+def client_updates(arch: ArchSpec, model: ParamSet, shards: Iterable[ClientShard],
+                   config: FedConfig, round_index: int,
+                   epochs: int | None = None) -> Iterator[ClientUpdate]:
+    """Each shard's client trains from `model`, in the order given; each
+    update is yielded before the next client trains."""
     for shard in shards:
-        update = local_train(arch, model, shard, config, round_index)
-        total.add(shard.client_id, update.delta._layout, update.delta.vector)
-        work.append(_work(update))
-        del update  # before the next client trains
-    return total.result(), work
+        yield local_train(arch, model, shard, config, round_index, epochs)
 
 
 def run_fedavg(
@@ -247,13 +238,12 @@ def run_fedavg(
     retention_sink: UpdateSink | None = None,
 ) -> Trajectory:
     """The outer federated loop over exactly the given clients' shards: each
-    round every one of them trains locally, the deltas are aggregated in
-    `config.aggregation` mode, and the weighted delta is added to the global
+    round their :func:`client_updates`, in ascending id, are folded into a
+    :class:`RoundSum` in `config.aggregation` mode as they arrive, so the
+    round holds one update at a time, and the sum is added to the global
     model. When a retention sink is given, the shards must be every
-    client's, and the full per-client update list is handed to it at each
-    of its retained rounds, then aggregated. Every other round is folded:
-    each delta goes into the round's :class:`RoundSum` as soon as its client
-    has trained, so the round holds one client's update at a time."""
+    client's, and each of its retained rounds lists its updates and hands
+    the sink that list before folding it."""
     start = time.perf_counter()
     by_id = {s.client_id: s for s in shards}
     if len(by_id) != len(shards):
@@ -271,7 +261,7 @@ def run_fedavg(
         if not retained <= set(range(1, config.global_rounds + 1)):
             raise ValueError("retention schedule outside [1, global_rounds]")
 
-    participants = sorted(by_id)
+    participants = [by_id[cid] for cid in sorted(by_id)]
     model = initial_model if initial_model is not None else build_model(arch, config.seed)
     timings: list[float] = []
     heads: list[np.ndarray] = []
@@ -279,25 +269,23 @@ def run_fedavg(
     sgd_steps = sample_grads = 0
     for round_index in range(1, config.global_rounds + 1):
         round_start = time.perf_counter()
-        updates = None  # the round's update list, where a sink takes it
+        updates = client_updates(arch, model, participants, config, round_index)
         if round_index in retained:
-            updates = [
-                local_train(arch, model, by_id[cid], config, round_index) for cid in participants
-            ]
+            updates = list(updates)
             retention_sink.store_round(round_index, updates)
-            delta = aggregate(updates, config.aggregation)
-            work = [_work(u) for u in updates]
-        else:
-            delta, work = _folded_round(arch, model, [by_id[cid] for cid in participants],
-                                        config, round_index)
-        model = param_linear(1.0, model, 1.0, delta)
-        # freed only now, below the new model, the list's pages stay with the
-        # process for the next round; freed before it, they can sit at the
-        # top of the heap, go back to the system, and fault in again
-        del delta, updates
-        client_losses, steps, grads = zip(*work)
-        sgd_steps += sum(steps)
-        sample_grads += sum(grads)
+        total = RoundSum(((s.client_id, s.sample_count) for s in participants),
+                         config.aggregation)
+        client_losses = []
+        for update in updates:
+            total.add(update.client_id, update.delta._layout, update.delta.vector)
+            client_losses.append(update.train_loss)
+            sgd_steps += update.sgd_steps
+            sample_grads += update.sample_grads
+            del update  # before the next client trains
+        model = param_linear(1.0, model, 1.0, total.result())
+        # freed below the new model, a retained round's pages stay with the
+        # process; freed above it, they can go back and fault in again
+        del total, updates
         losses.append(float(np.mean(client_losses)))
         timings.append(time.perf_counter() - round_start)
         heads.append(arch.head_weight(model))

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .data import NORM_MODES, ClientShard, FedConfig
-from .federation import RoundSum, Trajectory, local_train, run_fedavg
+from .federation import RoundSum, Trajectory, client_updates, run_fedavg
 from .nn import ArchSpec, ParamSet, build_model, param_linear
 from .nn.params import require_conformant
 from .retention import RetentionStore, StoredNorms, StoreFingerprint, schedule
@@ -147,9 +147,8 @@ def _replay(
             stored = [store.load_norms(round_index, cid) for cid in remaining]
             total = RoundSum(((s.client_id, s.sample_count) for s in stored),
                              config.aggregation)
-            for s, shard in zip(stored, shards):
-                fresh = local_train(arch, model, shard, cali_config,
-                                    round_index, epochs=config.calibration_epochs)
+            for s, fresh in zip(stored, client_updates(arch, model, shards, cali_config,
+                                                       round_index, config.calibration_epochs)):
                 sgd_steps += fresh.sgd_steps
                 sample_grads += fresh.sample_grads
                 calibrated = calibrate_update(s, fresh.delta, norm_mode=config.norm_mode,

@@ -632,6 +632,76 @@ class TestScenarioPersisted:
         assert parse_scenario(written) == scenario
 
 
+class TestReconstructionTarget:
+    """Library stages take any scenario, and a forget request may name
+    another target client than RUN/scenario.ini: each reconstruction
+    records its target in unlearn.json, and attack and report score only
+    reconstructions made for the target of the scenario they are given."""
+
+    @pytest.fixture
+    def run_for_target_3(self, tmp_path):
+        out = tmp_path / "out"
+        scenario = parse_scenario(write_ini(tmp_path, TINY_INI), {"out_dir": str(out)})
+        cli.run_train(scenario, out)
+        request = dataclasses.replace(scenario, target_client=3)
+        cli.run_unlearn(request, out)
+        return out, request
+
+    def test_each_record_names_its_target(self, run_for_target_3):
+        out, _ = run_for_target_3
+        summary = json.loads((out / "unlearn.json").read_text())
+        assert {m: summary[m]["target_client"] for m in METHODS} == dict.fromkeys(METHODS, 3)
+
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_scoring_another_targets_models_is_refused(self, run_for_target_3, capsys,
+                                                       command):
+        out, _ = run_for_target_3
+        assert parse_scenario(out / "scenario.ini").target_client == 1
+        assert main([command, str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert "target client 3, not 1" in record["message"]
+        assert not (out / f"{command}.json").exists()
+
+    def test_the_requests_own_scenario_scores_them(self, run_for_target_3):
+        out, request = run_for_target_3
+        cli.run_attack(request, out)
+        cli.run_report(request, out)
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario"]["target_client"] == 3
+        assert set(report["methods"]) == {"original", *METHODS}
+
+    def test_resume_redoes_the_methods_of_another_target(self, run_for_target_3, tmp_path):
+        out, _ = run_for_target_3
+        assert main(["unlearn", str(out), "--resume"]) == 0
+        summary = json.loads((out / "unlearn.json").read_text())
+        assert {m: summary[m]["target_client"] for m in METHODS} == dict.fromkeys(METHODS, 1)
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(fresh)]) == 0
+        for name in METHODS:
+            rel = f"models/{name}.fesp"
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        assert main(["report", str(out)]) == 0
+
+    def test_a_reconstruction_without_a_record_is_refused_and_redone(self, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        summary = json.loads((out / "unlearn.json").read_text())
+        del summary["accum"]["target_client"]
+        (out / "unlearn.json").write_text(json.dumps(summary))
+        (out / "report.json").unlink()
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert "accum model" in record["message"]
+        assert "target client unrecorded, not 1" in record["message"]
+        eraser = (out / "models" / "eraser.fesp").stat().st_mtime_ns
+        assert main(["unlearn", str(out), "--resume"]) == 0
+        assert (out / "models" / "eraser.fesp").stat().st_mtime_ns == eraser
+        assert json.loads((out / "unlearn.json").read_text())["accum"]["target_client"] == 1
+        assert main(["report", str(out)]) == 0
+
+
 class TestFreshTrainTimings:
     def read_timings(self, out):
         with open(out / "timings.csv", newline="") as fh:

@@ -32,6 +32,7 @@ from fedunlearn.nn import (
     param_linear,
 )
 from fedunlearn.nn.engine import Batch, check_conformant_with_arch
+from fedunlearn.unlearning import fed_eraser, fed_retrain
 
 from conftest import small_config
 from oracles import (
@@ -538,3 +539,43 @@ class TestFoldedRounds:
                 assert update.delta == fresh.delta
                 assert (update.sample_count, update.train_loss, update.sgd_steps) == \
                     (fresh.sample_count, fresh.train_loss, fresh.sgd_steps)
+
+
+class TestOneRoundProducer:
+    """Training, retraining and the eraser's calibration bursts all train
+    their clients through `federation.client_updates`, so one recorder on
+    `federation.local_train` sees every client that each stage trains."""
+
+    def test_every_stage_trains_through_the_federation_module(self, trained_run,
+                                                              monkeypatch):
+        arch, config, shards, _, initial, _, store, _ = trained_run
+        calls = []
+        real = federation.local_train
+
+        def recording(arch_, model_, shard_, config_, round_index, epochs=None):
+            calls.append((shard_.client_id, round_index,
+                          config_.local_epochs if epochs is None else epochs))
+            return real(arch_, model_, shard_, config_, round_index, epochs)
+
+        monkeypatch.setattr(federation, "local_train", recording)
+        stages = {
+            "train": lambda: run_fedavg(arch, shards, config, initial_model=initial,
+                                        retention_sink=RecordingSink(store.retained_rounds)),
+            "retrain": lambda: fed_retrain(arch, shards, config),
+            "eraser": lambda: fed_eraser(arch, initial, store, shards, config),
+        }
+        seen = {}
+        for stage, run in stages.items():
+            calls.clear()
+            run()
+            seen[stage] = list(calls)
+
+        rounds = range(1, config.global_rounds + 1)
+        everyone = range(1, config.num_clients + 1)
+        remaining = [c for c in everyone if c != config.target_client]
+        assert seen == {
+            "train": [(c, r, config.local_epochs) for r in rounds for c in everyone],
+            "retrain": [(c, r, config.local_epochs) for r in rounds for c in remaining],
+            "eraser": [(c, r, config.calibration_epochs)
+                       for r in store.retained_rounds[1:] for c in remaining],
+        }

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedunlearn.federation as federation
 import fedunlearn.unlearning as unlearning
 from fedunlearn.data import ClientShard, Dataset, FedConfig, partition_iid
 from fedunlearn.federation import ClientUpdate, Trajectory, aggregate, local_train, run_fedavg
@@ -55,6 +56,29 @@ def random_pair(seed, shapes=(("w", (3, 4)), ("b", (5,)))):
 
 def tensor_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a.ravel() @ b.ravel() / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def wide_run(num_clients: int, global_rounds: int):
+    """A wide dense net on little data, every round retained: the update
+    vectors are what a round holds. (arch, config, shards)"""
+    arch = ArchSpec(layers=(Dense(100, 128, "relu"), Dense(128, 2)), input_shape=(100,))
+    config = small_config(num_clients=num_clients, global_rounds=global_rounds,
+                          retain_interval=1, local_epochs=1)
+    rng = np.random.default_rng(0)
+    shards = [ClientShard(c, Dataset("wide", rng.normal(size=(8, 100)),
+                                     rng.integers(0, 2, size=8), 2))
+              for c in range(1, num_clients + 1)]
+    return arch, config, shards
+
+
+def allocation_peak(run) -> int:
+    """The peak of the bytes that `run()` holds allocated, traced."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCalibrateUpdate:
@@ -262,7 +286,7 @@ class TestFedEraser:
             assert cfg_.seed != config.seed  # calibration uses a derived seed
             return local_train(arch_, model_, shard_, cfg_, round_index, epochs)
 
-        monkeypatch.setattr(unlearning, "local_train", counting_local_train)
+        monkeypatch.setattr(federation, "local_train", counting_local_train)
         result = fed_eraser(arch, initial, store, shards, config)
         retained = store.retained_rounds
         remaining = config.num_clients - 1
@@ -270,6 +294,22 @@ class TestFedEraser:
         assert {r for _, r in calls} == set(retained[1:])
         assert all(c != config.target_client for c, _ in calls)
         assert len(result.heads) == len(retained)
+
+    @pytest.mark.parametrize("num_clients", [9, 25])
+    def test_allocation_peak_is_a_few_updates_whatever_the_clients(
+            self, num_clients, tmp_path):
+        # after a stored training; keeping a round's calibrated updates
+        # until it aggregates would hold num_clients - 2 more of them
+        arch, config, shards = wide_run(num_clients, global_rounds=3)
+        update = 8 * arch.num_params()
+        store = RetentionStore.create(tmp_path / "store", StoreFingerprint.of(arch, config))
+        initial = build_model(arch, config.seed)
+        run_fedavg(arch, shards, config, initial_model=initial, retention_sink=store)
+        store = RetentionStore.open(store.root)
+        assert len(store.retained_rounds) == 3
+        fed_eraser(arch, initial, store, shards, config)  # warm-up
+        peak = allocation_peak(lambda: fed_eraser(arch, initial, store, shards, config))
+        assert peak <= 12 * update, f"peak {peak / update:.1f} update sizes"
 
     def test_runs_without_target_shard_and_reads_no_target_update(self, trained_run):
         arch, config, shards, _, initial, _, store, _ = trained_run
@@ -392,7 +432,7 @@ class TestEraserReadsStoredNorms:
                              for n, t in upd.delta.items())
             return replace(upd, delta=delta)
 
-        monkeypatch.setattr(unlearning, "local_train", zeroing_train)
+        monkeypatch.setattr(federation, "local_train", zeroing_train)
         expected = reference_fed_eraser(arch, initial, store, shards, config,
                                         train=zeroing_train)
         reads = record_blob_reads(monkeypatch)
@@ -438,12 +478,12 @@ class TestEraserReadsStoredNorms:
         assert result.eps_fallbacks == 0
 
 
-def record_bound_calls(monkeypatch, name: str) -> list[dict]:
-    """From now on, the arguments of every call to `unlearning.<name>`,
+def record_bound_calls(monkeypatch, module, name: str) -> list[dict]:
+    """From now on, the arguments of every call to `<module>.<name>`,
     bound as perfbench's tracer binds them: `inspect.signature(fn).bind`,
     then `apply_defaults`."""
     calls = []
-    real = getattr(unlearning, name)
+    real = getattr(module, name)
     signature = inspect.signature(real)
 
     def recording(*args, **kwargs):
@@ -452,18 +492,20 @@ def record_bound_calls(monkeypatch, name: str) -> list[dict]:
         calls.append(arguments.arguments)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(unlearning, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 class TestTracerContract:
-    """perfbench's tracer replaces `calibrate_update` and `local_train` in
-    this module's globals and reads their arguments by name."""
+    """perfbench's tracer replaces `calibrate_update` in this module's
+    globals and `local_train` in `federation`'s, and reads their arguments
+    by name."""
 
     def test_eraser_binds_the_traced_arguments(self, stored_run, monkeypatch):
         arch, config, shards, initial, store = stored_run
-        bound = {name: record_bound_calls(monkeypatch, name)
-                 for name in ("calibrate_update", "local_train")}
+        bound = {name: record_bound_calls(monkeypatch, module, name)
+                 for module, name in ((unlearning, "calibrate_update"),
+                                      (federation, "local_train"))}
         result = fed_eraser(arch, initial, store, shards, config)
 
         retained, remaining = store.retained_rounds, config.num_clients - 1
@@ -516,12 +558,7 @@ class TestFoldedReplay:
         blob = (store.root / "round_1" / "client_1.fesp").stat().st_size
         assert blob >= 100_000
         store = RetentionStore.open(store.root)
-        tracemalloc.start()
-        try:
-            fed_accum(arch, initial, store, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = allocation_peak(lambda: fed_accum(arch, initial, store, config))
         assert peak <= 8 * blob, f"peak {peak / blob:.1f} blob sizes"
 
 
@@ -581,25 +618,13 @@ class TestFedRetrain:
 
     @pytest.mark.parametrize("num_clients", [9, 25])
     def test_allocation_peak_is_a_few_updates_whatever_the_clients(self, num_clients):
-        # a wide dense net on little data: the update vectors are what a
-        # round holds. Keeping a round's updates until it aggregates would
-        # hold num_clients - 1 of them
-        arch = ArchSpec(layers=(Dense(100, 128, "relu"), Dense(128, 2)), input_shape=(100,))
-        config = small_config(num_clients=num_clients, global_rounds=2, retain_interval=1,
-                              local_epochs=1)
-        rng = np.random.default_rng(0)
-        shards = [ClientShard(c, Dataset("wide", rng.normal(size=(8, 100)),
-                                         rng.integers(0, 2, size=8), 2))
-                  for c in range(1, num_clients + 1)]
+        # Keeping a round's updates until it aggregates would hold
+        # num_clients - 1 of them
+        arch, config, shards = wide_run(num_clients, global_rounds=2)
         update = 8 * arch.num_params()
         assert update >= 100_000
         fed_retrain(arch, shards, config)  # warm-up
-        tracemalloc.start()
-        try:
-            fed_retrain(arch, shards, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = allocation_peak(lambda: fed_retrain(arch, shards, config))
         assert peak <= 8 * update, f"peak {peak / update:.1f} update sizes"
 
     def test_work_counts(self, trained_run):
