@@ -3,29 +3,15 @@
 Each stage calls the package (the attack is evaluation.membership_attack)
 and reads and writes the run directory. `train`, `run` and `sweep` take a
 scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
-`report RUN` take their scenario from RUN/scenario.ini alone. Every
-subcommand but `sweep` takes --resume.
+`report RUN` take their scenario from RUN/scenario.ini, which `train` and
+`run` write. Every subcommand but `sweep` takes --resume.
 
-A run lives in one output directory:
-
-    run.log                     stage log (timestamps; not part of the
-                                deterministic surface)
-    scenario.ini                the scenario the run was trained under
-                                (--seed and --out applied), written by
-                                training alone
-    manifest.json               dataset/architecture/schedule summary
-    retention/                  stored per-client updates
-    models/*.fesp               initial, original, and reconstructed models
-    heads/<method>.fesp         head weight after each step (tensors step0001,
-                                step0002, ...) for angle trajectories
-    unlearn.json                per-method reconstruction record with its
-                                target client; its total_seconds and
-                                round_timings are wall-clock
-    attack.json                 membership-attack metrics per model
-    report.json, metrics.csv    final measurements, deterministic given the
-                                scenario, except report.json's wall-clock
-                                timings
-    timings.csv                 wall-clock numbers (machine-dependent)
+A run directory holds scenario.ini, manifest.json, retention/, models/,
+heads/, unlearn.json, attack.json, report.json, metrics.csv, stages.json
+(each stage's record, below) and the wall-clock files run.log and
+timings.csv; README's "Run directory layout" describes each. Only
+unlearn.json's total_seconds and round_timings and report.json's timings
+are wall-clock among the rest, which is deterministic given the scenario.
 
 Every subcommand exits 0 on success; on failure it writes one JSON error
 record to stderr and exits nonzero.
@@ -43,47 +29,22 @@ import os
 import shutil
 import sys
 import typing
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import ClientShard, Dataset, FedConfig, prepare_data
-from .evaluation import (
-    MethodMetrics,
-    accuracy_and_loss,
-    angle_deviation,
-    batched_probs,
-    evaluate,
-    last_layer_angles,
-    mean_probability_distance,
-    membership_attack,
-    write_csv,
-    write_metrics_csv,
-    write_report_json,
-)
+from .evaluation import (MethodMetrics, accuracy_and_loss, angle_deviation, batched_probs,
+                         evaluate, last_layer_angles, mean_probability_distance,
+                         membership_attack, write_csv, write_metrics_csv, write_report_json)
 from .federation import run_fedavg
-from .nn import (
-    ArchSpec,
-    ParamSet,
-    adult_arch,
-    atomic_write,
-    build_model,
-    cifar10_arch,
-    dense_arch,
-    load_params,
-    mnist_arch,
-    purchase_arch,
-    save_params,
-)
+from .nn import (ArchSpec, ParamSet, adult_arch, atomic_write, build_model, cifar10_arch,
+                 dense_arch, load_params, mnist_arch, purchase_arch, save_params)
+from .nn.params import check_crc
 from .retention import RetentionStore, StoreFingerprint
-from .unlearning import (
-    expected_speedup,
-    fed_accum,
-    fed_eraser,
-    fed_retrain,
-    schedule_speedup,
-)
+from .unlearning import expected_speedup, fed_accum, fed_eraser, fed_retrain, schedule_speedup
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +65,19 @@ _KEYS: dict[tuple[str, str], str] = {
 _SECTIONS: dict[str, tuple[str, ...]] = {
     section: tuple(name for (home, _), name in _KEYS.items() if home == section)
     for section, _ in _KEYS
+}
+
+# stage -> the scenario fields it reads, which its record holds. Training
+# leaves out what only a forget request and its scoring read, so one
+# training serves requests for any target, ratio, norm mode and attack.
+_ATTACK = ("attack_epochs", "attack_hidden", "attack_learning_rate")
+_TRAIN = tuple(name for name in _KEYS.values() if name not in (
+    "target_client", "calibration_ratio", "norm_mode", *_ATTACK, "per_neuron_angles", "out_dir"))
+STAGE_FIELDS: dict[str, tuple[str, ...]] = {
+    "train": _TRAIN, "eraser": (*_TRAIN, "target_client", "calibration_ratio", "norm_mode"),
+    "accum": (*_TRAIN, "target_client"), "retrain": (*_TRAIN, "target_client"),
+    "attack": (*_TRAIN, "target_client", *_ATTACK),
+    "report": tuple(name for name in _KEYS.values() if name != "out_dir"),
 }
 
 # field name -> the type its INI value parses to: `T` for a field typed `T | None`
@@ -248,8 +222,9 @@ class Run:
     def model_path(self, name: str) -> Path:
         return self.out_dir / "models" / f"{name}.fesp"
 
-    def head_path(self, method: str) -> Path:
-        return self.out_dir / "heads" / f"{method}.fesp"
+    def fields(self, stage: str) -> dict[str, object]:
+        """The scenario's values of the fields `stage` reads."""
+        return {name: getattr(self.scenario, name) for name in STAGE_FIELDS[stage]}
 
 
 def _read_timings(out_dir: Path) -> dict[str, float]:
@@ -268,6 +243,88 @@ def _record_timing(out_dir: Path, name: str, seconds: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Stage records. Each stage writes, as its last file, its entry in
+# RUN/stages.json: the scenario fields it read and the CRC32 of each file it
+# read and wrote. `--resume` skips a stage only when its entry equals what it
+# would record now; a stage reads another stage's file only through that
+# stage's entry made for its own scenario, at the CRC32 the entry records.
+
+# stage -> the (earlier stage, file) pairs it reads, of the stages that ran
+_STORED = (("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
+_SCORED = (("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
+_READS = {"eraser": _STORED, "accum": _STORED, "attack": _SCORED,
+          "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[1],
+                     ("attack", "attack.json"))}
+
+
+def _entries(run: Run) -> dict[str, dict]:
+    return _read_json(run.out_dir / "stages.json")
+
+
+def _changes(run: Run, stage: str, entry: dict) -> str:
+    """The fields of the run's scenario that `stage`'s entry records otherwise."""
+    was = entry["fields"]
+    return "; ".join(f"{name.replace('_', ' ')} {was.get(name, 'unrecorded')}, not {value}"
+                     for name, value in run.fields(stage).items()
+                     if was.get(name, "unrecorded") != value)
+
+
+def _reads(run: Run, stage: str) -> dict[str, int]:
+    """Every file `stage` reads, at the CRC32 its writer recorded; an entry
+    made for another scenario is refused. All but retraining need training."""
+    entries, reads = _entries(run), {}
+    if stage != "retrain" and "train" not in entries:
+        raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
+    for made, rel in _READS.get(stage, ()):
+        if (entry := entries.get(made)) is not None:
+            if changes := _changes(run, made, entry):
+                what = {"train": "trained model", "attack": "attack"}.get(made, f"{made} model")
+                raise ValueError(f"the {what} under {run.out_dir} was made for {changes}; run "
+                                 f"`{'unlearn' if made in METHODS else made}` for this scenario")
+            reads[rel] = entry["writes"][rel]
+    return reads
+
+
+def _report_crc(report: dict) -> int:
+    """report.json's CRC32 in its record: of the report without its wall-clock
+    timings and the run directory's path, which no record holds."""
+    scenario = {**report["scenario"], "out_dir": None}
+    return zlib.crc32(json.dumps({**report, "scenario": scenario, "timings": None},
+                                 sort_keys=True).encode())
+
+
+def _file_crc(path: Path) -> int | None:
+    """The CRC32 a record holds for the file at `path`; None if it is missing."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    return _report_crc(json.loads(data)) if path.name == "report.json" else zlib.crc32(data)
+
+
+def _current(run: Run, stage: str, reads: dict[str, int]) -> bool:
+    """Whether `stage`'s entry equals what it would record now: this scenario's
+    fields, these reads, and writes whose files still hold the recorded bytes."""
+    entry = _entries(run).get(stage)
+    if entry is None:
+        return False
+    why = _changes(run, stage, entry) or ("other inputs" if entry["reads"] != reads else "; ".join(
+        f"{rel} changed" for rel, crc in entry["writes"].items()
+        if _file_crc(run.out_dir / rel) != crc))
+    if not why:
+        logger.info("%s is recorded for this scenario; skipping", stage)
+        return True
+    logger.warning("training again: the run directory was trained otherwise (%s)"
+                   if stage == "train" else f"redoing {stage}: its record differs (%s)", why)
+    return False
+
+
+def _record(run: Run, stage: str, reads: dict[str, int], writes: dict[str, int]) -> None:
+    entries = _entries(run)
+    entries[stage] = {"fields": run.fields(stage), "reads": reads, "writes": writes}
+    write_report_json(run.out_dir / "stages.json", entries)
+
+
+# ---------------------------------------------------------------------------
 # Stages. Each public run_* builds its own Run; run_scenario and run_sweep
 # build one and hand it to the stage bodies.
 
@@ -276,16 +333,14 @@ def run_train(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     _train(Run.build(scenario, out_dir), resume)
 
 
-def run_unlearn(
-    scenario: FedConfig, out_dir: Path, resume: bool = False,
-    methods: tuple[str, ...] = METHODS,
-) -> None:
+def run_unlearn(scenario: FedConfig, out_dir: Path, resume: bool = False,
+                methods: tuple[str, ...] = METHODS) -> None:
     """All requested reconstruction routes from the stored artifacts."""
     _unlearn(Run.build(scenario, out_dir), resume, methods)
 
 
 def run_attack(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
-    """Membership inference against every model present in the run."""
+    """Membership inference against the original and each reconstruction made."""
     _attack(Run.build(scenario, out_dir), resume)
 
 
@@ -296,64 +351,46 @@ def run_report(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None
 
 def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     run = Run.build(scenario, out_dir)
-    _train(run, resume)
-    _unlearn(run, resume)
-    _attack(run, resume)
-    _report(run, resume)
+    for stage in (_train, _unlearn, _attack, _report):
+        stage(run, resume)
 
 
 # The scores of the stored models. An unlearning that runs deletes them,
-# so none of them can pair with a replaced model.
+# their entries first, so none of them can pair with a replaced model.
 _SCORES = ("attack.json", "report.json", "metrics.csv")
-# Everything in a run directory derived from its training. A training that
-# runs deletes them, so none of them can pair with the new one.
-_TRAINING_DERIVED = ("retention", "timings.csv", "manifest.json", "models", "heads",
-                     "unlearn.json", *_SCORES)
+# Everything in a run directory derived from its training, the records
+# first. A training that runs deletes them, so none can pair with it.
+_TRAINING_DERIVED = ("stages.json", "retention", "timings.csv", "manifest.json", "models",
+                     "heads", "unlearn.json", *_SCORES)
 
 
 def _train(run: Run, resume: bool) -> None:
-    """Train unless `resume` finds this scenario's training complete in the
-    run directory; a training that runs starts a clean directory and
-    records the scenario in it before training."""
+    """Write the scenario to scenario.ini, then train unless `resume` finds
+    this scenario's training recorded; a training that runs starts a clean
+    run directory."""
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
-    store_dir, scenario_path = out_dir / "retention", out_dir / "scenario.ini"
-    fingerprint = StoreFingerprint.of(arch, scenario)
-    if resume and all(path.exists() for path in (
-            scenario_path, run.model_path("original"), run.model_path("initial"),
-            store_dir / "manifest.json")):
-        recorded = dataclasses.asdict(parse_scenario(scenario_path))
-        changed = {name: value for name, value in recorded.items()
-                   if name != "out_dir" and value != getattr(scenario, name)}
-        found = RetentionStore.open(store_dir)
-        if changed:
-            logger.warning("training again: the run directory was trained with %s", changed)
-        elif found.fingerprint != fingerprint:
-            logger.warning("training again: the run directory was trained for %s, not %s",
-                           found.fingerprint, fingerprint)
-        elif not found.is_complete():
-            logger.warning("training again: the retention store is incomplete")
-        else:
-            logger.info("training artifacts already present; skipping")
-            return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write(out_dir / "scenario.ini", format_scenario(scenario).encode())
+    if resume and _current(run, "train", {}):
+        return
     for rel in _TRAINING_DERIVED:
         path = out_dir / rel
         if path.is_dir():
             shutil.rmtree(path)
         else:
             path.unlink(missing_ok=True)
-    store = RetentionStore.create(store_dir, fingerprint)
-    atomic_write(scenario_path, format_scenario(scenario).encode())
+    store = RetentionStore.create(out_dir / "retention", StoreFingerprint.of(arch, scenario))
 
     initial = build_model(arch, scenario.seed)
     trained = run_fedavg(arch, run.shards, scenario, initial_model=initial,
                          retention_sink=store)
 
     (out_dir / "models").mkdir()
-    save_params(initial, run.model_path("initial"))
-    save_params(trained.model, run.model_path("original"))
+    writes = {"models/initial.fesp": save_params(initial, run.model_path("initial")),
+              "models/original.fesp": save_params(trained.model, run.model_path("original"))}
     test_acc, test_loss = evaluate(arch, trained.model, run.test, scenario.eval_batch_size)
     manifest = {
-        "scenario": dataclasses.asdict(scenario),
+        "scenario": run.fields("train"),
         "architecture": arch.describe(),
         "arch_hash": arch.arch_hash(),
         "num_parameters": arch.num_params(),
@@ -368,8 +405,10 @@ def _train(run: Run, resume: bool) -> None:
         "original_test_accuracy": test_acc,
         "original_test_loss": test_loss,
     }
-    write_report_json(out_dir / "manifest.json", manifest)
+    writes["manifest.json"] = write_report_json(out_dir / "manifest.json", manifest)
+    writes["retention/manifest.json"] = store.manifest_crc
     _record_timing(out_dir, "train", trained.total_seconds)
+    _record(run, "train", {}, writes)
     logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
 
 
@@ -379,103 +418,79 @@ def _read_json(path: Path) -> dict:
 
 def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
     """The requested methods in METHODS order, skipping under `resume` each
-    one made for this target with both its files; records merge into unlearn.json."""
+    one recorded for this scenario; their summaries merge into unlearn.json."""
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
-    target, summary_path = run.scenario.target_client, run.out_dir / "unlearn.json"
-    summary = _read_json(summary_path)
-    todo = [m for m in METHODS if m in methods and not (
-        resume and run.model_path(m).exists() and run.head_path(m).exists()
-        and summary.get(m, {}).get("target_client") == target)]
+    reads = {m: _reads(run, m) for m in METHODS if m in methods}
+    todo = [m for m in reads if not (resume and _current(run, m, reads[m]))]
     if not todo:
-        logger.info("unlearning artifacts already present; skipping")
         return
-    if not run.model_path("initial").exists():
-        raise FileNotFoundError(f"no training artifacts under {run.out_dir}; run `train` first")
+    scenario, arch, out_dir = run.scenario, run.arch, run.out_dir
+    if (entries := _entries(run)).keys() & {"attack", "report"}:
+        write_report_json(out_dir / "stages.json",
+                          {k: v for k, v in entries.items() if k not in ("attack", "report")})
     for rel in _SCORES:
-        (run.out_dir / rel).unlink(missing_ok=True)
-    scenario, arch = run.scenario, run.arch
-    initial = load_params(run.model_path("initial"))
-    # retraining reads nothing from the store, so only the replays open it
-    store = (RetentionStore.open(run.out_dir / "retention")
-             if {"eraser", "accum"} & set(todo) else None)
+        (out_dir / rel).unlink(missing_ok=True)
+    if {"eraser", "accum"} & set(todo):  # retraining reads nothing of the training
+        stored = reads[todo[0]]
+        initial = load_params(out_dir / "models/initial.fesp", stored["models/initial.fesp"])
+        store = RetentionStore.open(out_dir / "retention")
+        check_crc(store.root / "manifest.json", store.manifest_crc,
+                  stored["retention/manifest.json"])
     reconstruct = {
         "eraser": lambda: fed_eraser(arch, initial, store, run.shards, scenario),
         "accum": lambda: fed_accum(arch, initial, store, scenario),
         "retrain": lambda: fed_retrain(arch, run.shards, scenario),
     }
 
-    (run.out_dir / "heads").mkdir(exist_ok=True)
+    summary_path = out_dir / "unlearn.json"
+    summary = _read_json(summary_path)
+    (out_dir / "heads").mkdir(exist_ok=True)
     for name in todo:
         result = reconstruct[name]()
-        save_params(result.model, run.model_path(name))
-        save_params(ParamSet((f"step{j:04d}", head)
-                             for j, head in enumerate(result.heads, start=1)),
-                    run.head_path(name))
-        _record_timing(run.out_dir, name, result.total_seconds)
-        summary[name] = {
-            "target_client": target,
-            "total_seconds": result.total_seconds,
-            "round_timings": list(result.round_timings),
-            "calibration_rounds": len(result.heads),
-            "store_bytes_read": result.store_bytes_read,
-            "sgd_steps": result.sgd_steps,
-            "sample_grads": result.sample_grads,
-        }
+        heads = ParamSet((f"step{j:04d}", head) for j, head in enumerate(result.heads, start=1))
+        writes = {f"models/{name}.fesp": save_params(result.model, run.model_path(name)),
+                  f"heads/{name}.fesp": save_params(heads, out_dir / "heads" / f"{name}.fesp")}
+        _record_timing(out_dir, name, result.total_seconds)
+        summary[name] = {"total_seconds": result.total_seconds,
+                         "round_timings": list(result.round_timings),
+                         "store_bytes_read": result.store_bytes_read,
+                         "sgd_steps": result.sgd_steps, "sample_grads": result.sample_grads}
         if name == "eraser":
             summary[name]["eps_fallbacks"] = result.eps_fallbacks
         write_report_json(summary_path, summary)
+        _record(run, name, reads[name], writes)
         logger.info("%s finished in %.2fs", name, result.total_seconds)
 
 
-def _stored_models(run: Run) -> dict[str, ParamSet]:
-    """The original model and every reconstruction present, loaded once; each
-    reconstruction must be recorded for the given scenario's target client."""
-    if not run.model_path("original").exists():
-        raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
-    present = [name for name in METHODS if run.model_path(name).exists()]
-    records, target = _read_json(run.out_dir / "unlearn.json"), run.scenario.target_client
-    for name in present:
-        made = records.get(name, {}).get("target_client", "unrecorded")
-        if made != target:
-            raise ValueError(f"the {name} model under {run.out_dir} was made for target "
-                             f"client {made}, not {target}; run `unlearn` for target {target}")
-    return {name: load_params(run.model_path(name)) for name in ("original", *present)}
+def _load(run: Run, reads: dict[str, int], kind: str) -> dict[str, ParamSet]:
+    """The files of `reads` in the `kind` directory ("models" or "heads"), by name."""
+    return {Path(rel).stem: load_params(run.out_dir / rel, crc)
+            for rel, crc in reads.items() if rel.startswith(kind)}
 
 
 def _attack(run: Run, resume: bool) -> None:
-    attack_path = run.out_dir / "attack.json"
-    if resume and attack_path.exists():
-        logger.info("attack artifacts already present; skipping")
+    reads = _reads(run, "attack")
+    if resume and _current(run, "attack", reads):
         return
-    results = membership_attack(run.arch, _stored_models(run), run.shards, run.test,
+    results = membership_attack(run.arch, _load(run, reads, "models"), run.shards, run.test,
                                 run.scenario)
     for name, scores in results.items():
         logger.info("attack on %s: precision %.3f recall %.3f f1 %.3f",
                     name, scores["precision"], scores["recall"], scores["f1"])
-    write_report_json(attack_path, results)
+    _record(run, "attack", reads,
+            {"attack.json": write_report_json(run.out_dir / "attack.json", results)})
 
 
-def _angles(run: Run, retained: list[int]) -> dict[str, object]:
-    """Eraser and accum head angles to retraining at each retained round.
-    A trajectory whose length does not fit the retained schedule is
-    left out with a warning."""
-    heads = {name: load_params(run.head_path(name)).tensors
-             for name in METHODS if run.head_path(name).exists()}
+def _angles(run: Run, reads: dict[str, int], retained: list[int]) -> dict[str, object]:
+    """Eraser and accum head angles to retraining at each retained round."""
+    heads = {name: params.tensors for name, params in _load(run, reads, "heads").items()}
     retrain = heads.pop("retrain", None)
     if retrain is None:
         return {}
-    if len(retrain) < retained[-1]:
-        logger.warning("retrain has %d heads but the retained schedule reaches round %d;"
-                       " angles omitted", len(retrain), retained[-1])
-        return {}
     angles: dict[str, object] = {}
     for name, series in heads.items():
-        if len(series) != len(retained):
-            logger.warning("%s has %d heads but %d rounds are retained; its angles"
-                           " are omitted", name, len(series), len(retained))
-            continue
         angles[name] = last_layer_angles(series, retrain, retained,
                                          per_neuron=run.scenario.per_neuron_angles)
         angles[f"{name}_mean"] = float(np.mean(angles[name]))
@@ -485,15 +500,18 @@ def _angles(run: Run, retained: list[int]) -> dict[str, object]:
 def _report(run: Run, resume: bool) -> dict | None:
     """Write report.json and metrics.csv; return the report (None if skipped)."""
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
-    report_path = out_dir / "report.json"
-    if resume and report_path.exists() and (out_dir / "metrics.csv").exists():
-        logger.info("report already present; skipping")
+    reads = _reads(run, "report")
+    if resume and _current(run, "report", reads):
         return None
     target = run.target_shard.dataset
-    models = _stored_models(run)
+    models = _load(run, reads, "models")
     retrain = models.get("retrain")
 
-    attack_results = _read_json(out_dir / "attack.json")
+    attack_results = {}
+    if "attack.json" in reads:
+        data = (out_dir / "attack.json").read_bytes()
+        check_crc(out_dir / "attack.json", zlib.crc32(data), reads["attack.json"])
+        attack_results = json.loads(data)
 
     # one forward pass per model over the target shard serves its accuracy,
     # its loss and its prediction difference to retrain
@@ -509,26 +527,15 @@ def _report(run: Run, resume: bool) -> dict | None:
             angle = angle_deviation(arch.head_weight(model), arch.head_weight(retrain))
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(
-            method=name,
-            test_accuracy=test_acc,
-            test_loss=test_loss,
-            target_accuracy=tgt_acc,
-            target_loss=tgt_loss,
-            prediction_difference=pdiff,
-            angle_to_retrain_deg=angle,
-            attack_precision=att.get("precision"),
-            attack_recall=att.get("recall"),
+            method=name, test_accuracy=test_acc, test_loss=test_loss,
+            target_accuracy=tgt_acc, target_loss=tgt_loss,
+            prediction_difference=pdiff, angle_to_retrain_deg=angle,
+            attack_precision=att.get("precision"), attack_recall=att.get("recall"),
             attack_f1=att.get("f1"),
         ))
 
-    angles = {}
-    storage = {}
-    retention_dir = out_dir / "retention"
-    if (retention_dir / "manifest.json").exists():
-        store = RetentionStore.open(retention_dir)
-        storage["retention_bytes"] = store.total_blob_bytes()
-        angles = _angles(run, store.retained_rounds)
-
+    store = RetentionStore.open(out_dir / "retention")
+    check_crc(store.root / "manifest.json", store.manifest_crc, reads["retention/manifest.json"])
     timings = _read_timings(out_dir)
     speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,
                                                      scenario.retain_interval),
@@ -541,14 +548,16 @@ def _report(run: Run, resume: bool) -> dict | None:
         "methods": {m.method: {k: v for k, v in dataclasses.asdict(m).items()
                                if v is not None and k != "method"}
                     for m in metrics},
-        "angles": angles,
+        "angles": _angles(run, reads, store.retained_rounds),
         "attack": attack_results,
-        "storage": storage,
+        "storage": {"retention_bytes": store.total_blob_bytes()},
         "timings": {**timings, **speedups},
     }
-    write_report_json(report_path, report)
-    write_metrics_csv(out_dir / "metrics.csv", metrics)
-    logger.info("report written to %s", report_path)
+    write_report_json(out_dir / "report.json", report)
+    writes = {"report.json": _report_crc(report),
+              "metrics.csv": write_metrics_csv(out_dir / "metrics.csv", metrics)}
+    _record(run, "report", reads, writes)
+    logger.info("report written to %s", out_dir / "report.json")
     return report
 
 
@@ -568,25 +577,6 @@ SWEEP_COLUMNS = (
 )
 
 
-def _warn_merged_ratios(scenario: FedConfig, ratios: list[float]) -> None:
-    """Calibration epochs are ceil(ratio x local_epochs), so distinct ratios
-    can run the same schedule; say which."""
-    by_epochs: dict[int, list[str]] = {}
-    for ratio in ratios:
-        try:
-            epochs = dataclasses.replace(scenario, calibration_ratio=ratio).calibration_epochs
-        except ValueError:
-            continue  # its sweep point records the error
-        by_epochs.setdefault(epochs, []).append(format(ratio, "g"))
-    for epochs, merged in sorted(by_epochs.items()):
-        if len(merged) > 1:
-            logger.warning(
-                "sweep ratios %s all give calibration_epochs = %d at local_epochs = %d;"
-                " their points run the same schedule",
-                ", ".join(merged), epochs, scenario.local_epochs,
-            )
-
-
 def run_sweep(
     scenario: FedConfig, out_dir: Path, param: str, sweep_values: list[float],
 ) -> None:
@@ -598,21 +588,18 @@ def run_sweep(
             f"unknown sweep parameter {param!r}; choose from {tuple(SWEEP_FIELDS)}")
     if not sweep_values:
         raise ConfigError("sweep needs at least one value")
-    if param == "ratio":
-        _warn_merged_ratios(scenario, sweep_values)
     field_name = SWEEP_FIELDS[param]
     kind = _PARSERS[field_name]
-    rows = []
+    rows, schedules = [], {}  # calibration epochs -> the values whose points run them
     for value in sweep_values:
-        row = dict.fromkeys(SWEEP_COLUMNS, "")
-        row["param"] = param
-        row["value"] = format(value, "g")
+        row = {**dict.fromkeys(SWEEP_COLUMNS, ""), "param": param, "value": format(value, "g")}
         try:
             if kind is int and kind(value) != value:
                 raise ConfigError(f"{field_name} takes whole numbers, not {value:g}")
             point_dir = out_dir / f"{param}_{format(value, 'g')}"
             point = dataclasses.replace(scenario, out_dir=str(point_dir),
                                         **{field_name: kind(value)})
+            schedules.setdefault(point.calibration_epochs, []).append(row["value"])
             run = Run.build(point, point_dir)
             _train(run, resume=False)
             _unlearn(run, resume=False, methods=("eraser", "retrain"))
@@ -633,6 +620,13 @@ def run_sweep(
             logger.exception("sweep point %s=%s failed", param, value)
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
+    # calibration epochs are ceil(ratio x local_epochs), so distinct ratios
+    # can run the same schedule; say which
+    for epochs, ratios in sorted(schedules.items()):
+        if param == "ratio" and len(ratios) > 1:
+            logger.warning("sweep ratios %s all give calibration_epochs = %d at local_epochs = %d;"
+                           " their points run the same schedule",
+                           ", ".join(ratios), epochs, scenario.local_epochs)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     logger.info("sweep written to %s", out_dir / "sweep.csv")
@@ -646,10 +640,8 @@ RUN_DIR_COMMANDS = ("unlearn", "attack", "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fedunlearn",
-        description="Federated training with client unlearning by update calibration.",
-    )
+    parser = argparse.ArgumentParser(prog="fedunlearn", description=(
+        "Federated training with client unlearning by update calibration."))
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("train", "federated training with update retention"),
@@ -692,20 +684,15 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(scenario.out_dir)
         setup_logging(out_dir)
 
-        if args.command == "train":
-            run_train(scenario, out_dir, args.resume)
-        elif args.command == "unlearn":
-            methods = tuple(args.method) if args.method else METHODS
-            run_unlearn(scenario, out_dir, args.resume, methods)
-        elif args.command == "attack":
-            run_attack(scenario, out_dir, args.resume)
-        elif args.command == "report":
-            run_report(scenario, out_dir, args.resume)
-        elif args.command == "run":
-            run_scenario(scenario, out_dir, args.resume)
-        else:
+        if args.command == "unlearn":
+            run_unlearn(scenario, out_dir, args.resume, tuple(args.method or METHODS))
+        elif args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v.strip()]
             run_sweep(scenario, out_dir, args.param, values)
+        else:
+            stages = {"train": run_train, "attack": run_attack, "report": run_report,
+                      "run": run_scenario}
+            stages[args.command](scenario, out_dir, args.resume)
         return 0
     except Exception as exc:  # noqa: BLE001 - reported as a machine-readable record
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -330,20 +330,21 @@ class MethodMetrics:
 METRIC_COLUMNS = tuple(f.name for f in fields(MethodMetrics))
 
 
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[dict]) -> int:
     """Every CSV artifact of a run: a header, then one line per row, written
-    atomically."""
+    atomically. Returns the CRC32 of the bytes written."""
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=columns)
     writer.writeheader()
     writer.writerows(rows)
-    atomic_write(path, text.getvalue().encode())
+    return atomic_write(path, text.getvalue().encode())
 
 
-def write_metrics_csv(path: str | Path, metrics: list[MethodMetrics]) -> None:
-    write_csv(path, METRIC_COLUMNS, (m.as_row() for m in metrics))
+def write_metrics_csv(path: str | Path, metrics: list[MethodMetrics]) -> int:
+    return write_csv(path, METRIC_COLUMNS, (m.as_row() for m in metrics))
 
 
-def write_report_json(path: str | Path, report: dict) -> None:
-    """Every JSON artifact of a run: indented, key-sorted, written atomically."""
-    atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+def write_report_json(path: str | Path, report: dict) -> int:
+    """Every JSON artifact of a run: indented, key-sorted, written atomically.
+    Returns the CRC32 of the bytes written."""
+    return atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())

@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import struct
+import zlib
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -316,27 +317,44 @@ def _parse_header(buf: bytes | memoryview) -> tuple:
     return tuple(chunks), offset, _Layout(tuple(shapes)), tuple(data_offsets)
 
 
-def atomic_write(path, *chunks) -> None:
+def atomic_write(path, *chunks, crc_trailer: bool = False) -> int:
     """Write the chunks (bytes-like objects), one after another, to `path`
     through a temp file and a rename, so a reader sees either the old file
     whole or the new one whole, never a torn one. A failed write removes
-    its temp file and leaves `path` as it was."""
-    tmp = f"{path}.tmp"
+    its temp file and leaves `path` as it was. Returns the CRC32 of the
+    chunks; with `crc_trailer` it follows them, as 4 little-endian bytes."""
+    tmp, crc = f"{path}.tmp", 0
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            if crc_trailer:
+                fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return crc
 
 
-def save_params(params: ParamSet, path) -> None:
-    atomic_write(path, *param_chunks(params))
+def check_crc(path, crc: int | None, recorded: int | None) -> None:
+    """Refuse the file at `path` unless its CRC32 is the one recorded for it."""
+    if crc != recorded:
+        raise ValueError(f"{path} is not the file its record names: "
+                         f"CRC32 {crc or 0:08x}, recorded {recorded or 0:08x}")
 
 
-def load_params(path) -> ParamSet:
+def save_params(params: ParamSet, path) -> int:
+    """Write the set atomically; return the CRC32 of the file."""
+    return atomic_write(path, *param_chunks(params))
+
+
+def load_params(path, crc: int | None = None) -> ParamSet:
+    """Read a set that save_params wrote; with `crc`, only a file of that CRC32."""
     with open(path, "rb") as fh:
-        return parse_param_bytes(fh.read())
+        data = fh.read()
+    if crc is not None:
+        check_crc(path, zlib.crc32(data), crc)
+    return parse_param_bytes(data)

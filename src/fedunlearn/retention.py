@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import zlib
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -87,10 +86,12 @@ def _norms_crc(sq_norms: np.ndarray) -> int:
 class RetentionStore:
     """Directory-backed store of client updates at the scheduled rounds.
 
-    `bytes_read` counts the blob bytes this instance has read."""
+    `bytes_read` counts the blob bytes this instance has read, and
+    `manifest_crc` is the CRC32 of the manifest it last read or wrote."""
 
     def __init__(self, root: Path, fingerprint: StoreFingerprint,
-                 entries: dict[int, dict[int, dict]] | None = None):
+                 entries: dict[int, dict[int, dict]] | None = None,
+                 manifest_crc: int | None = None):
         self.root = root
         self.fingerprint = fingerprint
         self.retained_rounds = schedule(
@@ -100,6 +101,7 @@ class RetentionStore:
         #   "train_loss": ..., "sq_norms": [...], "sq_norms_crc": ...}
         self._entries: dict[int, dict[int, dict]] = entries or {}
         self.bytes_read = 0
+        self.manifest_crc = manifest_crc
         self._reader = ParamReader()
         self._buffer = bytearray()  # every blob is read into this one buffer
 
@@ -121,8 +123,9 @@ class RetentionStore:
         manifest = root / MANIFEST_NAME
         if not manifest.exists():
             raise IntegrityError(f"no manifest at {root}")
+        data = manifest.read_bytes()
         try:
-            raw = json.loads(manifest.read_text())
+            raw = json.loads(data)
             fingerprint = StoreFingerprint(**raw["fingerprint"])
             entries = {
                 int(r): {int(c): e for c, e in clients.items()}
@@ -130,7 +133,7 @@ class RetentionStore:
             }
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise IntegrityError(f"unreadable manifest at {root}: {exc}") from None
-        return cls(root, fingerprint, entries)
+        return cls(root, fingerprint, entries, zlib.crc32(data))
 
     def _write_manifest(self) -> None:
         doc = {
@@ -141,8 +144,9 @@ class RetentionStore:
                 for r, clients in sorted(self._entries.items())
             },
         }
-        atomic_write(self.root / MANIFEST_NAME,
-                     json.dumps(doc, separators=(",", ":"), sort_keys=True).encode())
+        self.manifest_crc = atomic_write(
+            self.root / MANIFEST_NAME,
+            json.dumps(doc, separators=(",", ":"), sort_keys=True).encode())
 
     # -- writes -------------------------------------------------------------
 
@@ -168,12 +172,8 @@ class RetentionStore:
                 )
             # the payload is written from views of the delta's vector, and its
             # CRC chained over the same chunks: nothing is copied
-            chunks = param_chunks(u.delta)
-            crc = 0
-            for chunk in chunks:
-                crc = zlib.crc32(chunk, crc)
             rel = f"round_{round_index}/client_{u.client_id}.fesp"
-            atomic_write(f"{self.root}/{rel}", *chunks, struct.pack("<I", crc))
+            atomic_write(f"{self.root}/{rel}", *param_chunks(u.delta), crc_trailer=True)
             sq_norms = u.delta.sq_norms()
             entries[u.client_id] = {
                 "path": rel,
@@ -183,8 +183,8 @@ class RetentionStore:
                 "sq_norms_crc": _norms_crc(sq_norms),
             }
         self._entries[round_index] = entries
-        # a partial store is never read back (it is not complete, so `train
-        # --resume` rebuilds it), so the manifest is written once it is whole
+        # a partial store is never read back (training records no store
+        # before it is whole), so the manifest is written once it is whole
         if self._entries.keys() >= set(self.retained_rounds):
             self._write_manifest()
 
@@ -287,16 +287,6 @@ class RetentionStore:
         for cid in sorted(client_ids):
             self.load_client(round_index, cid, into=total)
         return total.result()
-
-    def is_complete(self) -> bool:
-        """Every scheduled update is recorded with its norms and has a blob."""
-        return all(
-            (entry := self._entries.get(r, {}).get(c)) is not None
-            and "sq_norms" in entry
-            and (self.root / entry["path"]).exists()
-            for r in self.retained_rounds
-            for c in range(1, self.fingerprint.num_clients + 1)
-        )
 
     def total_blob_bytes(self) -> int:
         return sum(

@@ -84,6 +84,28 @@ def last_stderr_record(capsys):
     return json.loads(lines[-1])
 
 
+def deterministic_files(out):
+    """Every file of a run directory by relative path, its wall-clock parts
+    left out: run.log and timings.csv whole, unlearn.json's total_seconds
+    and round_timings, and report.json's timings but for their names. The
+    directory's own path is replaced, so runs in two directories compare."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = path.relative_to(out).as_posix()
+        if rel in ("run.log", "timings.csv"):
+            continue
+        data = path.read_bytes().replace(str(out).encode(), b"RUN")
+        if rel == "unlearn.json":
+            data = json.loads(data)
+            for record in data.values():
+                del record["total_seconds"], record["round_timings"]
+        elif rel == "report.json":
+            data = json.loads(data)
+            data["timings"] = sorted(data["timings"])
+        files[rel] = data
+    return files
+
+
 # ---------------------------------------------------------------------------
 # Scenario parsing
 
@@ -392,10 +414,9 @@ class TestArtifacts:
         _, run_dir, _ = pipelines
         summary = json.loads((run_dir / "unlearn.json").read_text())
         assert set(summary) == set(METHODS)
-        assert summary["eraser"]["calibration_rounds"] == 2
-        assert summary["retrain"]["calibration_rounds"] == 4
         assert len(summary["eraser"]["round_timings"]) == 2
         assert len(summary["retrain"]["round_timings"]) == 4
+        assert not any("calibration_rounds" in record for record in summary.values())
 
     def test_unlearn_summary_counts_store_reads(self, pipelines):
         _, run_dir, _ = pipelines
@@ -470,7 +491,7 @@ class TestDeterminism:
     # timings.csv, run.log, and report.json (which embeds the timings and
     # the output path) are allowed to differ; everything else must match.
     PARITY_FILES = (
-        "metrics.csv", "attack.json", "models/initial.fesp",
+        "metrics.csv", "attack.json", "stages.json", "models/initial.fesp",
         "models/original.fesp", "models/eraser.fesp",
         "models/accum.fesp", "models/retrain.fesp",
     )
@@ -611,6 +632,121 @@ class TestResume:
                    for entry in clients.values())
 
 
+class Crash(BaseException):
+    """A stop that nothing in the program handles, as a kill would be."""
+
+
+class TestCrashPoints:
+    """`run` stopped after each completed rename of an atomic write, then
+    `run --resume` in the same directory, ends with the files of a run that
+    was never stopped."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("clean")
+        ini, out = write_ini(base, TINY_INI), base / "out"
+        renames = []
+        real = os.replace
+
+        def counting(src, dst):
+            real(src, dst)
+            renames.append(dst)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "replace", counting)
+            assert main(["run", str(ini), "--out", str(out)]) == 0
+        return ini, deterministic_files(out), renames
+
+    def stop_and_resume(self, ini, out, stop, stray_tmp=False):
+        """Run until `stop` renames are done; the next one raises. Then resume."""
+        done = []
+        real = os.replace
+
+        def stopping(src, dst):
+            if len(done) == stop:
+                raise Crash(dst)
+            real(src, dst)
+            done.append(dst)
+
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(Crash) as crash:
+            patch.setattr(os, "replace", stopping)
+            main(["run", str(ini), "--out", str(out)])
+        if stray_tmp:
+            # a kill leaves the temp file, which atomic_write's cleanup removes
+            Path(f"{crash.value.args[0]}.tmp").write_bytes(b"torn")
+        assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        return deterministic_files(out)
+
+    def test_every_stop_point_resumes_to_the_clean_run(self, clean, tmp_path):
+        ini, want, renames = clean
+        assert len(renames) > 20
+        failed = [f"{stop}: after {renames[stop - 1] if stop else 'nothing'}"
+                  for stop in range(len(renames))
+                  if self.stop_and_resume(ini, tmp_path / f"stop_{stop}", stop) != want]
+        assert failed == []
+
+    def test_a_stray_temp_file_is_replaced(self, clean, tmp_path):
+        ini, want, renames = clean
+        stop = next(i for i, path in enumerate(renames) if str(path).endswith("original.fesp"))
+        assert self.stop_and_resume(ini, tmp_path / "out", stop, stray_tmp=True) == want
+
+
+class TestStaleResume:
+    """A record made for other scenario fields is not resumed: exactly the
+    stages that read a changed field run again."""
+
+    @staticmethod
+    def edit(out, old, new):
+        path = out / "scenario.ini"
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+
+    def test_a_ratio_edit_remakes_the_eraser_alone(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        kept = [p for p in (*(out / "retention").rglob("*"), *(out / "models").iterdir())
+                if p.is_file() and p.name != "eraser.fesp"]
+        assert len(kept) == 4 + 1 + 2 * 3  # models, retention manifest, 2 rounds x 3 blobs
+        before = {p: p.stat().st_mtime_ns for p in kept}
+        eraser = (out / "models" / "eraser.fesp").read_bytes()
+        self.edit(out, "calibration_ratio = 0.5", "calibration_ratio = 1.0")
+        assert main(["unlearn", str(out), "--resume"]) == 0
+        assert {p: p.stat().st_mtime_ns for p in kept} == before
+        ratio_1 = write_ini(tmp_path, TINY_INI.replace("calibration_ratio = 0.5",
+                                                       "calibration_ratio = 1.0"), "ratio_1.ini")
+        assert main(["run", str(ratio_1), "--out", str(fresh)]) == 0
+        assert (out / "models" / "eraser.fesp").read_bytes() != eraser
+        for rel in ("models/eraser.fesp", "heads/eraser.fesp"):
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        assert main(["report", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario"]["calibration_ratio"] == 1.0
+        assert report["methods"]["eraser"]["test_accuracy"] == \
+            json.loads((fresh / "report.json").read_text())["methods"]["eraser"]["test_accuracy"]
+
+    def test_an_attack_edit_redoes_the_attack(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        self.edit(out, "attack_epochs = 5", "attack_epochs = 7")
+        assert main(["attack", str(out), "--resume"]) == 0
+        epochs_7 = write_ini(tmp_path, TINY_INI.replace("attack_epochs = 5", "attack_epochs = 7"),
+                             "epochs_7.ini")
+        assert main(["run", str(epochs_7), "--out", str(fresh)]) == 0
+        assert (out / "attack.json").read_bytes() == (fresh / "attack.json").read_bytes()
+
+    def test_another_target_keeps_the_training(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        original = (out / "models" / "original.fesp").stat().st_mtime_ns
+        target_3 = write_ini(tmp_path, TINY_INI.replace("target_client = 1", "target_client = 3"),
+                             "target_3.ini")
+        assert main(["run", str(target_3), "--out", str(out), "--resume"]) == 0
+        assert (out / "models" / "original.fesp").stat().st_mtime_ns == original
+        assert main(["run", str(target_3), "--out", str(fresh)]) == 0
+        assert deterministic_files(out) == deterministic_files(fresh)
+        assert main(["report", str(out)]) == 0
+
+
 class TestScenarioPersisted:
     def test_report_scores_with_the_seed_the_run_used(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
@@ -634,9 +770,14 @@ class TestScenarioPersisted:
 
 class TestReconstructionTarget:
     """Library stages take any scenario, and a forget request may name
-    another target client than RUN/scenario.ini: each reconstruction
-    records its target in unlearn.json, and attack and report score only
-    reconstructions made for the target of the scenario they are given."""
+    another target client than RUN/scenario.ini: each reconstruction's
+    record in stages.json holds its target, and attack and report score
+    only reconstructions made for the target of the scenario they are given."""
+
+    @staticmethod
+    def targets(out):
+        stages = json.loads((out / "stages.json").read_text())
+        return {m: stages[m]["fields"].get("target_client") for m in METHODS}
 
     @pytest.fixture
     def run_for_target_3(self, tmp_path):
@@ -649,8 +790,7 @@ class TestReconstructionTarget:
 
     def test_each_record_names_its_target(self, run_for_target_3):
         out, _ = run_for_target_3
-        summary = json.loads((out / "unlearn.json").read_text())
-        assert {m: summary[m]["target_client"] for m in METHODS} == dict.fromkeys(METHODS, 3)
+        assert self.targets(out) == dict.fromkeys(METHODS, 3)
 
     @pytest.mark.parametrize("command", ["attack", "report"])
     def test_scoring_another_targets_models_is_refused(self, run_for_target_3, capsys,
@@ -671,11 +811,20 @@ class TestReconstructionTarget:
         assert report["scenario"]["target_client"] == 3
         assert set(report["methods"]) == {"original", *METHODS}
 
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_resume_refuses_another_targets_scores(self, run_for_target_3, capsys, command):
+        out, request = run_for_target_3
+        cli.run_attack(request, out)
+        cli.run_report(request, out)
+        assert main([command, str(out), "--resume"]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert "target client 3, not 1" in record["message"]
+
     def test_resume_redoes_the_methods_of_another_target(self, run_for_target_3, tmp_path):
         out, _ = run_for_target_3
         assert main(["unlearn", str(out), "--resume"]) == 0
-        summary = json.loads((out / "unlearn.json").read_text())
-        assert {m: summary[m]["target_client"] for m in METHODS} == dict.fromkeys(METHODS, 1)
+        assert self.targets(out) == dict.fromkeys(METHODS, 1)
         fresh = tmp_path / "fresh"
         assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(fresh)]) == 0
         for name in METHODS:
@@ -687,9 +836,9 @@ class TestReconstructionTarget:
                                                                      capsys):
         out = tmp_path / "out"
         assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
-        summary = json.loads((out / "unlearn.json").read_text())
-        del summary["accum"]["target_client"]
-        (out / "unlearn.json").write_text(json.dumps(summary))
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["accum"]["fields"]["target_client"]
+        (out / "stages.json").write_text(json.dumps(stages))
         (out / "report.json").unlink()
         assert main(["report", str(out)]) == 1
         record = last_stderr_record(capsys)
@@ -698,7 +847,7 @@ class TestReconstructionTarget:
         eraser = (out / "models" / "eraser.fesp").stat().st_mtime_ns
         assert main(["unlearn", str(out), "--resume"]) == 0
         assert (out / "models" / "eraser.fesp").stat().st_mtime_ns == eraser
-        assert json.loads((out / "unlearn.json").read_text())["accum"]["target_client"] == 1
+        assert self.targets(out)["accum"] == 1
         assert main(["report", str(out)]) == 0
 
 
@@ -1119,23 +1268,19 @@ class TestAngleTrajectories:
             assert angles[name] == fresh[name]
             assert angles[f"{name}_mean"] == fresh[f"{name}_mean"]
 
-    @pytest.mark.parametrize("method,steps,message,kept", [
-        ("eraser", 1, "eraser has 1 heads but 2 rounds are retained",
-         {"accum", "accum_mean"}),
-        ("retrain", 2, "retrain has 2 heads but the retained schedule reaches round 3",
-         set()),
-    ])
-    def test_trajectory_that_misses_the_schedule_warns(self, tmp_path, caplog,
-                                                       method, steps, message, kept):
+    @pytest.mark.parametrize("method,steps", [("eraser", 1), ("retrain", 2)])
+    def test_head_file_that_differs_from_its_record_is_refused(self, tmp_path, capsys,
+                                                               method, steps):
+        # a trajectory cut short, as a hand edit or a copy from another run
+        # leaves it: its record names other bytes
         ini = write_ini(tmp_path, TINY_INI)
         out = tmp_path / "out"
         assert main(["run", str(ini), "--out", str(out)]) == 0
         path = out / "heads" / f"{method}.fesp"
         save_params(ParamSet(list(load_params(path).items())[:steps]), path)
-        with caplog.at_level(logging.WARNING, logger="fedunlearn.cli"):
-            assert main(["report", str(out)]) == 0
-        warnings = [r.getMessage() for r in caplog.records
-                    if r.levelno == logging.WARNING and r.name == "fedunlearn.cli"]
-        assert len(warnings) == 1
-        assert message in warnings[0]
-        assert set(json.loads((out / "report.json").read_text())["angles"]) == kept
+        (out / "report.json").unlink()
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert f"{path} is not the file its record names" in record["message"]
+        assert not (out / "report.json").exists()

@@ -79,7 +79,6 @@ class TestLifecycle:
         store = RetentionStore.create(tmp_path / "store", FP)
         assert (tmp_path / "store" / "manifest.json").exists()
         assert store.retained_rounds == [1, 3]
-        assert not store.is_complete()
 
     def test_create_refuses_existing_store(self, tmp_path):
         RetentionStore.create(tmp_path / "store", FP)
@@ -91,7 +90,10 @@ class TestLifecycle:
         reopened = RetentionStore.open(store.root)
         assert reopened.fingerprint == FP
         assert reopened.retained_rounds == [1, 3]
-        assert reopened.is_complete()
+        for round_index in (1, 3):
+            assert reopened.load_round(round_index) == store.load_round(round_index)
+            for client in (1, 2, 3):
+                reopened.load_norms(round_index, client)
 
     def test_open_without_manifest(self, tmp_path):
         with pytest.raises(IntegrityError, match="no manifest"):
@@ -188,7 +190,6 @@ class TestIntegrity:
         (store.root / "round_3" / "client_1.fesp").unlink()
         with pytest.raises(IntegrityError, match="missing blob for round 3 client 1"):
             store.load_client(3, 1)
-        assert not store.is_complete()
 
     def test_tampered_norms_are_detected(self, tmp_path):
         store = full_store(tmp_path)
@@ -221,7 +222,6 @@ class TestIntegrity:
         del doc["rounds"]["1"]["2"]["sq_norms"]
         path.write_text(json.dumps(doc))
         reopened = RetentionStore.open(store.root)
-        assert not reopened.is_complete()
         with pytest.raises(IntegrityError, match="re-run `fedunlearn train`"):
             reopened.load_norms(1, 2)
 
@@ -288,12 +288,13 @@ class TestLoadRound:
 
 class TestAccounting:
     def test_completeness_tracks_schedule(self, tmp_path):
+        # the manifest names the stored updates once every scheduled round is in
         store = RetentionStore.create(tmp_path / "store", FP)
-        assert not store.is_complete()
         store.store_round(1, make_updates(1))
-        assert not store.is_complete()
+        with pytest.raises(IntegrityError, match="no stored update for round 1 client 1"):
+            RetentionStore.open(store.root).load_client(1, 1)
         store.store_round(3, make_updates(3))
-        assert store.is_complete()
+        assert RetentionStore.open(store.root).load_round(1) == store.load_round(1)
 
     def test_total_blob_bytes_matches_files(self, tmp_path):
         store = full_store(tmp_path)

@@ -462,7 +462,6 @@ class TestEraserReadsStoredNorms:
                     del entry["sq_norms"], entry["sq_norms_crc"]
 
         copy = _rewrite_manifest(RetentionStore.open(tmp_path / "copy"), strip)
-        assert not copy.is_complete()
         with pytest.raises(IntegrityError, match=r"round 3 client 2: .*re-run `fedunlearn train`"):
             fed_eraser(arch, initial, copy, shards, config)
         # plain replay reads only blobs and still works
