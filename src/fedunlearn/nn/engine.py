@@ -21,8 +21,12 @@ import numpy as np
 from .arch import ArchSpec, Conv2d, Dense, Flatten, MaxPool2d
 from .params import ParamSet
 
-# im2col entries a pass without caches builds at once (4 MiB of float64)
-_COLS_BUDGET = (4 << 20) // 8
+# im2col entries a conv layer builds at once, forward or backward: 512 KiB of
+# float64, so one chunk's columns and their GEMM operands stay in a 2 MiB L2.
+# On the conv benchmark, chunks of 256 KiB, 512 KiB and 1 MiB cut retrain time
+# by 25-31% against whole-batch columns, 512 KiB the most, and 4 MiB chunks
+# were slower than none (BENCH_conv_chunks.json).
+_COLS_BUDGET = (512 << 10) // 8
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,9 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
     table = arch.layer_table
     for i in range(len(table) - 1, -1, -1):
         layer, p = table[i]
-        cache = caches[i]
+        # each cache is dropped once its layer is done, so the backward pass
+        # holds only the caches of the layers it has yet to reach
+        cache, caches[i] = caches[i], None
         # the input gradient of layer 0 is the data's, which nothing uses
         need_dx = i > 0
         if isinstance(layer, Dense):
@@ -148,10 +154,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray,
              caches: list | None = None) -> np.ndarray:
     """The logits. With `caches`, each layer's backward cache is appended
-    to it; without, each layer's input and im2col columns are dropped as
-    soon as the layer is done, so a pass holds only one layer's arrays, and
-    a convolution's columns are built for as many samples at a time as fit
-    in `_COLS_BUDGET` entries."""
+    to it; without, each layer's input is dropped as soon as the layer is
+    done, so a pass holds only one layer's arrays. Either way a convolution
+    builds its im2col columns a chunk of samples at a time
+    (`_column_chunks`) and drops each chunk after its GEMM: a conv layer
+    caches its input, and the backward pass builds the columns again."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != arch.input_shape:
         raise ValueError(
@@ -173,25 +180,18 @@ def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray
             k = layer.kernel_size
             w_mat = tensors[p].reshape(layer.out_channels, -1)
             b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
-            if keep:
-                cols = _im2col(x, k)
-                z = w_mat @ cols
-            else:
-                # no backward to feed: the columns are built a chunk of
-                # samples at a time; matmul runs one GEMM per sample either way
-                z = np.empty((b, layer.out_channels, ho * wo))
-                step = max(1, _COLS_BUDGET // (x.shape[1] * k * k * ho * wo))
-                for first in range(0, b, step):
-                    np.matmul(w_mat, _im2col(x[first:first + step], k),
-                              out=z[first:first + step])
+            # matmul runs one GEMM per sample, so the chunks change no bit
+            z = np.empty((b, layer.out_channels, ho * wo))
+            for rows in _column_chunks(x.shape, k):
+                np.matmul(w_mat, _im2col(x[rows], k), out=z[rows])
             z += tensors[p + 1][:, None]
-            x_shape, x = x.shape, z.reshape(b, layer.out_channels, ho, wo)
+            conv_in, x = x, z.reshape(b, layer.out_channels, ho, wo)
             if layer.activation == "relu":
                 np.maximum(x, 0.0, out=x)
             if keep:
                 # the output, not the pre-activation z: relu(z) > 0 exactly
                 # where z > 0, and a pooling layer next caches this same array
-                caches.append((x_shape, cols, x))
+                caches.append((conv_in, x))
         elif isinstance(layer, MaxPool2d):
             pooled = _pool_forward(x, layer.window)
             if keep:
@@ -204,6 +204,13 @@ def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray
     return x
 
 
+def _column_chunks(x_shape: tuple[int, ...], k: int) -> list[slice]:
+    # the sample ranges whose im2col columns fit in _COLS_BUDGET entries
+    b, c, h, w = x_shape
+    step = max(1, _COLS_BUDGET // (c * k * k * (h - k + 1) * (w - k + 1)))
+    return [slice(first, first + step) for first in range(0, b, step)]
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     # (B, C, H, W) -> (B, C*k*k, Ho*Wo) sliding windows, channel-major rows
     b, c, h, w = x.shape
@@ -214,32 +221,43 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray, dw: np.ndarray,
                    db: np.ndarray, need_dx: bool) -> np.ndarray | None:
-    x_shape, cols, out = cache
+    """Writes the weight and bias gradients into `dw` and `db`; returns the
+    input gradient, or None without `need_dx`. The columns are built again
+    from the cached input in the forward pass's chunks: each chunk's GEMMs
+    are the per-sample GEMMs one whole-batch call would run, the weight
+    gradient is still reduced over the batch axis once, and each chunk's
+    column gradient is added into its samples of one spatial-major input
+    gradient, so the result is the same bits as whole-batch columns."""
+    x, out = cache
     dz = dout * (out > 0.0) if layer.activation == "relu" else dout
     b, c_out, ho, wo = dz.shape
     dz_mat = dz.reshape(b, c_out, ho * wo)
     np.add.reduce(dz_mat, axis=(0, 2), out=db)
-    # one batched BLAS call; tensordot would copy cols to fold the batch axis
-    np.add.reduce(np.matmul(dz_mat, cols.transpose(0, 2, 1)), axis=0,
-                  out=dw.reshape(c_out, -1))
-    if not need_dx:
-        return None
-    dcols = w.reshape(c_out, -1).T @ dz_mat
-    return _col2im(dcols, x_shape, layer.kernel_size)
+    k = layer.kernel_size
+    w_mat = w.reshape(c_out, -1)
+    per_sample = np.empty((b, c_out, w_mat.shape[1]))
+    # spatial-major, (H, W, B, C): a chunk's shifted adds run over rows of
+    # its samples' channels
+    dx = np.zeros((x.shape[2], x.shape[3], b, x.shape[1])) if need_dx else None
+    for rows in _column_chunks(x.shape, k):
+        # one batched BLAS call; tensordot would copy cols to fold the batch axis
+        np.matmul(dz_mat[rows], _im2col(x[rows], k).transpose(0, 2, 1), out=per_sample[rows])
+        if need_dx:
+            _col2im_add(dx[:, :, rows], w_mat.T @ dz_mat[rows], k)
+    np.add.reduce(per_sample, axis=0, out=dw.reshape(c_out, -1))
+    return None if dx is None else dx.transpose(2, 3, 0, 1)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
-    # accumulates spatial-major, (H, W, B, C), so each of the k*k shifted adds
-    # runs over long contiguous rows; every element still sums its terms from
-    # zero in (i, j) order. Returns a (B, C, H, W) view.
-    b, c, h, w = x_shape
+def _col2im_add(dx: np.ndarray, dcols: np.ndarray, k: int) -> None:
+    # adds the (B, C*k*k, Ho*Wo) column gradient into dx, a spatial-major
+    # (H, W, B, C) view, as k*k shifted adds in (i, j) order: every element
+    # of a zeroed dx sums its terms from zero in that order
+    h, w, b, c = dx.shape
     ho, wo = h - k + 1, w - k + 1
     d6 = dcols.reshape(b, c, k, k, ho, wo).transpose(2, 3, 4, 5, 0, 1)
-    dx = np.zeros((h, w, b, c))
     for i in range(k):
         for j in range(k):
             dx[i : i + ho, j : j + wo] += d6[i, j]
-    return dx.transpose(2, 3, 0, 1)
 
 
 def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:

@@ -1,10 +1,11 @@
 """On-disk retention of per-client updates at scheduled rounds.
 
 The store is a directory: `manifest.json` names the run it belongs to and
-references every stored blob together with its client's sample count and the
-update's per-tensor sums of squares (with a CRC32 of their little-endian
-float64 bytes); blobs live at `round_<t>/client_<k>.fesp` in the shared
-parameter-set format plus a trailing CRC32. Calibration after the first
+references every stored blob together with the CRC32 of its payload, its
+client's sample count and the update's per-tensor sums of squares (with a
+CRC32 of their little-endian float64 bytes); blobs live at
+`round_<t>/client_<k>.fesp` in the shared parameter-set format plus a
+trailing CRC32. Calibration after the first
 retained round needs only the norms, so it reads the manifest instead of the
 blobs. Blob and manifest writes are atomic (temp file + rename), so a crashed
 run never leaves a torn file behind the manifest's back.
@@ -97,7 +98,7 @@ class RetentionStore:
         self.retained_rounds = schedule(
             fingerprint.global_rounds, fingerprint.retain_interval
         )
-        # entries[round][client] = {"path": ..., "sample_count": ...,
+        # entries[round][client] = {"path": ..., "blob_crc": ..., "sample_count": ...,
         #   "train_loss": ..., "sq_norms": [...], "sq_norms_crc": ...}
         self._entries: dict[int, dict[int, dict]] = entries or {}
         self.bytes_read = 0
@@ -173,10 +174,11 @@ class RetentionStore:
             # the payload is written from views of the delta's vector, and its
             # CRC chained over the same chunks: nothing is copied
             rel = f"round_{round_index}/client_{u.client_id}.fesp"
-            atomic_write(f"{self.root}/{rel}", *param_chunks(u.delta), crc_trailer=True)
+            crc = atomic_write(f"{self.root}/{rel}", *param_chunks(u.delta), crc_trailer=True)
             sq_norms = u.delta.sq_norms()
             entries[u.client_id] = {
                 "path": rel,
+                "blob_crc": crc,
                 "sample_count": u.sample_count,
                 "train_loss": u.train_loss,
                 "sq_norms": sq_norms.tolist(),
@@ -200,9 +202,10 @@ class RetentionStore:
 
     def load_client(self, round_index: int, client_id: int, *,
                     into: RoundSum | None = None) -> ClientUpdate | None:
-        """One stored update, its blob checked against its CRC, its header
-        and its finiteness. The blob is read into the store's one reused
-        buffer; the returned update owns a fresh copy of the delta. With
+        """One stored update, its blob checked against its trailing CRC, the
+        CRC its manifest entry records, its header and its finiteness. The
+        blob is read into the store's one reused buffer; the returned update
+        owns a fresh copy of the delta. With
         `into`, the delta is instead written into that round sum's scratch
         vector and added to it, and nothing is returned."""
         entry = self._entry(round_index, client_id)
@@ -222,8 +225,17 @@ class RetentionStore:
         if size < 4:
             raise IntegrityError(f"truncated blob for {where}")
         payload = blob[: size - 4]
-        if zlib.crc32(payload) != int.from_bytes(blob[size - 4 : size], "little"):
+        crc = zlib.crc32(payload)
+        if crc != int.from_bytes(blob[size - 4 : size], "little"):
             raise IntegrityError(f"checksum mismatch for {where}")
+        # a blob vouches only for itself; the entry names which blob it is
+        if "blob_crc" not in entry:
+            raise IntegrityError(
+                f"{where}: the manifest at {self.root} records no blob CRC "
+                "(it predates them); re-run `fedunlearn train` to rebuild the store"
+            )
+        if crc != entry["blob_crc"]:
+            raise IntegrityError(f"blob for {where} is not the one its manifest entry records")
         try:
             if into is None:
                 delta = self._reader.parse(payload)

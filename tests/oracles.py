@@ -240,7 +240,80 @@ def use_reference_kernels(monkeypatch) -> None:
         return reference_pool_backward(x.shape, idx, dout, layer.window)
 
     monkeypatch.setattr(engine, "_pool_backward", pool_backward)
-    monkeypatch.setattr(engine, "_col2im", reference_col2im)
+
+    def col2im_add(dx, dcols, k):
+        # dx is a zeroed (H, W, B, C) view: adding to 0.0 keeps every bit
+        h, w, b, c = dx.shape
+        dx += reference_col2im(dcols, (b, c, h, w), k).transpose(2, 3, 0, 1)
+
+    monkeypatch.setattr(engine, "_col2im_add", col2im_add)
+
+
+def whole_batch_forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray,
+                        caches: list | None = None) -> np.ndarray:
+    """The engine's layer loop as it stood before its conv columns were
+    chunked: each conv layer unfolds the whole batch into one im2col block,
+    one broadcast matmul runs the per-sample GEMMs, and the block is cached
+    for the backward pass as (input shape, columns, output)."""
+    caches = [] if caches is None else caches
+    x = np.asarray(inputs, dtype=np.float64)
+    for layer, p in arch.layer_table:
+        if isinstance(layer, Dense):
+            z = x @ tensors[p]
+            z += tensors[p + 1]
+            caches.append((x, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, Conv2d):
+            k = layer.kernel_size
+            b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
+            cols = engine._im2col(x, k)
+            z = tensors[p].reshape(layer.out_channels, -1) @ cols
+            z += tensors[p + 1][:, None]
+            x_shape, x = x.shape, z.reshape(b, layer.out_channels, ho, wo)
+            if layer.activation == "relu":
+                np.maximum(x, 0.0, out=x)
+            caches.append((x_shape, cols, x))
+        elif isinstance(layer, MaxPool2d):
+            pooled = engine._pool_forward(x, layer.window)
+            caches.append((x, pooled))
+            x = pooled
+        elif isinstance(layer, Flatten):
+            caches.append(x.shape)
+            x = x.reshape(x.shape[0], -1)
+    return x
+
+
+def whole_batch_conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray,
+                              dw: np.ndarray, db: np.ndarray, need_dx: bool):
+    """The conv backward on whole_batch_forward's cache: one batched weight
+    gradient GEMM over the kept columns, reduced over the batch axis, and
+    the whole batch's column gradient folded back into one zeroed
+    spatial-major (H, W, B, C) array by k*k shifted adds in (i, j) order."""
+    x_shape, cols, out = cache
+    dz = dout * (out > 0.0) if layer.activation == "relu" else dout
+    b, c_out, ho, wo = dz.shape
+    dz_mat = dz.reshape(b, c_out, ho * wo)
+    np.add.reduce(dz_mat, axis=(0, 2), out=db)
+    np.add.reduce(np.matmul(dz_mat, cols.transpose(0, 2, 1)), axis=0,
+                  out=dw.reshape(c_out, -1))
+    if not need_dx:
+        return None
+    dcols = w.reshape(c_out, -1).T @ dz_mat
+    k, (_, c, h, w_in) = layer.kernel_size, x_shape
+    d6 = dcols.reshape(b, c, k, k, ho, wo).transpose(2, 3, 4, 5, 0, 1)
+    dx = np.zeros((h, w_in, b, c))
+    for i in range(k):
+        for j in range(k):
+            dx[i : i + ho, j : j + wo] += d6[i, j]
+    return dx.transpose(2, 3, 0, 1)
+
+
+def use_whole_batch_columns(monkeypatch) -> None:
+    """Route the engine's passes through whole_batch_forward and
+    whole_batch_conv_backward: `forward` and `loss_and_grad` as they ran
+    when each conv layer held its whole batch's columns."""
+    monkeypatch.setattr(engine, "_forward", whole_batch_forward)
+    monkeypatch.setattr(engine, "_conv_backward", whole_batch_conv_backward)
 
 
 def reference_loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch):

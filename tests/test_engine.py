@@ -27,9 +27,11 @@ from fedunlearn.nn import (
     mnist_arch,
     purchase_arch,
 )
+from fedunlearn.nn import engine
 from fedunlearn.nn.engine import (
     _COLS_BUDGET,
-    _col2im,
+    _col2im_add,
+    _conv_backward,
     _forward,
     _pool_backward,
     _pool_forward,
@@ -49,6 +51,9 @@ from oracles import (
     sgd_step,
     stacked_conv_instance,
     use_reference_kernels,
+    use_whole_batch_columns,
+    whole_batch_conv_backward,
+    whole_batch_forward,
 )
 
 
@@ -370,6 +375,41 @@ class TestEquivalenceToReferenceEngine:
         self.assert_close(*instance(seed))
 
 
+def per_sample_columns(arch: ArchSpec) -> list[int]:
+    """im2col entries one sample unfolds to in each conv layer."""
+    sizes, shape = [], arch.input_shape
+    for layer in arch.layers:
+        if isinstance(layer, Conv2d):
+            k = layer.kernel_size
+            ho, wo = shape[1] - k + 1, shape[2] - k + 1
+            sizes.append(shape[0] * k * k * ho * wo)
+            shape = (layer.out_channels, ho, wo)
+        elif isinstance(layer, MaxPool2d):
+            shape = (shape[0], shape[1] // layer.window, shape[2] // layer.window)
+    return sizes
+
+
+def chunk_rows(arch: ArchSpec, budget: int) -> list[int]:
+    """Samples per column chunk of each conv layer under a column budget."""
+    return [max(1, budget // size) for size in per_sample_columns(arch)]
+
+
+def ragged_budget(arch: ArchSpec) -> int:
+    """A budget of at least 3 samples per chunk in every conv layer."""
+    return 3 * max(per_sample_columns(arch))
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc's peak over one call of `fn`, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestForwardKeepsNoCaches:
     """`forward` runs the pass `loss_and_grad` runs but keeps no layer's
     backward cache: the same probabilities, bit for bit, in less memory."""
@@ -386,63 +426,114 @@ class TestForwardKeepsNoCaches:
     def test_conv_columns_are_dropped_layer_by_layer(self):
         arch = cifar10_arch()
         params, batch = noisy_model(arch, 0), random_batch(arch, 16, 0)
-
-        def peak(fn) -> int:
-            fn()  # warm-up
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # the im2col columns of the two conv layers: (rows, C*k*k, Ho*Wo)
-        columns = 16 * 8 * (3 * 5 * 5 * 28 * 28 + 6 * 5 * 5 * 10 * 10)
-        assert peak(lambda: forward(arch, params, batch)) < columns
-        assert peak(lambda: _forward(arch, params.tensors, batch.inputs, [])) > columns
-
-    @staticmethod
-    def chunk_rows(arch: ArchSpec) -> list[int]:
-        """Samples per column chunk of each conv layer in a pass without caches."""
-        rows, shape = [], arch.input_shape
-        for layer in arch.layers:
-            if isinstance(layer, Conv2d):
-                k = layer.kernel_size
-                ho, wo = shape[1] - k + 1, shape[2] - k + 1
-                rows.append(max(1, _COLS_BUDGET // (shape[0] * k * k * ho * wo)))
-                shape = (layer.out_channels, ho, wo)
-            elif isinstance(layer, MaxPool2d):
-                shape = (shape[0], shape[1] // layer.window, shape[2] // layer.window)
-        return rows
+        columns = 16 * 8 * sum(per_sample_columns(arch))
+        assert peak_bytes(lambda: forward(arch, params, batch)) < columns
+        # the caching pass builds the columns in the same chunks and keeps
+        # none; the whole-batch pass it replaced held them all
+        assert peak_bytes(lambda: _forward(arch, params.tensors, batch.inputs, [])) < columns / 4
+        assert peak_bytes(
+            lambda: whole_batch_forward(arch, params.tensors, batch.inputs, [])) > columns
 
     @pytest.mark.parametrize("arch", [cifar10_arch(), mnist_arch()], ids=["cifar10", "mnist"])
-    def test_chunked_columns_bit_equal_to_the_caching_pass(self, arch):
+    def test_chunked_columns_bit_equal_to_the_caching_pass(self, monkeypatch, arch):
         rows = 37
-        chunks = self.chunk_rows(arch)
-        assert len(chunks) == 2
-        # every conv layer runs a full chunk and then a ragged one
-        assert all(step < rows and rows % step for step in chunks), chunks
         params, batch = noisy_model(arch, 2), random_batch(arch, rows, 2)
-        logits = _forward(arch, params.tensors, batch.inputs, [])
-        assert bits(_forward(arch, params.tensors, batch.inputs)) == bits(logits)
-        assert bits(forward(arch, params, batch)) == bits(_softmax(logits))
+        whole = whole_batch_forward(arch, params.tensors, batch.inputs, [])
+        ragged = ragged_budget(arch)
+        for budget in (_COLS_BUDGET, ragged):
+            chunks = chunk_rows(arch, budget)
+            assert len(chunks) == 2
+            assert all(step < rows for step in chunks), chunks
+            if budget == ragged:
+                # every conv layer runs a full chunk and then a ragged one
+                assert all(step > 1 and rows % step for step in chunks), chunks
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_COLS_BUDGET", budget)
+                logits = _forward(arch, params.tensors, batch.inputs, [])
+                assert bits(logits) == bits(whole)
+                assert bits(_forward(arch, params.tensors, batch.inputs)) == bits(logits)
+                assert bits(forward(arch, params, batch)) == bits(_softmax(logits))
 
     def test_peak_is_one_column_chunk_and_the_layer_outputs(self):
         arch = cifar10_arch()
         rows = 64
         params, batch = noisy_model(arch, 0), random_batch(arch, rows, 0)
-        forward(arch, params, batch)  # warm-up
-        tracemalloc.start()
-        try:
-            forward(arch, params, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: forward(arch, params, batch))
         # conv, pool, conv, pool, dense, dense, softmax outputs
         outputs = rows * 8 * (6 * 28 * 28 + 6 * 14 * 14 + 16 * 10 * 10 + 16 * 5 * 5
                               + 120 + 10 + 10)
         # all 64 rows of conv-1 columns at once would be 30 MB
         assert peak < 8 * _COLS_BUDGET + outputs, f"{peak / 1e6:.1f} MB"
+
+
+def budget_of(name: str, arch: ArchSpec) -> int:
+    return {"engine": _COLS_BUDGET, "one_sample": 1, "ragged": ragged_budget(arch)}[name]
+
+
+class TestChunkedColumnsBitEqualToWholeBatch:
+    """`loss_and_grad` builds each conv layer's columns a chunk of samples
+    at a time, forward and backward, against the whole-batch columns of
+    tests/oracles.py: the same bits for every chunking, ragged last chunks
+    and one-sample chunks included."""
+
+    @pytest.mark.parametrize("budget", ["engine", "one_sample", "ragged"])
+    @pytest.mark.parametrize("preset", [cifar10_arch, mnist_arch], ids=["cifar10", "mnist"])
+    @pytest.mark.parametrize("rows", [37, 1])
+    def test_loss_and_grad(self, monkeypatch, budget, preset, rows):
+        arch = preset()
+        params, batch = noisy_model(arch, 5), random_batch(arch, rows, 5)
+        if budget == "ragged" and rows > 1:
+            assert all(step > 1 and rows % step for step in chunk_rows(arch, ragged_budget(arch)))
+        with monkeypatch.context() as m:
+            use_whole_batch_columns(m)
+            ref_loss, ref_grads = loss_and_grad(arch, params, batch)
+        monkeypatch.setattr(engine, "_COLS_BUDGET", budget_of(budget, arch))
+        loss, grads = loss_and_grad(arch, params, batch)
+        assert loss == ref_loss
+        assert grads.vector.tobytes() == ref_grads.vector.tobytes()
+
+    @pytest.mark.parametrize("budget", ["engine", "one_sample", "ragged"])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    def test_conv_backward(self, monkeypatch, budget, need_dx, activation):
+        # cifar10's second conv layer, on 7 rows: a ragged last chunk at
+        # the engine's budget (4 rows a chunk) and at the ragged one (3)
+        arch = ArchSpec(layers=(Conv2d(6, 16, 5, activation), Flatten(),
+                                Dense(16 * 10 * 10, 4)), input_shape=(6, 14, 14))
+        layer = arch.layers[0]
+        params, batch = noisy_model(arch, 6), random_batch(arch, 7, 6)
+        w = params.tensors[0]
+        monkeypatch.setattr(engine, "_COLS_BUDGET", budget_of(budget, arch))
+        ours, ref = [], []
+        _forward(arch, params.tensors, batch.inputs, ours)
+        whole_batch_forward(arch, params.tensors, batch.inputs, ref)
+        assert bits(ours[0][1]) == bits(ref[0][2])
+        rng = np.random.default_rng(6)
+        dout = rng.normal(size=ours[0][1].shape)
+        dout[rng.random(size=dout.shape) < 0.05] = -0.0
+        grads = []
+        for backward, cache in ((_conv_backward, ours[0]), (whole_batch_conv_backward, ref[0])):
+            dw, db = np.empty(w.shape), np.empty(layer.out_channels)
+            dx = backward(layer, w, cache, dout, dw, db, need_dx)
+            grads.append((bits(dw), bits(db), None if dx is None else (dx.shape, bits(dx))))
+        assert grads[0] == grads[1]
+        assert (grads[0][2] is None) == (not need_dx)
+
+    def test_loss_and_grad_peak_is_one_column_chunk_and_the_layer_caches(self):
+        arch = cifar10_arch()
+        rows = 64
+        params, batch = noisy_model(arch, 0), random_batch(arch, rows, 0)
+        peak = peak_bytes(lambda: loss_and_grad(arch, params, batch))
+        # what the caching pass keeps: conv, pool, conv, pool outputs, and
+        # the dense layers' pre-activations and outputs
+        caches = rows * 8 * (6 * 28 * 28 + 6 * 14 * 14 + 16 * 10 * 10 + 16 * 5 * 5
+                             + 2 * 120 + 10)
+        # the gradient a layer receives and its pre-activation gradient, at
+        # the largest layer, conv-1
+        gradients = 2 * rows * 8 * 6 * 28 * 28
+        # all 64 rows of conv-1 columns at once would be 30 MB
+        assert peak < 8 * _COLS_BUDGET + caches + gradients, f"{peak / 1e6:.1f} MB"
 
 
 def pool_gradient(x: np.ndarray, window: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -529,9 +620,11 @@ class TestKernelsBitEqualToReference:
         rng = np.random.default_rng(2)
         dcols = rng.normal(size=(b, c * k * k, (h - k + 1) * (w - k + 1)))
         dcols[rng.random(size=dcols.shape) < 0.05] = -0.0
-        dx = _col2im(dcols, x_shape, k)
-        assert dx.shape == x_shape
-        assert bits(dx) == bits(reference_col2im(dcols, x_shape, k))
+        # added a chunk of samples at a time, as the backward pass adds them
+        dx = np.zeros((h, w, b, c))
+        for first in range(0, b, 2):
+            _col2im_add(dx[:, :, first:first + 2], dcols[first:first + 2], k)
+        assert bits(dx.transpose(2, 3, 0, 1)) == bits(reference_col2im(dcols, x_shape, k))
 
     @staticmethod
     def assert_loss_and_grad_bit_equal(monkeypatch, arch, params, batch):

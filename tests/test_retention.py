@@ -48,6 +48,20 @@ def full_store(tmp_path, fingerprint=FP):
     return store
 
 
+def replace_blob(store, round_index, client_id, payload: bytes) -> RetentionStore:
+    """Write `payload` as the client's blob with a valid trailing CRC, record
+    that CRC in its manifest entry, and reopen the store: a blob that every
+    checksum vouches for, so only what its bytes say can refuse it."""
+    crc = zlib.crc32(payload)
+    (store.root / f"round_{round_index}" / f"client_{client_id}.fesp").write_bytes(
+        payload + struct.pack("<I", crc))
+    path = store.root / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["rounds"][str(round_index)][str(client_id)]["blob_crc"] = crc
+    path.write_text(json.dumps(doc))
+    return RetentionStore.open(store.root)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("rounds,interval,expected", [
         (10, 2, [1, 3, 5, 7, 9]),
@@ -175,15 +189,31 @@ class TestIntegrity:
             store.load_client(1, 1)
 
     def test_valid_crc_but_undecodable_payload(self, tmp_path):
-        import struct
-        import zlib
-
-        store = full_store(tmp_path)
-        payload = b"XXXX not a parameter blob"
-        blob = payload + struct.pack("<I", zlib.crc32(payload))
-        (store.root / "round_1" / "client_3.fesp").write_bytes(blob)
+        store = replace_blob(full_store(tmp_path), 1, 3, b"XXXX not a parameter blob")
         with pytest.raises(IntegrityError, match="undecodable blob for round 1 client 3"):
             store.load_client(1, 3)
+
+    @pytest.mark.parametrize("aggregation", [None, "standard"])
+    def test_swapped_self_consistent_blobs_are_refused(self, tmp_path, aggregation):
+        store = full_store(tmp_path)
+        first, second = (store.root / "round_3" / f"client_{c}.fesp" for c in (1, 2))
+        blobs = first.read_bytes(), second.read_bytes()
+        first.write_bytes(blobs[1])
+        second.write_bytes(blobs[0])
+        with pytest.raises(IntegrityError,
+                           match="blob for round 3 client 1 is not the one its manifest entry"):
+            store.load_round(3, [1, 2], aggregation=aggregation)
+        store.load_client(3, 3)  # the other blobs still check out
+
+    def test_manifest_without_blob_crc(self, tmp_path):
+        store = full_store(tmp_path)
+        path = store.root / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["rounds"]["1"]["2"]["blob_crc"]
+        path.write_text(json.dumps(doc))
+        reopened = RetentionStore.open(store.root)
+        with pytest.raises(IntegrityError, match="round 1 client 2: .* re-run `fedunlearn train`"):
+            reopened.load_client(1, 2)
 
     def test_missing_blob_file(self, tmp_path):
         store = full_store(tmp_path)
@@ -351,11 +381,9 @@ class TestCopyFreeIO:
             store.load_round(3, client_ids=[1, 2, 3], aggregation="standard")
 
     def test_non_finite_blob_with_a_valid_crc_is_caught_by_the_fold(self, tmp_path):
-        store = full_store(tmp_path)
         payload = bytearray(dump_param_bytes(make_updates(1)[2].delta))
         payload[-8:] = struct.pack("<d", float("nan"))  # the last value of "b"
-        (store.root / "round_1" / "client_3.fesp").write_bytes(
-            bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        store = replace_blob(full_store(tmp_path), 1, 3, bytes(payload))
         with pytest.raises(IntegrityError,
                            match="round 1 client 3: tensor 'b' contains non-finite values"):
             store.load_round(1, aggregation="literal")
