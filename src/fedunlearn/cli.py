@@ -9,9 +9,9 @@ scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
 A run directory holds scenario.ini, manifest.json, retention/, models/,
 heads/, unlearn.json, attack.json, report.json, metrics.csv, stages.json
 (each stage's record, below) and the wall-clock files run.log and
-timings.csv; README's "Run directory layout" describes each. Only
-unlearn.json's total_seconds and round_timings and report.json's timings
-are wall-clock among the rest, which is deterministic given the scenario.
+profile.json (each timed stage's seconds); README's "Run directory layout"
+describes each. Only report.json's timings, copied from profile.json, are
+wall-clock among the rest, which is deterministic given the scenario.
 
 Every subcommand exits 0 on success; on failure it writes one JSON error
 record to stderr and exits nonzero.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import logging
@@ -39,7 +38,7 @@ from .data import ClientShard, Dataset, FedConfig, prepare_data
 from .evaluation import (MethodMetrics, accuracy_and_loss, angle_deviation, batched_probs,
                          evaluate, last_layer_angles, mean_probability_distance,
                          membership_attack, write_csv, write_metrics_csv, write_report_json)
-from .federation import run_fedavg
+from .federation import Trajectory, run_fedavg
 from .nn import (ArchSpec, ParamSet, adult_arch, atomic_write, build_model, cifar10_arch,
                  dense_arch, load_params, mnist_arch, purchase_arch, save_params)
 from .nn.params import check_crc
@@ -94,11 +93,15 @@ def parse_scenario(path: str | Path, overrides: dict[str, object] | None = None)
     and unparsable value is reported together in one error; when there are
     none, every out-of-range or unknown setting is."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
@@ -227,19 +230,17 @@ class Run:
         return {name: getattr(self.scenario, name) for name in STAGE_FIELDS[stage]}
 
 
-def _read_timings(out_dir: Path) -> dict[str, float]:
-    path = out_dir / "timings.csv"
-    if not path.exists():
-        return {}
-    with open(path, newline="") as fh:
-        return {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
+def _read_json(path: Path) -> dict:
+    return json.loads(path.read_text()) if path.exists() else {}
 
 
-def _record_timing(out_dir: Path, name: str, seconds: float) -> None:
-    rows = _read_timings(out_dir)
-    rows[name] = seconds
-    write_csv(out_dir / "timings.csv", ("name", "seconds"),
-              ({"name": key, "seconds": format(rows[key], ".6f")} for key in sorted(rows)))
+def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
+    """Merge `stage`'s wall-clock seconds into RUN/profile.json, the one file
+    that holds them; report.json's timings copy its totals."""
+    profile = _read_json(out_dir / "profile.json")
+    profile[stage] = {"total_seconds": walk.total_seconds,
+                      "round_timings": list(walk.round_timings)}
+    write_report_json(out_dir / "profile.json", profile)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> No
 _SCORES = ("attack.json", "report.json", "metrics.csv")
 # Everything in a run directory derived from its training, the records
 # first. A training that runs deletes them, so none can pair with it.
-_TRAINING_DERIVED = ("stages.json", "retention", "timings.csv", "manifest.json", "models",
+_TRAINING_DERIVED = ("stages.json", "retention", "profile.json", "manifest.json", "models",
                      "heads", "unlearn.json", *_SCORES)
 
 
@@ -407,13 +408,9 @@ def _train(run: Run, resume: bool) -> None:
     }
     writes["manifest.json"] = write_report_json(out_dir / "manifest.json", manifest)
     writes["retention/manifest.json"] = store.manifest_crc
-    _record_timing(out_dir, "train", trained.total_seconds)
+    _record_timing(out_dir, "train", trained)
     _record(run, "train", {}, writes)
     logger.info("trained %d rounds; test accuracy %.4f", scenario.global_rounds, test_acc)
-
-
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text()) if path.exists() else {}
 
 
 def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
@@ -452,10 +449,8 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         heads = ParamSet((f"step{j:04d}", head) for j, head in enumerate(result.heads, start=1))
         writes = {f"models/{name}.fesp": save_params(result.model, run.model_path(name)),
                   f"heads/{name}.fesp": save_params(heads, out_dir / "heads" / f"{name}.fesp")}
-        _record_timing(out_dir, name, result.total_seconds)
-        summary[name] = {"total_seconds": result.total_seconds,
-                         "round_timings": list(result.round_timings),
-                         "store_bytes_read": result.store_bytes_read,
+        _record_timing(out_dir, name, result)
+        summary[name] = {"store_bytes_read": result.store_bytes_read,
                          "sgd_steps": result.sgd_steps, "sample_grads": result.sample_grads}
         if name == "eraser":
             summary[name]["eps_fallbacks"] = result.eps_fallbacks
@@ -536,7 +531,8 @@ def _report(run: Run, resume: bool) -> dict | None:
 
     store = RetentionStore.open(out_dir / "retention")
     check_crc(store.root / "manifest.json", store.manifest_crc, reads["retention/manifest.json"])
-    timings = _read_timings(out_dir)
+    timings = {stage: record["total_seconds"]
+               for stage, record in _read_json(out_dir / "profile.json").items()}
     speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,
                                                      scenario.retain_interval),
                 "schedule_speedup": schedule_speedup(scenario)}

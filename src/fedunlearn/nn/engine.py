@@ -119,8 +119,8 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
         # the input gradient of layer 0 is the data's, which nothing uses
         need_dx = i > 0
         if isinstance(layer, Dense):
-            x, z = cache
-            dz = dx * (z > 0.0) if layer.activation == "relu" else dx
+            x, out = cache
+            dz = dx * (out > 0.0) if layer.activation == "relu" else dx
             np.matmul(x.T, dz, out=segments[p])
             np.add.reduce(dz, axis=0, out=segments[p + 1])
             dx = dz @ tensors[p].T if need_dx else None
@@ -169,13 +169,12 @@ def _forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray
         if isinstance(layer, Dense):
             z = x @ tensors[p]
             z += tensors[p + 1]
-            if keep:
-                caches.append((x, z))
             if layer.activation == "relu":
-                # in place when z is not cached: the same values
-                x = np.maximum(z, 0.0, out=None if keep else z)
-            else:
-                x = z
+                np.maximum(z, 0.0, out=z)
+            if keep:
+                # the output, as a conv layer caches: relu(z) > 0 exactly where z > 0
+                caches.append((x, z))
+            x = z
         elif isinstance(layer, Conv2d):
             k = layer.kernel_size
             w_mat = tensors[p].reshape(layer.out_channels, -1)

@@ -301,9 +301,6 @@ class RetentionStore:
         return total.result()
 
     def total_blob_bytes(self) -> int:
-        return sum(
-            (self.root / entry["path"]).stat().st_size
-            for clients in self._entries.values()
-            for entry in clients.values()
-            if (self.root / entry["path"]).exists()
-        )
+        """The bytes of every blob the manifest lists; a missing one is an error."""
+        return sum((self.root / entry["path"]).stat().st_size
+                   for clients in self._entries.values() for entry in clients.values())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import NORM_MODES, ClientShard, FedConfig
 from .federation import RoundSum, Trajectory, client_updates, run_fedavg
-from .nn import ArchSpec, ParamSet, build_model, param_linear
+from .nn import ArchSpec, ParamSet, param_linear
 from .nn.params import require_conformant
 from .retention import RetentionStore, StoredNorms, StoreFingerprint, schedule
 from .seeds import derive_seed
@@ -216,8 +216,7 @@ def fed_retrain(
     """FedAvg over the remaining clients alone, from the run seed's
     initialization: the same starting point as the original training run,
     and hence comparable parameter trajectories."""
-    return run_fedavg(arch, _remaining_shards(shards, config), config,
-                      initial_model=build_model(arch, config.seed))
+    return run_fedavg(arch, _remaining_shards(shards, config), config)
 
 
 def expected_speedup(calibration_ratio: float, retain_interval: int) -> float:

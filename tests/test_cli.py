@@ -27,6 +27,7 @@ from fedunlearn.cli import (
 )
 from fedunlearn.data import FedConfig, make_synthetic
 from fedunlearn.evaluation import METRIC_COLUMNS
+from fedunlearn.federation import Trajectory
 from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
 
 from conftest import tear_writes
@@ -86,20 +87,16 @@ def last_stderr_record(capsys):
 
 def deterministic_files(out):
     """Every file of a run directory by relative path, its wall-clock parts
-    left out: run.log and timings.csv whole, unlearn.json's total_seconds
-    and round_timings, and report.json's timings but for their names. The
-    directory's own path is replaced, so runs in two directories compare."""
+    left out: run.log and profile.json whole, and report.json's timings but
+    for their names. The directory's own path is replaced, so runs in two
+    directories compare."""
     files = {}
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         rel = path.relative_to(out).as_posix()
-        if rel in ("run.log", "timings.csv"):
+        if rel in ("run.log", "profile.json"):
             continue
         data = path.read_bytes().replace(str(out).encode(), b"RUN")
-        if rel == "unlearn.json":
-            data = json.loads(data)
-            for record in data.values():
-                del record["total_seconds"], record["round_timings"]
-        elif rel == "report.json":
+        if rel == "report.json":
             data = json.loads(data)
             data["timings"] = sorted(data["timings"])
         files[rel] = data
@@ -175,6 +172,11 @@ class TestParseScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):
             parse_scenario(tmp_path / "nope.ini")
+
+    def test_a_directory_is_not_a_scenario(self, tmp_path):
+        # ConfigParser.read skips a path it cannot open, which gave the defaults
+        with pytest.raises(ConfigError, match=f"cannot read {tmp_path}"):
+            parse_scenario(tmp_path)
 
     def test_malformed_ini(self, tmp_path):
         path = write_ini(tmp_path, "[data]\nx\n")
@@ -283,24 +285,28 @@ class TestBuildArch:
         assert arch.arch_hash() == adult_arch(8, hidden=8).arch_hash()
 
 
+def walk(*round_timings):
+    """A trajectory whose only use here is its wall-clock seconds."""
+    return Trajectory(ParamSet(()), round_timings, sum(round_timings))
+
+
 class TestRecordTiming:
     def test_merge_sort_and_overwrite(self, tmp_path):
-        _record_timing(tmp_path, "train", 1.5)
-        _record_timing(tmp_path, "eraser", 0.25)
-        _record_timing(tmp_path, "train", 2.0)
-        with open(tmp_path / "timings.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["name"] for r in rows] == ["eraser", "train"]
-        assert rows[1]["seconds"] == "2.000000"
-        assert rows[0]["seconds"] == "0.250000"
+        _record_timing(tmp_path, "train", walk(1.0, 0.5))
+        _record_timing(tmp_path, "eraser", walk(0.25))
+        _record_timing(tmp_path, "train", walk(2.0))
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        assert list(profile) == ["eraser", "train"]
+        assert profile["train"] == {"total_seconds": 2.0, "round_timings": [2.0]}
+        assert profile["eraser"] == {"total_seconds": 0.25, "round_timings": [0.25]}
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        _record_timing(tmp_path, "train", 1.5)
-        before = (tmp_path / "timings.csv").read_bytes()
+        _record_timing(tmp_path, "train", walk(1.5))
+        before = (tmp_path / "profile.json").read_bytes()
         tear_writes(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            _record_timing(tmp_path, "eraser", 0.25)
-        assert (tmp_path / "timings.csv").read_bytes() == before
+            _record_timing(tmp_path, "eraser", walk(0.25))
+        assert (tmp_path / "profile.json").read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +337,7 @@ class TestArtifacts:
         ini, run_dir, _ = pipelines
         for rel in (
             "scenario.ini", "manifest.json", "unlearn.json", "attack.json",
-            "report.json", "metrics.csv", "timings.csv",
+            "report.json", "metrics.csv", "profile.json",
             "retention/manifest.json",
             "models/initial.fesp", "models/original.fesp",
             "models/eraser.fesp", "models/accum.fesp", "models/retrain.fesp",
@@ -414,8 +420,9 @@ class TestArtifacts:
         _, run_dir, _ = pipelines
         summary = json.loads((run_dir / "unlearn.json").read_text())
         assert set(summary) == set(METHODS)
-        assert len(summary["eraser"]["round_timings"]) == 2
-        assert len(summary["retrain"]["round_timings"]) == 4
+        profile = json.loads((run_dir / "profile.json").read_text())
+        assert len(profile["eraser"]["round_timings"]) == 2
+        assert len(profile["retrain"]["round_timings"]) == 4
         assert not any("calibration_rounds" in record for record in summary.values())
 
     def test_unlearn_summary_counts_store_reads(self, pipelines):
@@ -445,10 +452,10 @@ class TestArtifacts:
         assert {m: (summary[m]["sgd_steps"], summary[m]["sample_grads"]) for m in METHODS} \
             == {"eraser": (4, 60), "accum": (0, 0), "retrain": (32, 480)}
 
-    def test_timings_csv(self, pipelines):
+    def test_profile_json(self, pipelines):
         _, run_dir, _ = pipelines
-        with open(run_dir / "timings.csv", newline="") as fh:
-            timings = {r["name"]: float(r["seconds"]) for r in csv.DictReader(fh)}
+        profile = json.loads((run_dir / "profile.json").read_text())
+        timings = {stage: record["total_seconds"] for stage, record in profile.items()}
         assert set(timings) == {"train", "eraser", "accum", "retrain"}
         assert all(v >= 0.0 for v in timings.values())
 
@@ -486,12 +493,21 @@ class TestReportScoring:
                 assert scores["prediction_difference"] == evaluation.prediction_difference(
                     run.arch, model, retrain, target)
 
+    def test_a_missing_blob_is_an_error(self, pipelines, tmp_path, capsys):
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        blob = out / "retention" / "round_3" / "client_2.fesp"
+        blob.unlink()
+        assert main(["report", str(out)]) == 1
+        assert str(blob) in last_stderr_record(capsys)["message"]
+
 
 class TestDeterminism:
-    # timings.csv, run.log, and report.json (which embeds the timings and
+    # profile.json, run.log, and report.json (which embeds the timings and
     # the output path) are allowed to differ; everything else must match.
     PARITY_FILES = (
-        "metrics.csv", "attack.json", "stages.json", "models/initial.fesp",
+        "metrics.csv", "attack.json", "stages.json", "unlearn.json", "models/initial.fesp",
         "models/original.fesp", "models/eraser.fesp",
         "models/accum.fesp", "models/retrain.fesp",
     )
@@ -853,8 +869,8 @@ class TestReconstructionTarget:
 
 class TestFreshTrainTimings:
     def read_timings(self, out):
-        with open(out / "timings.csv", newline="") as fh:
-            return {r["name"]: r["seconds"] for r in csv.DictReader(fh)}
+        profile = json.loads((out / "profile.json").read_text())
+        return {stage: record["total_seconds"] for stage, record in profile.items()}
 
     def test_fresh_train_drops_the_previous_runs_timings(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)
@@ -964,8 +980,8 @@ class TestUnlearnCommand:
         shutil.rmtree(out / "retention")
         assert main(["unlearn", str(out), "--method", "retrain"]) == 0
         assert (out / "models" / "retrain.fesp").exists()
-        summary = json.loads((out / "unlearn.json").read_text())
-        assert len(summary["retrain"]["round_timings"]) == 4
+        profile = json.loads((out / "profile.json").read_text())
+        assert len(profile["retrain"]["round_timings"]) == 4
 
     def test_library_rejects_unknown_method(self, tmp_path):
         scenario = parse_scenario(write_ini(tmp_path, TINY_INI))
