@@ -6,12 +6,14 @@ scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
 `report RUN` take their scenario from RUN/scenario.ini, which `train` and
 `run` write. Every subcommand but `sweep` takes --resume.
 
-A run directory holds scenario.ini, manifest.json, retention/, models/,
-heads/, unlearn.json, attack.json, report.json, metrics.csv, stages.json
-(each stage's record, below) and the wall-clock files run.log and
-profile.json (each timed stage's seconds); README's "Run directory layout"
-describes each. Only report.json's timings, copied from profile.json, are
-wall-clock among the rest, which is deterministic given the scenario.
+A run directory holds scenario.ini, manifest.json, data.fesp (the
+prepared data, which every stage after training reads), retention/,
+models/, heads/, unlearn.json, attack.json, report.json, metrics.csv,
+stages.json (each stage's record, below) and the wall-clock files run.log
+and profile.json (each timed stage's seconds); README's "Run directory
+layout" describes each. Only report.json's timings, copied from
+profile.json, are wall-clock among the rest, which is deterministic given
+the scenario.
 
 Every subcommand exits 0 on success; on failure it writes one JSON error
 record to stderr and exits nonzero.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -39,8 +42,8 @@ from .evaluation import (MethodMetrics, accuracy_and_loss, angle_deviation, batc
                          evaluate, last_layer_angles, mean_probability_distance,
                          membership_attack, write_csv, write_metrics_csv, write_report_json)
 from .federation import Trajectory, run_fedavg
-from .nn import (ArchSpec, ParamSet, adult_arch, atomic_write, build_model, cifar10_arch,
-                 dense_arch, load_params, mnist_arch, purchase_arch, save_params)
+from .nn import (ArchSpec, ParamSet, adult_arch, array_chunks, atomic_write, build_model,
+                 cifar10_arch, dense_arch, load_params, mnist_arch, purchase_arch, save_params)
 from .nn.params import check_crc
 from .retention import RetentionStore, StoreFingerprint
 from .unlearning import expected_speedup, fed_accum, fed_eraser, fed_retrain, schedule_speedup
@@ -188,35 +191,54 @@ def setup_logging(out_dir: Path) -> None:
         root.addHandler(sh)
 
 
-def build_arch(scenario: FedConfig, train: Dataset) -> ArchSpec:
-    features = int(np.prod(train.feature_shape))
+def build_arch(scenario: FedConfig, data: Dataset) -> ArchSpec:
+    """The scenario's architecture for inputs and classes shaped as `data`'s."""
+    features = int(np.prod(data.feature_shape))
     if scenario.dataset == "adult":
         return adult_arch(features, hidden=scenario.hidden_units)
     if scenario.dataset == "purchase":
-        return purchase_arch(features, num_classes=train.num_classes)
+        return purchase_arch(features, num_classes=data.num_classes)
     if scenario.dataset == "mnist":
         return mnist_arch()
     if scenario.dataset == "cifar10":
         return cifar10_arch()
-    return dense_arch(features, train.num_classes, hidden=scenario.hidden_units)
+    return dense_arch(features, data.num_classes, hidden=scenario.hidden_units)
 
 
 @dataclass(frozen=True)
 class Run:
     """What every stage of one command shares: the scenario, the directory
-    its artifacts live in, and the data and architecture, loaded once."""
+    its artifacts live in, and the prepared data and architecture, made
+    once. A training that runs prepares the data from the dataset the
+    scenario names (`prepare`) and writes it to data.fesp; any other stage
+    reads that file, at the CRC32 of training's entry for this scenario,
+    and never the dataset."""
 
     scenario: FedConfig
     out_dir: Path
-    train: Dataset
-    test: Dataset
-    shards: list[ClientShard]
-    arch: ArchSpec
 
-    @classmethod
-    def build(cls, scenario: FedConfig, out_dir: Path) -> Run:
-        train, test, shards = prepare_data(scenario)
-        return cls(scenario, Path(out_dir), train, test, shards, build_arch(scenario, train))
+    def prepare(self) -> None:
+        """Prepare the data from the dataset; this command's later stages share it."""
+        _, test, shards = prepare_data(self.scenario)
+        object.__setattr__(self, "data", (shards, test))  # fills the cached property
+
+    @functools.cached_property
+    def data(self) -> tuple[list[ClientShard], Dataset]:
+        """The clients' shards and the test set, read once from data.fesp."""
+        return _load_data(self.out_dir / "data.fesp", _reads(self, _DATA)["data.fesp"],
+                          self.scenario.dataset)
+
+    @property
+    def shards(self) -> list[ClientShard]:
+        return self.data[0]
+
+    @property
+    def test(self) -> Dataset:
+        return self.data[1]
+
+    @functools.cached_property
+    def arch(self) -> ArchSpec:
+        return build_arch(self.scenario, self.test)
 
     @property
     def target_shard(self) -> ClientShard:
@@ -228,6 +250,27 @@ class Run:
     def fields(self, stage: str) -> dict[str, object]:
         """The scenario's values of the fields `stage` reads."""
         return {name: getattr(self.scenario, name) for name in STAGE_FIELDS[stage]}
+
+
+# RUN/data.fesp, in the .fesp format: each client's inputs and labels in
+# client order, then the test set's, then the class count. Labels are
+# stored as float64, which is exact for class indices.
+
+def _save_data(path: Path, shards: list[ClientShard], test: Dataset) -> int:
+    """Write the data without copying its features; return the file's CRC32."""
+    sets = [*((f"client{s.client_id}", s.dataset) for s in shards), ("test", test)]
+    return atomic_write(path, *array_chunks([
+        *((f"{name}.{part}", getattr(ds, part)) for name, ds in sets
+          for part in ("inputs", "labels")),
+        ("num_classes", [test.num_classes])]))
+
+
+def _load_data(path: Path, crc: int, name: str) -> tuple[list[ClientShard], Dataset]:
+    """The data `_save_data` wrote, read into one vector: the datasets view it."""
+    *arrays, (num_classes,) = load_params(path, crc).tensors
+    sets = [Dataset(name, inputs, labels, int(num_classes))
+            for inputs, labels in zip(arrays[::2], arrays[1::2])]
+    return [ClientShard(k, ds) for k, ds in enumerate(sets[:-1], start=1)], sets[-1]
 
 
 def _read_json(path: Path) -> dict:
@@ -251,10 +294,11 @@ def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
 # stage's entry made for its own scenario, at the CRC32 the entry records.
 
 # stage -> the (earlier stage, file) pairs it reads, of the stages that ran
-_STORED = (("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
-_SCORED = (("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
-_READS = {"eraser": _STORED, "accum": _STORED, "attack": _SCORED,
-          "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[1],
+_DATA = (("train", "data.fesp"),)
+_STORED = (*_DATA, ("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
+_SCORED = (*_DATA, ("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
+_READS = {"eraser": _STORED, "accum": _STORED, "retrain": _DATA, "attack": _SCORED,
+          "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[2],
                      ("attack", "attack.json"))}
 
 
@@ -270,18 +314,24 @@ def _changes(run: Run, stage: str, entry: dict) -> str:
                      if was.get(name, "unrecorded") != value)
 
 
-def _reads(run: Run, stage: str) -> dict[str, int]:
-    """Every file `stage` reads, at the CRC32 its writer recorded; an entry
-    made for another scenario is refused. All but retraining need training."""
+def _reads(run: Run, pairs: tuple[tuple[str, str], ...]) -> dict[str, int]:
+    """The CRC32 each (stage, file) pair's stage recorded for the file, if
+    that stage ran: a stage's reads are `_reads(run, _READS[stage])`. An
+    entry made for another scenario is refused. Every stage after training
+    needs training."""
     entries, reads = _entries(run), {}
-    if stage != "retrain" and "train" not in entries:
+    if "train" not in entries:
         raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
-    for made, rel in _READS.get(stage, ()):
+    for made, rel in pairs:
         if (entry := entries.get(made)) is not None:
+            what = {"train": "trained model", "attack": "attack"}.get(made, f"{made} model")
+            command = "unlearn" if made in METHODS else made
             if changes := _changes(run, made, entry):
-                what = {"train": "trained model", "attack": "attack"}.get(made, f"{made} model")
                 raise ValueError(f"the {what} under {run.out_dir} was made for {changes}; run "
-                                 f"`{'unlearn' if made in METHODS else made}` for this scenario")
+                                 f"`{command}` for this scenario")
+            if rel not in entry["writes"]:  # recorded by a version that did not write it
+                raise FileNotFoundError(f"the {what} under {run.out_dir} has no {rel}; run "
+                                        f"`{command}` again")
             reads[rel] = entry["writes"][rel]
     return reads
 
@@ -326,32 +376,32 @@ def _record(run: Run, stage: str, reads: dict[str, int], writes: dict[str, int])
 
 
 # ---------------------------------------------------------------------------
-# Stages. Each public run_* builds its own Run; run_scenario and run_sweep
-# build one and hand it to the stage bodies.
+# Stages. Each public run_* makes its own Run; run_scenario and run_sweep
+# make one and hand it to the stage bodies.
 
 def run_train(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Federated training with retention; writes the initial and final model."""
-    _train(Run.build(scenario, out_dir), resume)
+    _train(Run(scenario, Path(out_dir)), resume)
 
 
 def run_unlearn(scenario: FedConfig, out_dir: Path, resume: bool = False,
                 methods: tuple[str, ...] = METHODS) -> None:
     """All requested reconstruction routes from the stored artifacts."""
-    _unlearn(Run.build(scenario, out_dir), resume, methods)
+    _unlearn(Run(scenario, Path(out_dir)), resume, methods)
 
 
 def run_attack(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Membership inference against the original and each reconstruction made."""
-    _attack(Run.build(scenario, out_dir), resume)
+    _attack(Run(scenario, Path(out_dir)), resume)
 
 
 def run_report(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
     """Final measurements: utility, divergence, angles, attack, timings."""
-    _report(Run.build(scenario, out_dir), resume)
+    _report(Run(scenario, Path(out_dir)), resume)
 
 
 def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> None:
-    run = Run.build(scenario, out_dir)
+    run = Run(scenario, Path(out_dir))
     for stage in (_train, _unlearn, _attack, _report):
         stage(run, resume)
 
@@ -361,25 +411,27 @@ def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> No
 _SCORES = ("attack.json", "report.json", "metrics.csv")
 # Everything in a run directory derived from its training, the records
 # first. A training that runs deletes them, so none can pair with it.
-_TRAINING_DERIVED = ("stages.json", "retention", "profile.json", "manifest.json", "models",
-                     "heads", "unlearn.json", *_SCORES)
+_TRAINING_DERIVED = ("stages.json", "data.fesp", "retention", "profile.json", "manifest.json",
+                     "models", "heads", "unlearn.json", *_SCORES)
 
 
 def _train(run: Run, resume: bool) -> None:
     """Write the scenario to scenario.ini, then train unless `resume` finds
     this scenario's training recorded; a training that runs starts a clean
-    run directory."""
-    scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
+    run directory and writes the data it prepared to data.fesp."""
+    scenario, out_dir = run.scenario, run.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "scenario.ini", format_scenario(scenario).encode())
     if resume and _current(run, "train", {}):
         return
+    run.prepare()
     for rel in _TRAINING_DERIVED:
         path = out_dir / rel
         if path.is_dir():
             shutil.rmtree(path)
         else:
             path.unlink(missing_ok=True)
+    arch = run.arch
     store = RetentionStore.create(out_dir / "retention", StoreFingerprint.of(arch, scenario))
 
     initial = build_model(arch, scenario.seed)
@@ -387,7 +439,8 @@ def _train(run: Run, resume: bool) -> None:
                          retention_sink=store)
 
     (out_dir / "models").mkdir()
-    writes = {"models/initial.fesp": save_params(initial, run.model_path("initial")),
+    writes = {"data.fesp": _save_data(out_dir / "data.fesp", run.shards, run.test),
+              "models/initial.fesp": save_params(initial, run.model_path("initial")),
               "models/original.fesp": save_params(trained.model, run.model_path("original"))}
     test_acc, test_loss = evaluate(arch, trained.model, run.test, scenario.eval_batch_size)
     manifest = {
@@ -397,7 +450,7 @@ def _train(run: Run, resume: bool) -> None:
         "num_parameters": arch.num_params(),
         "retained_rounds": store.retained_rounds,
         "retention_bytes": store.total_blob_bytes(),
-        "train_samples": run.train.num_samples,
+        "train_samples": sum(s.sample_count for s in run.shards),
         "test_samples": run.test.num_samples,
         "client_sample_counts": {s.client_id: s.sample_count for s in run.shards},
         "final_train_loss": trained.mean_losses[-1],
@@ -419,7 +472,7 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
-    reads = {m: _reads(run, m) for m in METHODS if m in methods}
+    reads = {m: _reads(run, _READS[m]) for m in METHODS if m in methods}
     todo = [m for m in reads if not (resume and _current(run, m, reads[m]))]
     if not todo:
         return
@@ -429,7 +482,7 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
                           {k: v for k, v in entries.items() if k not in ("attack", "report")})
     for rel in _SCORES:
         (out_dir / rel).unlink(missing_ok=True)
-    if {"eraser", "accum"} & set(todo):  # retraining reads nothing of the training
+    if {"eraser", "accum"} & set(todo):  # retraining reads only the data of the training
         stored = reads[todo[0]]
         initial = load_params(out_dir / "models/initial.fesp", stored["models/initial.fesp"])
         store = RetentionStore.open(out_dir / "retention")
@@ -466,7 +519,7 @@ def _load(run: Run, reads: dict[str, int], kind: str) -> dict[str, ParamSet]:
 
 
 def _attack(run: Run, resume: bool) -> None:
-    reads = _reads(run, "attack")
+    reads = _reads(run, _READS["attack"])
     if resume and _current(run, "attack", reads):
         return
     results = membership_attack(run.arch, _load(run, reads, "models"), run.shards, run.test,
@@ -495,7 +548,7 @@ def _angles(run: Run, reads: dict[str, int], retained: list[int]) -> dict[str, o
 def _report(run: Run, resume: bool) -> dict | None:
     """Write report.json and metrics.csv; return the report (None if skipped)."""
     scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
-    reads = _reads(run, "report")
+    reads = _reads(run, _READS["report"])
     if resume and _current(run, "report", reads):
         return None
     target = run.target_shard.dataset
@@ -562,7 +615,7 @@ def _report(run: Run, resume: bool) -> dict | None:
 
 # sweep parameter -> the FedConfig field it sets
 SWEEP_FIELDS = {"ratio": "calibration_ratio", "interval": "retain_interval",
-                "clients": "num_clients"}
+                "clients": "num_clients", "seed": "seed"}
 SWEEP_COLUMNS = (
     "param", "value",
     "eraser_test_accuracy", "eraser_target_accuracy",
@@ -596,7 +649,7 @@ def run_sweep(
             point = dataclasses.replace(scenario, out_dir=str(point_dir),
                                         **{field_name: kind(value)})
             schedules.setdefault(point.calibration_epochs, []).append(row["value"])
-            run = Run.build(point, point_dir)
+            run = Run(point, point_dir)
             _train(run, resume=False)
             _unlearn(run, resume=False, methods=("eraser", "retrain"))
             report = _report(run, resume=False)

@@ -16,6 +16,7 @@ from .engine import Batch, build_model, forward, loss_and_grad
 from .params import (
     ConformanceError,
     ParamSet,
+    array_chunks,
     atomic_write,
     dump_param_bytes,
     load_params,
@@ -35,6 +36,7 @@ __all__ = [
     "MaxPool2d",
     "ParamSet",
     "adult_arch",
+    "array_chunks",
     "atomic_write",
     "build_model",
     "cifar10_arch",

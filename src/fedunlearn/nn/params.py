@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -220,17 +221,34 @@ def param_linear(a: float, x: ParamSet, b: float, y: ParamSet) -> ParamSet:
     return ParamSet._adopt(x._layout, float(a) * x._vector + float(b) * y._vector)
 
 
-def param_chunks(params: ParamSet) -> list:
-    """The bytes of :func:`dump_param_bytes` as chunks, the data not copied:
-    the header bytes, then per tensor its header bytes and a read-only
-    memoryview of its segment of the set's vector."""
-    layout = params._layout
-    data = params._vector.astype("<f8", copy=False)
+def _chunks(layout: _Layout, segments: Iterable[np.ndarray]) -> list:
+    """The header bytes, then per tensor its header bytes and a memoryview
+    of its flat little-endian float64 segment."""
     file_header, *tensor_headers = layout.headers()
     chunks: list = [file_header]
-    for header, (start, end, _) in zip(tensor_headers, layout.spans):
-        chunks += (header, memoryview(data[start:end]))
+    for header, segment in zip(tensor_headers, segments):
+        chunks += (header, memoryview(segment))
     return chunks
+
+
+def param_chunks(params: ParamSet) -> list:
+    """The bytes of :func:`dump_param_bytes` as chunks, the data not copied:
+    each tensor's data is a read-only view of its segment of the set's vector."""
+    layout = params._layout
+    data = params._vector.astype("<f8", copy=False)
+    return _chunks(layout, (data[start:end] for start, end, _ in layout.spans))
+
+
+def array_chunks(items: Iterable[tuple[str, np.ndarray]]) -> list:
+    """The bytes of :func:`dump_param_bytes` for a set of these named arrays,
+    as chunks, without building the set: a C-contiguous float64 array is
+    not copied; any other is converted to float64 first."""
+    names, segments = [], []
+    for name, array in items:
+        names.append(name)
+        segments.append(np.ascontiguousarray(array, dtype="<f8"))
+    layout = _Layout(tuple((name, s.shape) for name, s in zip(names, segments)))
+    return _chunks(layout, (s.reshape(-1) for s in segments))
 
 
 def dump_param_bytes(params: ParamSet) -> bytes:
@@ -352,9 +370,21 @@ def save_params(params: ParamSet, path) -> int:
 
 
 def load_params(path, crc: int | None = None) -> ParamSet:
-    """Read a set that save_params wrote; with `crc`, only a file of that CRC32."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if crc is not None:
-        check_crc(path, zlib.crc32(data), crc)
-    return parse_param_bytes(data)
+    """Read a set that save_params wrote; with `crc`, only a file of that
+    CRC32. The file is mapped, not read into a buffer, so its data is
+    copied once, into the set's vector."""
+    with open(path, "rb") as fh, _mapped(fh) as data:
+        if crc is not None:
+            check_crc(path, zlib.crc32(data), crc)
+        return parse_param_bytes(data)
+
+
+@contextlib.contextmanager
+def _mapped(fh) -> Iterator[memoryview]:
+    """The bytes of the open file, mapped read-only; an empty file cannot
+    be mapped. Writers replace whole files, so a mapped file never changes."""
+    if os.fstat(fh.fileno()).st_size == 0:
+        yield memoryview(b"")
+        return
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped, memoryview(mapped) as data:
+        yield data

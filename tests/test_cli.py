@@ -482,7 +482,7 @@ class TestReportScoring:
 
         # the same numbers, bit for bit, as scoring each model on its own
         monkeypatch.setattr(evaluation, "forward", real)
-        run = cli.Run.build(parse_scenario(out / "scenario.ini"), out)
+        run = cli.Run(parse_scenario(out / "scenario.ini"), out)
         target = run.target_shard.dataset
         retrain = load_params(run.model_path("retrain"))
         for name, scores in report["methods"].items():
@@ -653,14 +653,27 @@ class Crash(BaseException):
 
 
 class TestCrashPoints:
-    """`run` stopped after each completed rename of an atomic write, then
-    `run --resume` in the same directory, ends with the files of a run that
-    was never stopped."""
+    """A command stopped after each completed rename of an atomic write, then
+    run again with --resume in the same directory, ends with the files of a
+    run that was never stopped: `run`, `train`, and `unlearn --method eraser`
+    on a trained directory."""
 
-    @pytest.fixture(scope="class")
-    def clean(self, tmp_path_factory):
-        base = tmp_path_factory.mktemp("clean")
+    @staticmethod
+    def command(name, ini, out):
+        if name == "unlearn":
+            return ["unlearn", str(out), "--method", "eraser"]
+        return [name, str(ini), "--out", str(out)]
+
+    def start(self, name, base):
+        """The scenario and run directory for `name`; `unlearn` starts trained."""
+        base.mkdir(exist_ok=True)
         ini, out = write_ini(base, TINY_INI), base / "out"
+        if name == "unlearn":
+            assert main(["train", str(ini), "--out", str(out)]) == 0
+        return ini, out
+
+    def clean_run(self, name, base):
+        ini, out = self.start(name, base)
         renames = []
         real = os.replace
 
@@ -670,10 +683,15 @@ class TestCrashPoints:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "replace", counting)
-            assert main(["run", str(ini), "--out", str(out)]) == 0
-        return ini, deterministic_files(out), renames
+            assert main(self.command(name, ini, out)) == 0
+        return deterministic_files(out), renames
 
-    def stop_and_resume(self, ini, out, stop, stray_tmp=False):
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("clean")
+        return (base / "scenario.ini", *self.clean_run("run", base))
+
+    def stop_and_resume(self, ini, out, stop, stray_tmp=False, name="run"):
         """Run until `stop` renames are done; the next one raises. Then resume."""
         done = []
         real = os.replace
@@ -686,11 +704,11 @@ class TestCrashPoints:
 
         with pytest.MonkeyPatch.context() as patch, pytest.raises(Crash) as crash:
             patch.setattr(os, "replace", stopping)
-            main(["run", str(ini), "--out", str(out)])
+            main(self.command(name, ini, out))
         if stray_tmp:
             # a kill leaves the temp file, which atomic_write's cleanup removes
             Path(f"{crash.value.args[0]}.tmp").write_bytes(b"torn")
-        assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert main([*self.command(name, ini, out), "--resume"]) == 0
         return deterministic_files(out)
 
     def test_every_stop_point_resumes_to_the_clean_run(self, clean, tmp_path):
@@ -699,6 +717,18 @@ class TestCrashPoints:
         failed = [f"{stop}: after {renames[stop - 1] if stop else 'nothing'}"
                   for stop in range(len(renames))
                   if self.stop_and_resume(ini, tmp_path / f"stop_{stop}", stop) != want]
+        assert failed == []
+
+    @pytest.mark.parametrize("name,last", [("train", "data.fesp"), ("unlearn", "eraser.fesp")])
+    def test_every_stop_point_of_a_stage_command_resumes_to_the_clean_run(self, tmp_path,
+                                                                         name, last):
+        want, renames = self.clean_run(name, tmp_path / "clean")
+        assert any(path.name == last for path in map(Path, renames))
+        failed = []
+        for stop in range(len(renames)):
+            ini, out = self.start(name, tmp_path / f"stop_{stop}")
+            if self.stop_and_resume(ini, out, stop, name=name) != want:
+                failed.append(f"{stop}: after {renames[stop - 1] if stop else 'nothing'}")
         assert failed == []
 
     def test_a_stray_temp_file_is_replaced(self, clean, tmp_path):
@@ -1131,11 +1161,97 @@ class TestDataLoadedOnce:
         assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
         assert len(prepare_calls) == 1
 
+    def test_stage_commands_load_only_in_training(self, tmp_path, prepare_calls):
+        ini, out = write_ini(tmp_path, TINY_INI), tmp_path / "out"
+        for args in (["train", str(ini), "--out", str(out)], ["unlearn", str(out)],
+                     ["attack", str(out)], ["report", str(out)],
+                     ["run", str(ini), "--out", str(out), "--resume"]):
+            assert main(args) == 0
+        assert len(prepare_calls) == 1
+
     def test_sweep_loads_once_per_point(self, tmp_path, prepare_calls):
         ini = write_ini(tmp_path, TINY_INI)
         assert main(["sweep", str(ini), "--out", str(tmp_path / "sweep"),
                      "--param", "ratio", "--values", "0.5,1.0"]) == 0
         assert [p.calibration_ratio for p in prepare_calls] == [0.5, 1.0]
+
+
+class TestDataSnapshot:
+    """Training writes the data it prepared to RUN/data.fesp; every later
+    stage reads that file, at the CRC32 training recorded, not the dataset."""
+
+    SMALL = Path(__file__).resolve().parent.parent / "configs" / "synthetic_small.ini"
+
+    def test_it_holds_the_prepared_shards_and_test_set_bit_for_bit(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["train", str(self.SMALL), "--out", str(out)]) == 0
+        scenario = parse_scenario(self.SMALL, {"out_dir": str(out)})
+        _, test, shards = data.prepare_data(scenario)
+        sets = [*((f"client{s.client_id}", s.dataset) for s in shards), ("test", test)]
+        want = [(f"{name}.{part}", getattr(ds, part)) for name, ds in sets
+                for part in ("inputs", "labels")]
+        snapshot = load_params(out / "data.fesp")
+        assert snapshot.names == (*(name for name, _ in want), "num_classes")
+        for (_, array), tensor in zip(want, snapshot.tensors):
+            assert tensor.shape == array.shape
+            assert tensor.tobytes() == array.astype(np.float64).tobytes()
+        assert snapshot["num_classes"].tolist() == [2]
+        # and a later stage's run reads back the very arrays prepare_data made
+        run = cli.Run(scenario, out)
+        assert [s.client_id for s in run.shards] == [s.client_id for s in shards]
+        for got, (_, made) in zip([*(s.dataset for s in run.shards), run.test], sets):
+            assert got.inputs.tobytes() == made.inputs.tobytes()
+            assert got.labels.dtype == made.labels.dtype
+            assert got.labels.tobytes() == made.labels.tobytes()
+            assert got.num_classes == made.num_classes
+
+    def test_later_stages_read_no_dataset_file(self, tmp_path):
+        source = tmp_path / "cifar"
+        source.mkdir()
+
+        def write_batches(seed):
+            rng = np.random.default_rng(seed)
+            records = np.hstack([rng.integers(0, 10, size=(24, 1), dtype=np.uint8),
+                                 rng.integers(0, 256, size=(24, 3072), dtype=np.uint8)])
+            (source / "data_batch_1.bin").write_bytes(records.tobytes())
+
+        write_batches(0)
+        ini = write_ini(tmp_path, TINY_INI.replace(
+            "dataset = synthetic", f"dataset = cifar10\npath = {source}").replace(
+            "global_rounds = 4", "global_rounds = 2").replace(
+            "local_epochs = 2", "local_epochs = 1").replace("batch_size = 16", "batch_size = 6"))
+        untouched, staged = tmp_path / "untouched", tmp_path / "staged"
+        assert main(["run", str(ini), "--out", str(untouched)]) == 0
+        assert main(["train", str(ini), "--out", str(staged)]) == 0
+        write_batches(1)
+        _, test, _ = data.prepare_data(parse_scenario(ini))
+        assert test.inputs.tobytes() != cli.Run(parse_scenario(ini), staged).test.inputs.tobytes()
+        for command in ("unlearn", "attack", "report"):
+            assert main([command, str(staged)]) == 0
+        assert deterministic_files(staged) == deterministic_files(untouched)
+
+    def test_a_flipped_byte_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        path = out / "data.fesp"
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(raw)
+        assert main(["unlearn", str(out)]) == 1
+        message = last_stderr_record(capsys)["message"]
+        assert message.startswith(f"{path} is not the file its record names")
+
+    def test_a_training_record_without_it_is_refused(self, tmp_path, capsys):
+        # as a training recorded before the data was written to the run
+        out = tmp_path / "out"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["train"]["writes"]["data.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        assert main(["unlearn", str(out), "--method", "retrain"]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "FileNotFoundError"
+        assert "has no data.fesp; run `train` again" in record["message"]
 
 
 class TestSweep:
@@ -1188,6 +1304,22 @@ class TestSweep:
             column = key if key.endswith("speedup") else f"{key}_seconds"
             assert row[column] == format(report["timings"][key], ".6f")
         assert (out / f"{param}_{value}" / "metrics.csv").exists()
+
+    def test_a_seed_sweep_trains_each_seed(self, tmp_path):
+        ini = write_ini(tmp_path, TINY_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(ini), "--out", str(out),
+                     "--param", "seed", "--values", "1,2"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == SWEEP_COLUMNS
+            rows = list(reader)
+        assert [(r["param"], r["value"], r["error"]) for r in rows] == [("seed", "1", ""),
+                                                                     ("seed", "2", "")]
+        originals = [(out / f"seed_{seed}" / "models" / "original.fesp").read_bytes()
+                     for seed in (1, 2)]
+        assert originals[0] != originals[1]
+        assert parse_scenario(out / "seed_2" / "scenario.ini").seed == 2
 
     def test_each_point_is_a_run_directory(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)

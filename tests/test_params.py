@@ -6,6 +6,7 @@ import pytest
 from fedunlearn.nn import (
     ConformanceError,
     ParamSet,
+    array_chunks,
     atomic_write,
     dump_param_bytes,
     load_params,
@@ -223,6 +224,15 @@ class TestBinaryFormat:
             assert np.shares_memory(np.asarray(chunk), ps.vector)
             assert bytes(chunk) == tensor.tobytes()
 
+    def test_array_chunks_give_a_sets_bytes_without_copying_float64(self):
+        inputs = np.random.default_rng(6).normal(size=(4, 3, 2))
+        labels = np.array([1, 0, 2, 1])
+        items = [("x", inputs), ("y", labels), ("n", [3])]
+        chunks = array_chunks(items)
+        assert b"".join(chunks) == dump_param_bytes(ParamSet(items))
+        assert np.shares_memory(np.asarray(chunks[2]), inputs)
+        assert not np.shares_memory(np.asarray(chunks[4]), labels)  # int64, converted
+
     def test_reader_shares_one_layout_across_blobs(self):
         rng = np.random.default_rng(4)
         a, b = (ParamSet([("w", rng.normal(size=(3, 2))), ("b", rng.normal(size=2))])
@@ -275,6 +285,16 @@ class TestBinaryFormat:
         ps = make_set(seed=13)
         save_params(ps, tmp_path / "model.fesp")
         assert load_params(tmp_path / "model.fesp") == ps
+
+    @pytest.mark.parametrize("end,message", [(0, "bad magic"), (-8, "runs past the end")])
+    def test_a_cut_file_is_refused_and_released(self, tmp_path, end, message):
+        # the file is mapped; a refused one must still be unmapped and closed
+        path = tmp_path / "model.fesp"
+        path.write_bytes(dump_param_bytes(make_set())[:end])
+        with pytest.raises(ValueError, match=message):
+            load_params(path)
+        save_params(make_set(), path)
+        assert load_params(path) == make_set()
 
 
 class TestAtomicWrite:
