@@ -6,14 +6,11 @@ scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
 `report RUN` take their scenario from RUN/scenario.ini, which `train` and
 `run` write. Every subcommand but `sweep` takes --resume.
 
-A run directory holds scenario.ini, manifest.json, data.fesp (the
-prepared data, which every stage after training reads), retention/,
-models/, heads/, unlearn.json, attack.json, report.json, metrics.csv,
-stages.json (each stage's record, below) and the wall-clock files run.log
-and profile.json (each timed stage's seconds); README's "Run directory
-layout" describes each. Only report.json's timings, copied from
-profile.json, are wall-clock among the rest, which is deterministic given
-the scenario.
+Each stage writes the files `_WRITES` declares, then its entry in
+RUN/stages.json (below). A stage that runs first forgets what it replaces:
+a training all but scenario.ini and run.log, an unlearning the scores.
+README's "Run directory layout" describes each file; all but run.log,
+profile.json and report.json's timings are deterministic given the scenario.
 
 Every subcommand exits 0 on success; on failure it writes one JSON error
 record to stderr and exits nonzero.
@@ -179,16 +176,13 @@ def setup_logging(out_dir: Path) -> None:
             root.removeHandler(h)
             h.close()
     have = {getattr(h, "_fedunlearn_tag", None) for h in root.handlers}
-    if "file" not in have:
-        fh = logging.FileHandler(log_path)
-        fh.setFormatter(fmt)
-        fh._fedunlearn_tag = "file"
-        root.addHandler(fh)
-    if "stream" not in have:
-        sh = logging.StreamHandler(sys.stderr)
-        sh.setFormatter(fmt)
-        sh._fedunlearn_tag = "stream"
-        root.addHandler(sh)
+    for tag, make in (("file", lambda: logging.FileHandler(log_path)),
+                      ("stream", lambda: logging.StreamHandler(sys.stderr))):
+        if tag not in have:
+            handler = make()
+            handler.setFormatter(fmt)
+            handler._fedunlearn_tag = tag
+            root.addHandler(handler)
 
 
 def build_arch(scenario: FedConfig, data: Dataset) -> ArchSpec:
@@ -293,6 +287,11 @@ def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
 # would record now; a stage reads another stage's file only through that
 # stage's entry made for its own scenario, at the CRC32 the entry records.
 
+# stage -> the files it writes (training's retention/manifest.json stands for its blobs)
+_WRITES = {"train": ("data.fesp", "models/initial.fesp", "models/original.fesp", "manifest.json",
+                     "retention/manifest.json"),
+           **{m: (f"models/{m}.fesp", f"heads/{m}.fesp") for m in METHODS},
+           "attack": ("attack.json",), "report": ("report.json", "metrics.csv")}
 # stage -> the (earlier stage, file) pairs it reads, of the stages that ran
 _DATA = (("train", "data.fesp"),)
 _STORED = (*_DATA, ("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
@@ -303,7 +302,11 @@ _READS = {"eraser": _STORED, "accum": _STORED, "retrain": _DATA, "attack": _SCOR
 
 
 def _entries(run: Run) -> dict[str, dict]:
-    return _read_json(run.out_dir / "stages.json")
+    try:
+        return _read_json(run.out_dir / "stages.json")
+    except ValueError as exc:  # not JSON, or not text: it holds no entry
+        logger.warning("ignoring %s: %s", run.out_dir / "stages.json", exc)
+        return {}
 
 
 def _changes(run: Run, stage: str, entry: dict) -> str:
@@ -317,8 +320,8 @@ def _changes(run: Run, stage: str, entry: dict) -> str:
 def _reads(run: Run, pairs: tuple[tuple[str, str], ...]) -> dict[str, int]:
     """The CRC32 each (stage, file) pair's stage recorded for the file, if
     that stage ran: a stage's reads are `_reads(run, _READS[stage])`. An
-    entry made for another scenario is refused. Every stage after training
-    needs training."""
+    entry made for another scenario, or listing fewer files than _WRITES,
+    is refused. Every stage after training needs training."""
     entries, reads = _entries(run), {}
     if "train" not in entries:
         raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
@@ -329,9 +332,9 @@ def _reads(run: Run, pairs: tuple[tuple[str, str], ...]) -> dict[str, int]:
             if changes := _changes(run, made, entry):
                 raise ValueError(f"the {what} under {run.out_dir} was made for {changes}; run "
                                  f"`{command}` for this scenario")
-            if rel not in entry["writes"]:  # recorded by a version that did not write it
-                raise FileNotFoundError(f"the {what} under {run.out_dir} has no {rel}; run "
-                                        f"`{command}` again")
+            if missing := [f for f in _WRITES[made] if f not in entry["writes"]]:
+                raise FileNotFoundError(f"the {what} under {run.out_dir} has no "
+                                        f"{', '.join(missing)}; run `{command}` again")
             reads[rel] = entry["writes"][rel]
     return reads
 
@@ -345,22 +348,24 @@ def _report_crc(report: dict) -> int:
 
 
 def _file_crc(path: Path) -> int | None:
-    """The CRC32 a record holds for the file at `path`; None if it is missing."""
-    if not path.exists():
+    """The CRC32 a record holds for `path`; None if it is missing or an unreadable report."""
+    try:
+        data = path.read_bytes()
+        return _report_crc(json.loads(data)) if path.name == "report.json" else zlib.crc32(data)
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
-    data = path.read_bytes()
-    return _report_crc(json.loads(data)) if path.name == "report.json" else zlib.crc32(data)
 
 
 def _current(run: Run, stage: str, reads: dict[str, int]) -> bool:
     """Whether `stage`'s entry equals what it would record now: this scenario's
-    fields, these reads, and writes whose files still hold the recorded bytes."""
+    fields, these reads, and each file of _WRITES[stage] at its recorded CRC32."""
     entry = _entries(run).get(stage)
     if entry is None:
         return False
+    writes = entry["writes"]
     why = _changes(run, stage, entry) or ("other inputs" if entry["reads"] != reads else "; ".join(
-        f"{rel} changed" for rel, crc in entry["writes"].items()
-        if _file_crc(run.out_dir / rel) != crc))
+        f"{rel} {'changed' if rel in writes else 'unrecorded'}" for rel in _WRITES[stage]
+        if rel not in writes or _file_crc(run.out_dir / rel) != writes[rel]))
     if not why:
         logger.info("%s is recorded for this scenario; skipping", stage)
         return True
@@ -373,6 +378,20 @@ def _record(run: Run, stage: str, reads: dict[str, int], writes: dict[str, int])
     entries = _entries(run)
     entries[stage] = {"fields": run.fields(stage), "reads": reads, "writes": writes}
     write_report_json(run.out_dir / "stages.json", entries)
+
+
+def _forget(run: Run, stages: typing.Collection[str], *rest: str) -> None:
+    """Drop the stages' entries, then delete their files and `rest`, made from what is redone."""
+    entries = _entries(run)
+    if entries.keys() & set(stages):
+        write_report_json(run.out_dir / "stages.json",
+                          {k: v for k, v in entries.items() if k not in stages})
+    for rel in (*(rel for stage in stages for rel in _WRITES[stage]), *rest):
+        path = run.out_dir / rel
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +425,6 @@ def run_scenario(scenario: FedConfig, out_dir: Path, resume: bool = False) -> No
         stage(run, resume)
 
 
-# The scores of the stored models. An unlearning that runs deletes them,
-# their entries first, so none of them can pair with a replaced model.
-_SCORES = ("attack.json", "report.json", "metrics.csv")
-# Everything in a run directory derived from its training, the records
-# first. A training that runs deletes them, so none can pair with it.
-_TRAINING_DERIVED = ("stages.json", "data.fesp", "retention", "profile.json", "manifest.json",
-                     "models", "heads", "unlearn.json", *_SCORES)
-
-
 def _train(run: Run, resume: bool) -> None:
     """Write the scenario to scenario.ini, then train unless `resume` finds
     this scenario's training recorded; a training that runs starts a clean
@@ -425,12 +435,7 @@ def _train(run: Run, resume: bool) -> None:
     if resume and _current(run, "train", {}):
         return
     run.prepare()
-    for rel in _TRAINING_DERIVED:
-        path = out_dir / rel
-        if path.is_dir():
-            shutil.rmtree(path)
-        else:
-            path.unlink(missing_ok=True)
+    _forget(run, _WRITES, "retention", "models", "heads", "profile.json", "unlearn.json")
     arch = run.arch
     store = RetentionStore.create(out_dir / "retention", StoreFingerprint.of(arch, scenario))
 
@@ -469,19 +474,14 @@ def _train(run: Run, resume: bool) -> None:
 def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None:
     """The requested methods in METHODS order, skipping under `resume` each
     one recorded for this scenario; their summaries merge into unlearn.json."""
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
+    if unknown := [m for m in methods if m not in METHODS]:
         raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
     reads = {m: _reads(run, _READS[m]) for m in METHODS if m in methods}
     todo = [m for m in reads if not (resume and _current(run, m, reads[m]))]
     if not todo:
         return
     scenario, arch, out_dir = run.scenario, run.arch, run.out_dir
-    if (entries := _entries(run)).keys() & {"attack", "report"}:
-        write_report_json(out_dir / "stages.json",
-                          {k: v for k, v in entries.items() if k not in ("attack", "report")})
-    for rel in _SCORES:
-        (out_dir / rel).unlink(missing_ok=True)
+    _forget(run, ("attack", "report"))  # the scores of the models it replaces
     if {"eraser", "accum"} & set(todo):  # retraining reads only the data of the training
         stored = reads[todo[0]]
         initial = load_params(out_dir / "models/initial.fesp", stored["models/initial.fesp"])
@@ -534,8 +534,7 @@ def _attack(run: Run, resume: bool) -> None:
 def _angles(run: Run, reads: dict[str, int], retained: list[int]) -> dict[str, object]:
     """Eraser and accum head angles to retraining at each retained round."""
     heads = {name: params.tensors for name, params in _load(run, reads, "heads").items()}
-    retrain = heads.pop("retrain", None)
-    if retrain is None:
+    if (retrain := heads.pop("retrain", None)) is None:
         return {}
     angles: dict[str, object] = {}
     for name, series in heads.items():
@@ -711,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="override [federation] seed")
         if name != "sweep":
             sub.add_argument("--resume", action="store_true",
-                             help="skip stages whose artifacts already exist")
+                             help="skip each stage whose record in stages.json is current")
         if name == "unlearn":
             sub.add_argument("--method", action="append", choices=METHODS,
                              help="repeatable; default is all three methods")

@@ -62,18 +62,10 @@ def accuracy_and_loss(batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple
     return correct / n, loss_sum / n
 
 
-def prediction_difference(
-    arch: ArchSpec, params_a: ParamSet, params_b: ParamSet, ds: Dataset,
-    batch_size: int = 256,
-) -> float:
-    """Mean Euclidean distance between the two models' probability vectors."""
-    return mean_probability_distance(batched_probs(arch, params_a, ds, batch_size),
-                                     batched_probs(arch, params_b, ds, batch_size))
-
-
 def mean_probability_distance(batches_a: Iterable[tuple[np.ndarray, np.ndarray]],
                               batches_b: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """prediction_difference from two models' batched_probs over one dataset."""
+    """Mean Euclidean distance between two models' probability vectors, from
+    their batched_probs over one dataset: the prediction difference."""
     total = 0.0
     n = 0
     for (probs_a, _), (probs_b, _) in zip(batches_a, batches_b):

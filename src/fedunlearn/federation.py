@@ -143,12 +143,16 @@ def sgd_epochs(arch: ArchSpec, start: ParamSet, inputs: np.ndarray, labels: np.n
 
 
 class RoundSum:
-    """One round's aggregate, as :func:`aggregate` defines it, folded one
-    client delta at a time.
+    """One round's aggregate: the one global delta of the round's client
+    deltas, folded one delta at a time.
+
+    "standard" weights each delta by its client's sample count over the
+    round's total (weights sum to one). "literal" further divides the sum by
+    the participant count, matching an update rule that averages the
+    already-normalized sum across clients.
 
     It is built from the round's (client id, sample count) pairs; the deltas
-    must then be added in ascending client id. Each is weighted by its
-    client's sample count over the round's total: the first is written
+    must then be added in ascending client id. The first is written
     straight into the sum, and each later one through one reused scratch
     vector, since `np.multiply(w, v, out=scratch); total += scratch` is
     `total += w * v` bit for bit. A caller that can spend a delta's vector
@@ -205,13 +209,10 @@ class RoundSum:
 
 
 def aggregate(updates: Sequence[ClientUpdate], mode: str = "standard") -> ParamSet:
-    """Combine client deltas into one global delta.
-
-    "standard" weights each delta by its client's sample count (weights sum
-    to one). "literal" further divides by the participant count, matching an
-    update rule that averages the already-normalized sum across clients.
-    The deltas are summed in client-id order, by :class:`RoundSum`.
-    """
+    """One round's updates combined by :class:`RoundSum` in `mode`, in
+    client-id order. No stage calls it, since each folds its round into a
+    RoundSum as the deltas arrive; it stays because perfbench/run.py's accum
+    check imports it."""
     total = RoundSum(((u.client_id, u.sample_count) for u in updates), mode)
     rounds = {u.round_index for u in updates}
     if len(rounds) != 1:

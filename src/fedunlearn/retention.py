@@ -285,9 +285,8 @@ class RetentionStore:
                    aggregation: str | None = None) -> list[ClientUpdate] | ParamSet:
         """Updates for one retained round, ascending by client id. An explicit
         id list reads only those clients' blobs. With `aggregation`, the
-        round's aggregate in that mode instead: `aggregate` of the same
-        updates bit for bit, each blob added to a :class:`RoundSum` straight
-        from the read buffer, so no update is kept."""
+        round's aggregate in that mode instead: each blob is added to a
+        :class:`RoundSum` straight from the read buffer, so no update is kept."""
         if round_index not in self.retained_rounds:
             raise ValueError(f"round {round_index} is not in the retention schedule")
         if client_ids is None:

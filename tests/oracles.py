@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from fedunlearn.evaluation import batched_probs, mean_probability_distance
 from fedunlearn.federation import aggregate, local_train
 from fedunlearn.nn import (
     ArchSpec,
@@ -513,3 +514,12 @@ def reference_fed_eraser(arch: ArchSpec, initial: ParamSet, store, shards, confi
             ]
         model = param_linear(1.0, model, 1.0, aggregate(updates))
     return model
+
+
+def prediction_difference(arch: ArchSpec, params_a: ParamSet, params_b: ParamSet, ds,
+                          batch_size: int = 256) -> float:
+    """The prediction difference of two models, each scored with its own
+    forward passes over `ds`. The report shares one pass per model and must
+    equal this bit for bit."""
+    return mean_probability_distance(batched_probs(arch, params_a, ds, batch_size),
+                                     batched_probs(arch, params_b, ds, batch_size))

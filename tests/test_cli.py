@@ -31,6 +31,7 @@ from fedunlearn.federation import Trajectory
 from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
 
 from conftest import tear_writes
+from oracles import prediction_difference
 
 TINY_INI = """\
 [data]
@@ -490,7 +491,7 @@ class TestReportScoring:
             accuracy, loss = evaluation.evaluate(run.arch, model, target)
             assert (scores["target_accuracy"], scores["target_loss"]) == (accuracy, loss)
             if name != "retrain":
-                assert scores["prediction_difference"] == evaluation.prediction_difference(
+                assert scores["prediction_difference"] == prediction_difference(
                     run.arch, model, retrain, target)
 
     def test_a_missing_blob_is_an_error(self, pipelines, tmp_path, capsys):
@@ -1252,6 +1253,87 @@ class TestDataSnapshot:
         record = last_stderr_record(capsys)
         assert record["error"] == "FileNotFoundError"
         assert "has no data.fesp; run `train` again" in record["message"]
+
+    def test_resume_trains_again_on_a_training_record_without_it(self, tmp_path, caplog):
+        # an entry that lists fewer files than training writes is not current
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        ini = write_ini(tmp_path, TINY_INI)
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["train"]["writes"]["data.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert any(r.getMessage().startswith("training again") and "data.fesp unrecorded"
+                   in r.getMessage() for r in caplog.records)
+        assert main(["run", str(ini), "--out", str(fresh)]) == 0
+        for rel in TestDeterminism.PARITY_FILES:
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+
+class TestDamagedRecords:
+    """--resume redoes a stage whose report or record cannot be read, and a
+    stages.json that cannot be read holds no entry, with a warning naming it."""
+
+    @pytest.mark.parametrize("text", ['{"x": 1', "{}"], ids=["torn", "no_scenario"])
+    def test_an_unreadable_report_is_written_again(self, pipelines, tmp_path, text):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        (out / "report.json").write_text(text)
+        assert main(["report", str(out), "--resume"]) == 0
+        assert deterministic_files(out) == deterministic_files(run_dir)
+
+    def test_an_unreadable_stage_record_redoes_every_stage(self, pipelines, tmp_path, caplog):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        (out / "stages.json").write_text('{"train": {')
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert any(r.levelno == logging.WARNING and str(out / "stages.json") in r.getMessage()
+                   for r in caplog.records)
+        assert not any(r.getMessage().endswith("skipping") for r in caplog.records)
+        assert deterministic_files(out) == deterministic_files(run_dir)
+
+    def test_a_later_stage_without_a_readable_record_needs_a_training(self, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        (out / "stages.json").write_text('{"train": {')
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "FileNotFoundError"
+        assert record["message"] == f"no trained model under {out}; run `train` first"
+
+
+class TestWritesDeclared:
+    """cli._WRITES is the one list of the files each stage writes: every entry
+    lists exactly its stage's, and a run directory holds no other file but the
+    retention blobs and the files no entry lists."""
+
+    UNLISTED = ("scenario.ini", "run.log", "stages.json", "profile.json", "unlearn.json")
+
+    @pytest.mark.parametrize("which", ["combined", "staged"])
+    def test_every_entry_lists_the_files_its_stage_declares(self, pipelines, which):
+        out = pipelines[1 if which == "combined" else 2]
+        stages = json.loads((out / "stages.json").read_text())
+        assert set(stages) == set(cli._WRITES)
+        for stage, entry in stages.items():
+            assert set(entry["writes"]) == set(cli._WRITES[stage]), stage
+
+    @pytest.mark.parametrize("which", ["combined", "staged"])
+    def test_no_file_is_written_undeclared(self, pipelines, which):
+        out = pipelines[1 if which == "combined" else 2]
+        manifest = json.loads((out / "retention" / "manifest.json").read_text())
+        blobs = {f"retention/{entry['path']}" for clients in manifest["rounds"].values()
+                 for entry in clients.values()}
+        assert blobs
+        declared = {rel for files in cli._WRITES.values() for rel in files}
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files - declared - blobs - set(self.UNLISTED) == set()
 
 
 class TestSweep:

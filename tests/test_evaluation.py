@@ -16,7 +16,6 @@ from fedunlearn.evaluation import (
     build_membership_features,
     evaluate,
     last_layer_angles,
-    prediction_difference,
     train_attack,
     write_metrics_csv,
     write_report_json,
@@ -24,7 +23,7 @@ from fedunlearn.evaluation import (
 from fedunlearn.nn import ArchSpec, Dense, ParamSet, build_model, forward
 
 from conftest import small_arch, tear_writes
-from oracles import reference_train_attack
+from oracles import prediction_difference, reference_train_attack
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
