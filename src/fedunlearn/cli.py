@@ -187,26 +187,35 @@ def setup_logging(out_dir: Path) -> None:
 
 def build_arch(scenario: FedConfig, data: Dataset) -> ArchSpec:
     """The scenario's architecture for inputs and classes shaped as `data`'s."""
-    features = int(np.prod(data.feature_shape))
+    return _preset(scenario, int(np.prod(data.feature_shape)), data.num_classes)
+
+
+def model_arch(scenario: FedConfig, model: ParamSet) -> ArchSpec:
+    """The scenario's architecture for a model of it, without its data: the
+    input width is the first weight's, the class count the last bias's."""
+    return _preset(scenario, model.tensors[0].shape[0], model.tensors[-1].shape[0])
+
+
+def _preset(scenario: FedConfig, features: int, num_classes: int) -> ArchSpec:
     if scenario.dataset == "adult":
         return adult_arch(features, hidden=scenario.hidden_units)
     if scenario.dataset == "purchase":
-        return purchase_arch(features, num_classes=data.num_classes)
+        return purchase_arch(features, num_classes=num_classes)
     if scenario.dataset == "mnist":
         return mnist_arch()
     if scenario.dataset == "cifar10":
         return cifar10_arch()
-    return dense_arch(features, data.num_classes, hidden=scenario.hidden_units)
+    return dense_arch(features, num_classes, hidden=scenario.hidden_units)
 
 
 @dataclass(frozen=True)
 class Run:
     """What every stage of one command shares: the scenario, the directory
-    its artifacts live in, and the prepared data and architecture, made
-    once. A training that runs prepares the data from the dataset the
-    scenario names (`prepare`) and writes it to data.fesp; any other stage
-    reads that file, at the CRC32 of training's entry for this scenario,
-    and never the dataset."""
+    its artifacts live in, and the prepared data, architecture and stage
+    entries, made once. A training that runs prepares the data from the
+    dataset the scenario names (`prepare`) and writes it to data.fesp; any
+    other stage that needs the data reads that file, at the CRC32 of
+    training's entry for this scenario, and never the dataset."""
 
     scenario: FedConfig
     out_dir: Path
@@ -233,6 +242,12 @@ class Run:
     @functools.cached_property
     def arch(self) -> ArchSpec:
         return build_arch(self.scenario, self.test)
+
+    @functools.cached_property
+    def entries(self) -> dict[str, dict]:
+        """The stage entries of RUN/stages.json, read once; `_record` and
+        `_forget` change them and the file together."""
+        return _read_json(self.out_dir / "stages.json", _is_entry)
 
     @property
     def target_shard(self) -> ClientShard:
@@ -267,14 +282,31 @@ def _load_data(path: Path, crc: int, name: str) -> tuple[list[ClientShard], Data
     return [ClientShard(k, ds) for k, ds in enumerate(sets[:-1], start=1)], sets[-1]
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text()) if path.exists() else {}
+def _read_json(path: Path, valid: typing.Callable[[object], bool]) -> dict:
+    """The JSON object in `path`, each of whose values passes `valid`; {} if
+    the file is missing. A file that does not parse, or has another shape,
+    is read as {} too, with a warning naming it."""
+    try:
+        doc = json.loads(path.read_text())
+    except FileNotFoundError:
+        return {}
+    except ValueError as exc:  # not JSON, or not text
+        logger.warning("ignoring %s: %s", path, exc)
+        return {}
+    if not (isinstance(doc, dict) and all(valid(value) for value in doc.values())):
+        logger.warning("ignoring %s: not the shape this version writes", path)
+        return {}
+    return doc
+
+
+def _is_timing(record: object) -> bool:
+    return isinstance(record, dict) and isinstance(record.get("total_seconds"), (int, float))
 
 
 def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
     """Merge `stage`'s wall-clock seconds into RUN/profile.json, the one file
     that holds them; report.json's timings copy its totals."""
-    profile = _read_json(out_dir / "profile.json")
+    profile = _read_json(out_dir / "profile.json", _is_timing)
     profile[stage] = {"total_seconds": walk.total_seconds,
                       "round_timings": list(walk.round_timings)}
     write_report_json(out_dir / "profile.json", profile)
@@ -294,19 +326,16 @@ _WRITES = {"train": ("data.fesp", "models/initial.fesp", "models/original.fesp",
            "attack": ("attack.json",), "report": ("report.json", "metrics.csv")}
 # stage -> the (earlier stage, file) pairs it reads, of the stages that ran
 _DATA = (("train", "data.fesp"),)
-_STORED = (*_DATA, ("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
+_STORED = (("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
 _SCORED = (*_DATA, ("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
-_READS = {"eraser": _STORED, "accum": _STORED, "retrain": _DATA, "attack": _SCORED,
-          "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[2],
+_READS = {"eraser": (*_DATA, *_STORED), "accum": _STORED, "retrain": _DATA, "attack": _SCORED,
+          "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[1],
                      ("attack", "attack.json"))}
 
 
-def _entries(run: Run) -> dict[str, dict]:
-    try:
-        return _read_json(run.out_dir / "stages.json")
-    except ValueError as exc:  # not JSON, or not text: it holds no entry
-        logger.warning("ignoring %s: %s", run.out_dir / "stages.json", exc)
-        return {}
+def _is_entry(entry: object) -> bool:
+    return isinstance(entry, dict) and all(isinstance(entry.get(key), dict)
+                                           for key in ("fields", "reads", "writes"))
 
 
 def _changes(run: Run, stage: str, entry: dict) -> str:
@@ -322,7 +351,7 @@ def _reads(run: Run, pairs: tuple[tuple[str, str], ...]) -> dict[str, int]:
     that stage ran: a stage's reads are `_reads(run, _READS[stage])`. An
     entry made for another scenario, or listing fewer files than _WRITES,
     is refused. Every stage after training needs training."""
-    entries, reads = _entries(run), {}
+    entries, reads = run.entries, {}
     if "train" not in entries:
         raise FileNotFoundError(f"no trained model under {run.out_dir}; run `train` first")
     for made, rel in pairs:
@@ -359,7 +388,7 @@ def _file_crc(path: Path) -> int | None:
 def _current(run: Run, stage: str, reads: dict[str, int]) -> bool:
     """Whether `stage`'s entry equals what it would record now: this scenario's
     fields, these reads, and each file of _WRITES[stage] at its recorded CRC32."""
-    entry = _entries(run).get(stage)
+    entry = run.entries.get(stage)
     if entry is None:
         return False
     writes = entry["writes"]
@@ -375,17 +404,17 @@ def _current(run: Run, stage: str, reads: dict[str, int]) -> bool:
 
 
 def _record(run: Run, stage: str, reads: dict[str, int], writes: dict[str, int]) -> None:
-    entries = _entries(run)
-    entries[stage] = {"fields": run.fields(stage), "reads": reads, "writes": writes}
-    write_report_json(run.out_dir / "stages.json", entries)
+    run.entries[stage] = {"fields": run.fields(stage), "reads": reads, "writes": writes}
+    write_report_json(run.out_dir / "stages.json", run.entries)
 
 
 def _forget(run: Run, stages: typing.Collection[str], *rest: str) -> None:
     """Drop the stages' entries, then delete their files and `rest`, made from what is redone."""
-    entries = _entries(run)
+    entries = run.entries
     if entries.keys() & set(stages):
-        write_report_json(run.out_dir / "stages.json",
-                          {k: v for k, v in entries.items() if k not in stages})
+        for stage in stages:
+            entries.pop(stage, None)
+        write_report_json(run.out_dir / "stages.json", entries)
     for rel in (*(rel for stage in stages for rel in _WRITES[stage]), *rest):
         path = run.out_dir / rel
         if path.is_dir():
@@ -480,7 +509,7 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
     todo = [m for m in reads if not (resume and _current(run, m, reads[m]))]
     if not todo:
         return
-    scenario, arch, out_dir = run.scenario, run.arch, run.out_dir
+    scenario, out_dir = run.scenario, run.out_dir
     _forget(run, ("attack", "report"))  # the scores of the models it replaces
     if {"eraser", "accum"} & set(todo):  # retraining reads only the data of the training
         stored = reads[todo[0]]
@@ -488,14 +517,17 @@ def _unlearn(run: Run, resume: bool, methods: tuple[str, ...] = METHODS) -> None
         store = RetentionStore.open(out_dir / "retention")
         check_crc(store.root / "manifest.json", store.manifest_crc,
                   stored["retention/manifest.json"])
+        # a replay's arch is the initial model's, which the store's fingerprint
+        # vouches for, so accum reads no data
+        replayed = model_arch(scenario, initial)
     reconstruct = {
-        "eraser": lambda: fed_eraser(arch, initial, store, run.shards, scenario),
-        "accum": lambda: fed_accum(arch, initial, store, scenario),
-        "retrain": lambda: fed_retrain(arch, run.shards, scenario),
+        "eraser": lambda: fed_eraser(replayed, initial, store, run.shards, scenario),
+        "accum": lambda: fed_accum(replayed, initial, store, scenario),
+        "retrain": lambda: fed_retrain(run.arch, run.shards, scenario),
     }
 
     summary_path = out_dir / "unlearn.json"
-    summary = _read_json(summary_path)
+    summary = _read_json(summary_path, lambda record: isinstance(record, dict))
     (out_dir / "heads").mkdir(exist_ok=True)
     for name in todo:
         result = reconstruct[name]()
@@ -584,7 +616,7 @@ def _report(run: Run, resume: bool) -> dict | None:
     store = RetentionStore.open(out_dir / "retention")
     check_crc(store.root / "manifest.json", store.manifest_crc, reads["retention/manifest.json"])
     timings = {stage: record["total_seconds"]
-               for stage, record in _read_json(out_dir / "profile.json").items()}
+               for stage, record in _read_json(out_dir / "profile.json", _is_timing).items()}
     speedups = {"expected_speedup": expected_speedup(scenario.calibration_ratio,
                                                      scenario.retain_interval),
                 "schedule_speedup": schedule_speedup(scenario)}

@@ -152,12 +152,14 @@ class RoundSum:
     already-normalized sum across clients.
 
     It is built from the round's (client id, sample count) pairs; the deltas
-    must then be added in ascending client id. The first is written
+    must then be added in ascending client id. The first is weighted
     straight into the sum, and each later one through one reused scratch
     vector, since `np.multiply(w, v, out=scratch); total += scratch` is
-    `total += w * v` bit for bit. A caller that can spend a delta's vector
-    writes the delta into `scratch(layout)` and adds that, so the weighting
-    happens in place and no other vector is needed.
+    `total += w * v` bit for bit. A delta may be added as pieces, such as
+    each tensor's values where a stored blob holds them, and each piece is
+    weighted where it lies, so the delta is never copied into one vector.
+    Only :meth:`result` checks finiteness, of the sum: the weights are
+    positive, so a sum with a non-finite delta in it is never finite.
     """
 
     def __init__(self, sample_counts: Iterable[tuple[int, int]], mode: str = "standard"):
@@ -175,27 +177,27 @@ class RoundSum:
         self._added = 0
         self._layout = self._sum = self._scratch = None
 
-    def scratch(self, layout: _Layout) -> np.ndarray:
-        """The scratch vector, for a delta laid out as `layout`; every `add`
-        may overwrite it."""
+    def add(self, client_id: int, layout: _Layout, *pieces: np.ndarray) -> None:
+        """Add the next client's delta, laid out as `layout`: `pieces` are
+        flat arrays that hold its values in order, the whole vector or each
+        tensor's segment of it."""
         if self._layout is None:
             self._layout = layout
             self._sum, self._scratch = np.empty(layout.size), np.empty(layout.size)
         else:
             require_same_layout(self._layout, layout)
-        return self._scratch
-
-    def add(self, client_id: int, layout: _Layout, vector: np.ndarray) -> None:
-        """Add the next client's delta, its values `vector` laid out as `layout`."""
-        scratch = self.scratch(layout)
         j = self._added
         if j == len(self._ids) or self._ids[j] != client_id:
             raise ValueError(f"client {client_id} is not the next of {self._ids} to add")
-        if j == 0:
-            np.multiply(self._weights[0], vector, out=self._sum)
-        else:
-            np.multiply(self._weights[j], vector, out=scratch)
-            self._sum += scratch
+        weight, out = self._weights[j], self._sum if j == 0 else self._scratch
+        offset = 0
+        for piece in pieces:
+            np.multiply(weight, piece, out=out[offset : offset + piece.size])
+            offset += piece.size
+        if offset != layout.size:
+            raise ValueError(f"client {client_id}'s delta holds {offset} values, not {layout.size}")
+        if j:
+            self._sum += out
         self._added += 1
 
     def result(self) -> ParamSet:

@@ -270,29 +270,25 @@ class ParamReader:
     def __init__(self):
         self._header: tuple = ((), -1, None, ())
 
-    def layout_of(self, buf: bytes | memoryview) -> _Layout:
-        """The layout of the blob in `buf`, which `read_into` then reads."""
-        chunks, size, layout, _ = self._header
+    def views(self, buf: bytes | memoryview) -> tuple[_Layout, list[np.ndarray]]:
+        """The layout of the blob in `buf`, and each tensor's values as a flat
+        little-endian float64 view of `buf`: nothing is copied, and nothing
+        is checked but the header."""
+        chunks, size, layout, data_offsets = self._header
         if len(buf) != size or any(buf[o : o + len(h)] != h for o, h in chunks):
             self._header = _parse_header(buf)
-            layout = self._header[2]
-        return layout
-
-    def read_into(self, buf: bytes | memoryview, vector: np.ndarray) -> None:
-        """Copy the tensor data of the blob `layout_of` last saw into
-        `vector`, once, and check that every value is finite."""
-        _, _, layout, data_offsets = self._header
-        for (start, end, _), data_offset in zip(layout.spans, data_offsets):
-            vector[start:end] = np.frombuffer(buf, dtype="<f8", count=end - start,
-                                              offset=data_offset)
-        _check_finite(layout, vector)
+            _, _, layout, data_offsets = self._header
+        return layout, [np.frombuffer(buf, dtype="<f8", count=end - start, offset=data_offset)
+                        for (start, end, _), data_offset in zip(layout.spans, data_offsets)]
 
     def parse(self, buf: bytes | memoryview) -> ParamSet:
-        layout = self.layout_of(buf)
+        """The blob as a set: its values are copied once, into the set's
+        vector, which is checked to be finite."""
+        layout, views = self.views(buf)
         vector = np.empty(layout.size)
-        self.read_into(buf, vector)
-        vector.flags.writeable = False
-        return ParamSet._over(layout, vector)
+        for (start, end, _), view in zip(layout.spans, views):
+            vector[start:end] = view
+        return ParamSet._adopt(layout, vector)
 
 
 def parse_param_bytes(buf: bytes | memoryview) -> ParamSet:

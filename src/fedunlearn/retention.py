@@ -203,30 +203,30 @@ class RetentionStore:
     def load_client(self, round_index: int, client_id: int, *,
                     into: RoundSum | None = None) -> ClientUpdate | None:
         """One stored update, its blob checked against its trailing CRC, the
-        CRC its manifest entry records, its header and its finiteness. The
-        blob is read into the store's one reused buffer; the returned update
-        owns a fresh copy of the delta. With
-        `into`, the delta is instead written into that round sum's scratch
-        vector and added to it, and nothing is returned."""
+        CRC its manifest entry records and its header. The blob is read into
+        the store's one reused buffer; the returned update owns a fresh copy
+        of the delta, checked to be finite. With `into`, each tensor's values
+        are instead weighted into that round sum straight from the buffer,
+        and nothing is returned: the sum's result checks finiteness."""
         entry = self._entry(round_index, client_id)
         where = f"round {round_index} client {client_id}"
-        # a string path and open(): cheaper per read than pathlib on small blobs
+        # a string path, os.open and one readv: no file object per read
         blob_path = f"{self.root}/{entry['path']}"
         try:
-            with open(blob_path, "rb") as fh:
-                size = os.fstat(fh.fileno()).st_size
-                if len(self._buffer) < size:
-                    self._buffer = bytearray(size)
-                blob = memoryview(self._buffer)[:size]
-                size = fh.readinto(blob)
+            fd = os.open(blob_path, os.O_RDONLY)
         except FileNotFoundError:
             raise IntegrityError(f"missing blob for {where}: {blob_path}") from None
+        try:
+            size = self._read(fd)
+        finally:
+            os.close(fd)
         self.bytes_read += size
         if size < 4:
             raise IntegrityError(f"truncated blob for {where}")
+        blob = memoryview(self._buffer)[:size]
         payload = blob[: size - 4]
         crc = zlib.crc32(payload)
-        if crc != int.from_bytes(blob[size - 4 : size], "little"):
+        if crc != int.from_bytes(blob[size - 4 :], "little"):
             raise IntegrityError(f"checksum mismatch for {where}")
         # a blob vouches only for itself; the entry names which blob it is
         if "blob_crc" not in entry:
@@ -237,17 +237,13 @@ class RetentionStore:
         if crc != entry["blob_crc"]:
             raise IntegrityError(f"blob for {where} is not the one its manifest entry records")
         try:
-            if into is None:
-                delta = self._reader.parse(payload)
-            else:
-                layout = self._reader.layout_of(payload)
-                scratch = into.scratch(layout)
-                self._reader.read_into(payload, scratch)
+            if into is not None:
+                layout, views = self._reader.views(payload)
+                into.add(client_id, layout, *views)
+                return None
+            delta = self._reader.parse(payload)
         except ValueError as exc:
             raise IntegrityError(f"undecodable blob for {where}: {exc}") from None
-        if into is not None:
-            into.add(client_id, layout, scratch)
-            return None
         return ClientUpdate(
             client_id=client_id,
             round_index=round_index,
@@ -255,6 +251,18 @@ class RetentionStore:
             sample_count=entry["sample_count"],
             train_loss=entry["train_loss"],
         )
+
+    def _read(self, fd: int) -> int:
+        """Read the open file into the buffer; return its size. A file that
+        fills the buffer may hold more, so the buffer grows past the file's
+        size and the read goes on."""
+        size = os.readv(fd, [self._buffer])
+        while size == len(self._buffer):
+            grown = bytearray(max(os.fstat(fd).st_size + 1, 2 * size))
+            grown[:size] = self._buffer
+            self._buffer = grown
+            size += os.readv(fd, [memoryview(grown)[size:]])
+        return size
 
     def load_norms(self, round_index: int, client_id: int) -> StoredNorms:
         """What the manifest records of one stored update, without reading
@@ -286,7 +294,9 @@ class RetentionStore:
         """Updates for one retained round, ascending by client id. An explicit
         id list reads only those clients' blobs. With `aggregation`, the
         round's aggregate in that mode instead: each blob is added to a
-        :class:`RoundSum` straight from the read buffer, so no update is kept."""
+        :class:`RoundSum` straight from the read buffer, so no update is kept.
+        The sum is checked to be finite once; if it is not, the blobs are
+        read again, each checked on its own, to name the one at fault."""
         if round_index not in self.retained_rounds:
             raise ValueError(f"round {round_index} is not in the retention schedule")
         if client_ids is None:
@@ -297,7 +307,13 @@ class RetentionStore:
                           for cid in client_ids), aggregation)
         for cid in sorted(client_ids):
             self.load_client(round_index, cid, into=total)
-        return total.result()
+        try:
+            return total.result()
+        except ValueError:
+            # name the blob that is not finite: each one parsed checks itself
+            for cid in sorted(client_ids):
+                self.load_client(round_index, cid)
+            raise  # every blob is finite: their weighted sum overflowed
 
     def total_blob_bytes(self) -> int:
         """The bytes of every blob the manifest lists; a missing one is an error."""

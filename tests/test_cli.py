@@ -28,7 +28,9 @@ from fedunlearn.cli import (
 from fedunlearn.data import FedConfig, make_synthetic
 from fedunlearn.evaluation import METRIC_COLUMNS
 from fedunlearn.federation import Trajectory
-from fedunlearn.nn import ParamSet, adult_arch, dense_arch, load_params, save_params
+from fedunlearn.nn import (ParamSet, adult_arch, build_model, dense_arch, load_params,
+                           save_params)
+from fedunlearn.nn.params import _parse_header
 
 from conftest import tear_writes
 from oracles import prediction_difference
@@ -284,6 +286,36 @@ class TestBuildArch:
         scenario = FedConfig(dataset="adult", hidden_units=8)
         arch = build_arch(scenario, train)
         assert arch.arch_hash() == adult_arch(8, hidden=8).arch_hash()
+
+    @staticmethod
+    def cifar_scenario(tmp_path):
+        source = tmp_path / "cifar"
+        source.mkdir()
+        rng = np.random.default_rng(0)
+        records = np.hstack([rng.integers(0, 10, size=(24, 1), dtype=np.uint8),
+                             rng.integers(0, 256, size=(24, 3072), dtype=np.uint8)])
+        (source / "data_batch_1.bin").write_bytes(records.tobytes())
+        return write_ini(tmp_path, TINY_INI.replace(
+            "dataset = synthetic", f"dataset = cifar10\npath = {source}"))
+
+    @pytest.mark.parametrize("config", ["synthetic_small", "synthetic_desk", "cifar10"])
+    def test_a_models_arch_is_its_datas(self, tmp_path, config):
+        # accum builds its arch from the initial model, without the data
+        ini = (self.cifar_scenario(tmp_path) if config == "cifar10" else
+               Path(__file__).resolve().parent.parent / "configs" / f"{config}.ini")
+        scenario = parse_scenario(ini)
+        _, test, _ = data.prepare_data(scenario)
+        arch = build_arch(scenario, test)
+        model = build_model(arch, scenario.seed)
+        assert cli.model_arch(scenario, model).arch_hash() == arch.arch_hash()
+
+    @pytest.mark.parametrize("dataset", ["adult", "purchase", "mnist", "synthetic"])
+    def test_each_presets_arch_comes_back_from_its_model(self, dataset):
+        train = make_synthetic(40, 8, 2 if dataset == "adult" else 3, seed=0)
+        scenario = FedConfig(dataset=dataset, hidden_units=8)
+        arch = build_arch(scenario, train)
+        model = build_model(arch, 0)
+        assert cli.model_arch(scenario, model).arch_hash() == arch.arch_hash()
 
 
 def walk(*round_timings):
@@ -1242,6 +1274,25 @@ class TestDataSnapshot:
         message = last_stderr_record(capsys)["message"]
         assert message.startswith(f"{path} is not the file its record names")
 
+    def test_accum_reads_none_of_it(self, tmp_path, capsys):
+        # accum's arch comes from the initial model, so a damaged data.fesp
+        # leaves it as it was, while the eraser, which trains, is refused
+        out = tmp_path / "out"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        assert main(["unlearn", str(out), "--method", "accum"]) == 0
+        made = {rel: (out / rel).read_bytes() for rel in ("models/accum.fesp", "heads/accum.fesp")}
+        assert "data.fesp" not in json.loads((out / "stages.json").read_text())["accum"]["reads"]
+        path = out / "data.fesp"
+        raw = bytearray(path.read_bytes())
+        _, _, layout, offsets = _parse_header(bytes(raw))
+        raw[offsets[layout.names.index("test.inputs")] + 3] ^= 0x01  # a low mantissa byte
+        path.write_bytes(raw)
+        assert main(["unlearn", str(out), "--method", "accum"]) == 0
+        assert {rel: (out / rel).read_bytes() for rel in made} == made
+        assert main(["unlearn", str(out), "--method", "eraser"]) == 1
+        message = last_stderr_record(capsys)["message"]
+        assert message.startswith(f"{path} is not the file its record names")
+
     def test_a_training_record_without_it_is_refused(self, tmp_path, capsys):
         # as a training recorded before the data was written to the run
         out = tmp_path / "out"
@@ -1297,6 +1348,55 @@ class TestDamagedRecords:
                    for r in caplog.records)
         assert not any(r.getMessage().endswith("skipping") for r in caplog.records)
         assert deterministic_files(out) == deterministic_files(run_dir)
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda stages: [], id="a_list"),
+        pytest.param(lambda stages: {"train": {}}, id="an_empty_entry"),
+        *(pytest.param(lambda stages, key=key: {**stages, "train": {
+            k: v for k, v in stages["train"].items() if k != key}}, id=f"no_{key}")
+          for key in ("fields", "reads", "writes")),
+    ])
+    def test_a_stage_record_of_another_shape_redoes_every_stage(self, pipelines, tmp_path,
+                                                                 caplog, damage):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        path = out / "stages.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"ignoring {path}: not the shape this version writes"]
+        assert not any(r.getMessage().endswith("skipping") for r in caplog.records)
+        assert deterministic_files(out) == deterministic_files(run_dir)
+
+    def test_an_unreadable_stage_record_is_warned_about_once(self, pipelines, tmp_path,
+                                                             caplog):
+        ini, _, _ = pipelines
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 0
+        (out / "stages.json").write_text('{"train": {')
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        ignored = [r for r in caplog.records if r.getMessage().startswith("ignoring")]
+        assert len(ignored) == 1
+        assert str(out / "stages.json") in ignored[0].getMessage()
+
+    @pytest.mark.parametrize("name", ["profile.json", "unlearn.json"])
+    def test_a_damaged_summary_is_read_as_empty(self, tmp_path, caplog, name):
+        # no record vouches for either file: it is written again from this stage on
+        out = tmp_path / "out"
+        assert main(["run", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        path = out / name
+        path.write_text('{"x"')
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["unlearn", str(out), "--method", "accum"]) == 0
+        assert any(r.levelno == logging.WARNING and r.getMessage().startswith(f"ignoring {path}")
+                   for r in caplog.records)
+        assert list(json.loads(path.read_text())) == ["accum"]
 
     def test_a_later_stage_without_a_readable_record_needs_a_training(self, tmp_path,
                                                                      capsys):

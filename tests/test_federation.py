@@ -311,7 +311,7 @@ class TestAggregate:
 
 class TestRoundSum:
     """The fold `aggregate` runs on, used as the replay uses it: each delta
-    written into the scratch vector and added from there."""
+    added as its tensors' values, wherever they lie."""
 
     @staticmethod
     def updates(seed=3, counts=(5, 1, 7, 2)):
@@ -325,11 +325,14 @@ class TestRoundSum:
         updates = self.updates()
         total = RoundSum(((u.client_id, u.sample_count) for u in reversed(updates)), mode)
         for u in updates:
-            layout = u.delta._layout
-            scratch = total.scratch(layout)
-            scratch[:] = u.delta.vector
-            total.add(u.client_id, layout, scratch)
+            total.add(u.client_id, u.delta._layout, *(t.ravel() for t in u.delta.tensors))
         assert total.result() == aggregate(updates, mode)
+
+    def test_pieces_must_hold_the_whole_delta(self):
+        first = self.updates()[0]
+        total = RoundSum([(1, first.sample_count)])
+        with pytest.raises(ValueError, match="client 1's delta holds 6 values, not 10"):
+            total.add(1, first.delta._layout, first.delta.tensors[0].ravel())
 
     def test_clients_come_in_ascending_id(self):
         updates = self.updates()

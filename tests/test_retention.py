@@ -340,7 +340,8 @@ class TestAccounting:
 
 class TestCopyFreeIO:
     """Blobs are written from views of the deltas and read through one
-    reused buffer; nothing read may alias that buffer."""
+    reused buffer; nothing read may alias that buffer, and a fold weights
+    each blob's values straight from it."""
 
     @pytest.mark.parametrize("shapes", [DENSE, CONV], ids=["dense", "conv"])
     def test_blob_is_the_dump_and_its_crc(self, tmp_path, shapes):
@@ -379,6 +380,34 @@ class TestCopyFreeIO:
         blob_path.write_bytes(bytes(blob))
         with pytest.raises(IntegrityError, match="checksum mismatch for round 3 client 2"):
             store.load_round(3, client_ids=[1, 2, 3], aggregation="standard")
+
+    def test_a_blob_larger_than_the_buffer_grows_it(self, tmp_path):
+        store = full_store(tmp_path)
+        # one byte longer than the blobs before it (it fills the buffer
+        # exactly), then larger still
+        longer = ParamSet([("ww", np.full((3, 2), 0.5)), ("b", np.ones(2))])
+        larger = make_updates(3, shapes=CONV)[1].delta
+        store = replace_blob(store, 1, 3, dump_param_bytes(longer))
+        store = replace_blob(store, 3, 2, dump_param_bytes(larger))
+        assert store.load_client(1, 1).delta == make_updates(1)[0].delta
+        assert store.load_client(1, 3).delta == longer
+        assert store.load_client(3, 2).delta == larger
+        assert store.load_client(1, 1).delta == make_updates(1)[0].delta
+        assert store.bytes_read == sum((store.root / rel).stat().st_size for rel in (
+            "round_1/client_1.fesp", "round_1/client_3.fesp", "round_3/client_2.fesp",
+            "round_1/client_1.fesp"))
+
+    def test_finite_deltas_whose_sum_overflows_are_no_blobs_fault(self, tmp_path):
+        # weights 0.2, 0.4 and 0.4 of the largest double: the sum rounds past it
+        big = np.finfo(np.float64).max
+        store = RetentionStore.create(tmp_path / "store", FP)
+        with np.errstate(over="ignore"):  # the sums of squares and the sum overflow
+            for r in store.retained_rounds:
+                store.store_round(r, [ClientUpdate(cid, r, ParamSet(
+                    [(name, np.full(shape, big)) for name, shape in DENSE]), count)
+                    for cid, count in ((1, 1), (2, 2), (3, 2))])
+            with pytest.raises(ValueError, match="tensor 'w' contains non-finite values"):
+                store.load_round(1, aggregation="standard")
 
     def test_non_finite_blob_with_a_valid_crc_is_caught_by_the_fold(self, tmp_path):
         payload = bytearray(dump_param_bytes(make_updates(1)[2].delta))

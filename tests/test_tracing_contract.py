@@ -153,3 +153,27 @@ def test_work_counters_match_the_closed_form_and_the_trajectories(tracing, tmp_p
                 **{m: (summary[m]["sgd_steps"], summary[m]["sample_grads"])
                    for m in ("eraser", "retrain")}}
     assert recorded == closed_form
+
+
+def test_store_counters_match_the_manifest_and_the_replay(tracing, tmp_path):
+    # the tracer finds blobs at round_<t>/client_<k>.fesp after each
+    # store_round and load_client: every blob accum reads goes through
+    # load_client, once per retained round and remaining client
+    out = tmp_path / "out"
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(COUNTED_INI.format(out=out))
+    scenario = cli.parse_scenario(ini)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.stage("train", scenario.target_client, cli.run_train, scenario, out)
+        tracer.stage("accum", scenario.target_client, cli.run_unlearn, scenario, out,
+                     methods=("accum",))
+    finally:
+        tracer.uninstall()
+    manifest = json.loads((out / "manifest.json").read_text())
+    summary = json.loads((out / "unlearn.json").read_text())
+    assert tracer.counters["bytes_written"] == manifest["retention_bytes"]
+    assert tracer.counters["bytes_read"] == summary["accum"]["store_bytes_read"] > 0
+    assert tracer.totals["retention.load_client"][0] == (
+        len(manifest["retained_rounds"]) * (scenario.num_clients - 1))
