@@ -96,12 +96,16 @@ def local_train(
     w, params, losses = sgd_epochs(arch, global_params, shard.dataset.inputs,
                                    shard.dataset.labels, batch_size, config.learning_rate,
                                    seeds, where)
-    bad = params.non_finite_tensor()
+    # the delta in place: w - g equals param_linear(1.0, w, -1.0, g) bit for
+    # bit; a non-finite weight leaves its tensor of the delta non-finite, so
+    # one check of the delta covers the weights too
+    w -= global_params.vector
+    layout = params._layout
+    bad = layout.non_finite_tensor(w)
     if bad is not None:
         raise ValueError(f"{where}: tensor {bad!r} contains non-finite values")
-    # the delta in place: w - g equals param_linear(1.0, w, -1.0, g) bit for bit
-    w -= global_params.vector
-    delta = ParamSet._adopt(params._layout, w)
+    w.flags.writeable = False
+    delta = ParamSet._over(layout, w)
     return ClientUpdate(
         client_id=shard.client_id,
         round_index=round_index,
@@ -119,13 +123,16 @@ def sgd_epochs(arch: ArchSpec, start: ParamSet, inputs: np.ndarray, labels: np.n
     """Mini-batch SGD from `start`, one epoch per seed, one `loss_and_grad`
     call per step. Each epoch's rows are gathered in the seed's permutation
     and validated once; each step's batch is a slice of them. One working
-    vector is stepped in place: `w -= lr * g` equals 1.0*w + (-lr)*g bit for
-    bit. Gradients are checked at every step, a failure naming `where` and
-    the step; the weights are the caller's to check once, as under this
-    update a non-finite entry never becomes finite again. Returns the weight
-    vector, a read-only set that views it, and every step's loss."""
+    vector is stepped in place through one step vector made per call:
+    `w -= np.multiply(lr, g, out=step)` is `w -= lr * g`, which equals
+    1.0*w + (-lr)*g bit for bit. Gradients are checked at every step, a
+    failure naming `where` and the step; the weights are the caller's to
+    check once, as under this update a non-finite entry never becomes finite
+    again. Returns the weight vector, a read-only set that views it, and
+    every step's loss."""
     lr = float(learning_rate)
     w, params = start.working_copy()
+    step = np.empty(w.size)
     n = len(labels)
     losses: list[float] = []
     for seed in epoch_seeds:
@@ -137,7 +144,7 @@ def sgd_epochs(arch: ArchSpec, start: ParamSet, inputs: np.ndarray, labels: np.n
                 loss, grads = loss_and_grad(arch, params, batch)
             except ValueError as exc:
                 raise ValueError(f"{where}, step {len(losses) + 1}: {exc}") from exc
-            w -= lr * grads.vector
+            w -= np.multiply(lr, grads.vector, out=step)
             losses.append(loss)
     return w, params, losses
 

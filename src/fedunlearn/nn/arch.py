@@ -107,6 +107,14 @@ class ArchSpec:
         return tuple((layer, index.get(f"layer{i}.weight"))
                      for i, layer in enumerate(self.layers))
 
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The class indices 0..num_classes-1, read-only, made once per spec;
+        ``labels[:, None] == classes`` is the one-hot label mask."""
+        classes = np.arange(self.num_classes)
+        classes.flags.writeable = False
+        return classes
+
     def num_params(self) -> int:
         return sum(math.prod(s) for _, s in self.param_layout)
 

@@ -89,21 +89,24 @@ def forward(arch: ArchSpec, params: ParamSet, batch: Batch) -> np.ndarray:
 def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float, ParamSet]:
     """Mean cross-entropy over the batch and its gradient w.r.t. params."""
     check_conformant_with_arch(arch, params)
-    labels = batch.labels
-    c = arch.num_classes
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
-        raise ValueError(f"label out of range [0, {c})")
+    # one-hot: each row is True at its label's column, so the mask gathers
+    # each row's log-probability in row order; a label outside [0, c) marks
+    # no column, and fewer values come out than rows
+    mask = batch.labels[:, None] == arch.classes
     tensors = params.tensors
     caches: list = []
     logits = _forward(arch, tensors, batch.inputs, caches)
-    n = len(labels)
-    rows = np.arange(n)
+    n = len(mask)
     log_probs = _log_softmax(logits)
+    picked = log_probs[mask]
+    if picked.size != n:
+        raise ValueError(f"label out of range [0, {arch.num_classes})")
     # np.add.reduce(x) / n is np.mean(x), bit for bit
-    loss = -float(np.add.reduce(log_probs[rows, labels]) / n)
+    loss = -float(np.add.reduce(picked) / n)
 
+    # x - 0.0 is x, so subtracting the mask takes 1.0 off the label columns only
     dx = np.exp(log_probs, out=log_probs)
-    dx[rows, labels] -= 1.0
+    dx -= mask
     dx /= n
 
     # each layer writes its gradients straight into their segments of one vector
@@ -120,10 +123,13 @@ def loss_and_grad(arch: ArchSpec, params: ParamSet, batch: Batch) -> tuple[float
         need_dx = i > 0
         if isinstance(layer, Dense):
             x, out = cache
-            dz = dx * (out > 0.0) if layer.activation == "relu" else dx
-            np.matmul(x.T, dz, out=segments[p])
-            np.add.reduce(dz, axis=0, out=segments[p + 1])
-            dx = dz @ tensors[p].T if need_dx else None
+            if layer.activation == "relu":
+                # in place: dx is always a fresh array, the softmax buffer or
+                # the next dense layer's dx @ W.T
+                dx *= out > 0.0
+            np.matmul(x.T, dx, out=segments[p])
+            np.add.reduce(dx, axis=0, out=segments[p + 1])
+            dx = dx @ tensors[p].T if need_dx else None
         elif isinstance(layer, Conv2d):
             dx = _conv_backward(layer, tensors[p], cache, dx, segments[p], segments[p + 1],
                                 need_dx)
@@ -211,11 +217,15 @@ def _column_chunks(x_shape: tuple[int, ...], k: int) -> list[slice]:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # (B, C, H, W) -> (B, C*k*k, Ho*Wo) sliding windows, channel-major rows
+    # (B, C, H, W) -> (B, C*k*k, Ho*Wo) sliding windows, channel-major rows:
+    # a (B, C, k, k, Ho, Wo) view whose window and output axes step by the
+    # same row and column strides, copied by the reshape
     b, c, h, w = x.shape
     ho, wo = h - k + 1, w - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
+    sb, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(x, (b, c, k, k, ho, wo), (sb, sc, sh, sw, sh, sw),
+                                              writeable=False)
+    return windows.reshape(b, c * k * k, ho * wo)
 
 
 def _conv_backward(layer: Conv2d, w: np.ndarray, cache, dout: np.ndarray, dw: np.ndarray,

@@ -55,7 +55,11 @@ class _Layout:
         self._headers = None
 
     def non_finite_tensor(self, vector: np.ndarray) -> str | None:
-        if np.isfinite(vector).all():
+        # One BLAS reduction settles almost every call: a NaN or an infinity
+        # makes the sum of squares non-finite, and finite values make it so
+        # only by overflow (|v| above about 1e154), which the scan settles.
+        # np.vdot, unlike ndarray.dot, warns of no overflow.
+        if math.isfinite(np.vdot(vector, vector)) or np.isfinite(vector).all():
             return None
         return next(name for name, (start, end, _) in zip(self.names, self.spans)
                     if not np.isfinite(vector[start:end]).all())

@@ -215,6 +215,16 @@ def reference_pool_backward(x_shape: tuple[int, ...], idx: np.ndarray, dout: np.
             .reshape(x_shape))
 
 
+def reference_im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (B, C*k*k, Ho*Wo) channel-major columns of a (B, C, H, W) input,
+    through NumPy's validated sliding-window view, as the engine built them
+    before it took the windows straight from the input's strides."""
+    b, c, h, w = x.shape
+    ho, wo = h - k + 1, w - k + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
+
+
 def reference_col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
     """The convolution input gradient from the (B, C*k*k, Ho*Wo) column
     gradient, accumulated in a (B, C, H, W) array: k*k shifted adds in (i, j)

@@ -33,6 +33,7 @@ from fedunlearn.nn.engine import (
     _col2im_add,
     _conv_backward,
     _forward,
+    _im2col,
     _pool_backward,
     _pool_forward,
     _softmax,
@@ -45,6 +46,7 @@ from oracles import (
     reference_col2im,
     reference_conv2d,
     reference_forward,
+    reference_im2col,
     reference_loss_and_grad,
     reference_pool_backward,
     reference_pool_forward,
@@ -207,6 +209,30 @@ class TestLoss:
             loss_and_grad(arch, params, Batch(np.zeros((1, 6)), [3]))
         with pytest.raises(ValueError, match="label out of range"):
             loss_and_grad(arch, params, Batch(np.zeros((1, 6)), [-1]))
+
+    @pytest.mark.parametrize("bad", [3, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+                             ids=["c", "minus-one", "int64-min", "int64-max"])
+    @pytest.mark.parametrize("others", [[], [0, 2, 1]], ids=["alone", "among-good-rows"])
+    def test_label_mask_marks_no_column_for_a_bad_label(self, arch, bad, others):
+        # the one-hot mask gathers one value per row; a bad label gathers none
+        labels = others[:2] + [bad] + others[2:]
+        batch = Batch(np.zeros((len(labels), 6)), labels)
+        with pytest.raises(ValueError, match=r"^label out of range \[0, 3\)$"):
+            loss_and_grad(arch, build_model(arch, 0), batch)
+
+    def test_last_class_is_accepted(self, arch):
+        params, batch = build_model(arch, 0), Batch(np.ones((3, 6)), [2, 2, 0])
+        assert (loss_and_grad(arch, params, batch)
+                == reference_loss_and_grad(arch, params, batch))
+
+    def test_ten_classes_bit_equal_to_fancy_index(self):
+        # cifar10's dense head on a batch of 7
+        arch = ArchSpec(layers=(Dense(16 * 5 * 5, 120, "relu"), Dense(120, 10)),
+                        input_shape=(16 * 5 * 5,))
+        params, batch = noisy_model(arch, 4), random_batch(arch, 7, 4)
+        assert len(set(batch.labels.tolist())) > 3
+        assert (loss_and_grad(arch, params, batch)
+                == reference_loss_and_grad(arch, params, batch))
 
 
 class TestGradients:
@@ -625,6 +651,26 @@ class TestKernelsBitEqualToReference:
         for first in range(0, b, 2):
             _col2im_add(dx[:, :, first:first + 2], dcols[first:first + 2], k)
         assert bits(dx.transpose(2, 3, 0, 1)) == bits(reference_col2im(dcols, x_shape, k))
+
+    @pytest.mark.parametrize("view", ["contiguous", "every-other-sample", "nhwc-memory",
+                                      "reversed-rows", "one-sample-chunk"])
+    @pytest.mark.parametrize("x_shape,k", [((6, 3, 9, 7), 3), ((4, 6, 14, 14), 5),
+                                           ((2, 2, 5, 5), 5), ((4, 2, 4, 6), 1)])
+    def test_im2col(self, view, x_shape, k):
+        # the columns trust the input's strides, so each view below steps
+        # through memory differently from a C-contiguous array
+        base = np.random.default_rng(3).normal(size=(2 * x_shape[0], *x_shape[1:]))
+        x = {
+            "contiguous": base[: x_shape[0]],
+            "every-other-sample": base[::2],
+            "nhwc-memory": np.ascontiguousarray(base.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+            "reversed-rows": base[:, :, ::-1],
+            "one-sample-chunk": base[3:4],
+        }[view]
+        assert view in ("contiguous", "one-sample-chunk") or not x.flags.c_contiguous
+        cols = _im2col(x, k)
+        assert cols.shape == reference_im2col(x, k).shape
+        assert bits(cols) == bits(reference_im2col(x, k))
 
     @staticmethod
     def assert_loss_and_grad_bit_equal(monkeypatch, arch, params, batch):

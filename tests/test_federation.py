@@ -185,6 +185,22 @@ class TestDivergence:
             "round 4, client 2: tensor 'layer0.weight' contains non-finite values"
         )
 
+    def test_delta_overflowing_from_finite_weights_names_round_and_client(self):
+        # Logits are the bias alone (zero inputs, so the weight gradient is
+        # zero). From a bias of [-1.7e308, 0, 0] and every label 0, steps of
+        # rate 1e308 move class 0's bias up to 3e307 and the others down to
+        # -1e308, all finite, but 3e307 - (-1.7e308) overflows the delta.
+        arch = ArchSpec(layers=(Dense(6, 3),), input_shape=(6,))
+        start = ParamSet([("layer0.weight", np.zeros((6, 3))),
+                          ("layer0.bias", np.array([-1.7e308, 0.0, 0.0]))])
+        shard = ClientShard(2, Dataset("zeros", np.zeros((24, 6)), np.zeros(24, dtype=int), 3))
+        cfg = small_config(learning_rate=1e308, local_epochs=1, batch_size=8)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            local_train(arch, start, shard, cfg, round_index=5)
+        assert str(info.value) == (
+            "round 5, client 2: tensor 'layer0.bias' contains non-finite values"
+        )
+
     CONV = TestInPlaceLocalTrain.ARCHS["conv"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

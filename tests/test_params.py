@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fedunlearn.nn import (
     parse_param_bytes,
     save_params,
 )
+from fedunlearn.federation import RoundSum
 from fedunlearn.nn.params import ParamReader
 
 from conftest import tear_writes
@@ -106,6 +108,43 @@ class TestParamSet:
         assert a.conforms_to(b)
         other = ParamSet([("w", np.zeros((3, 2)))])
         assert not a.conforms_to(other)
+
+
+class TestFiniteness:
+    """Each check is one BLAS sum of squares: any NaN or infinity makes it
+    non-finite, and finite values only by overflowing it, which a scan of
+    the values settles. None of it warns."""
+
+    @staticmethod
+    def items(**bad) -> list[tuple[str, np.ndarray]]:
+        # "a" squares past the float64 range, so a check must look past it
+        tensors = {"a": np.full(2, 1e200), "b": np.ones((2, 3)), "c": np.zeros(1)}
+        for name, value in bad.items():
+            tensors[name] = tensors[name].copy()
+            tensors[name].flat[-1] = value
+        return list(tensors.items())
+
+    def test_values_overflowing_the_sum_of_squares_are_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = ParamSet(self.items())
+            assert x.non_finite_tensor() is None
+            assert param_linear(1.0, x, 0.5, x).vector[0] == 1.5e200
+            assert parse_param_bytes(dump_param_bytes(x)) == x
+            total = RoundSum([(1, 5)])
+            total.add(1, x._layout, x.vector)
+            assert total.result() == x
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_each_non_finite_value_is_named_by_its_tensor(self, value, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^tensor '{name}' contains non-finite values$"):
+                ParamSet(self.items(**{name: value}))
+            w, live = ParamSet(self.items()).working_copy()
+            w[-1] = value
+            assert live.non_finite_tensor() == "c"
 
 
 class TestParamLinear:
