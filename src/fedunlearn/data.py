@@ -213,13 +213,20 @@ def make_synthetic(samples: int, features: int, classes: int, seed: int,
 
 
 def subsample(ds: Dataset, max_samples: int, seed: int) -> Dataset:
+    idx = subsample_indices(ds.num_samples, max_samples, seed, ds.name)
+    return ds if idx is None else ds.subset(idx)
+
+
+def subsample_indices(num_samples: int, max_samples: int, seed: int,
+                      name: str) -> np.ndarray | None:
+    """The ascending row indices `subsample` keeps of `num_samples` rows of
+    a dataset called `name`, or None when it keeps every row."""
     if max_samples < 1:
         raise ValueError("max_samples must be at least 1")
-    if ds.num_samples <= max_samples:
-        return ds
-    rng = np.random.default_rng(derive_seed(seed, "subsample", ds.name))
-    idx = np.sort(rng.choice(ds.num_samples, size=max_samples, replace=False))
-    return ds.subset(idx)
+    if num_samples <= max_samples:
+        return None
+    rng = np.random.default_rng(derive_seed(seed, "subsample", name))
+    return np.sort(rng.choice(num_samples, size=max_samples, replace=False))
 
 
 ADULT_COLUMNS = (

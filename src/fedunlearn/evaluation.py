@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClientShard, Dataset, FedConfig, subsample
+from .data import ClientShard, Dataset, FedConfig, subsample, subsample_indices
 from .nn import (
     ArchSpec,
     Batch,
@@ -249,6 +249,26 @@ def attack_metrics(
     return {"precision": precision, "recall": recall, "f1": f1, "accuracy": accuracy}
 
 
+def member_fit_sample(members: Sequence[Dataset], size: int, seed: int,
+                      num_classes: int) -> Dataset:
+    """The rows `subsample(pool, size, seed)` keeps of the pool of the
+    members' rows in order, a dataset named "members", gathered from each
+    member's rows without building the pool."""
+    idx = subsample_indices(sum(ds.num_samples for ds in members), size, seed, "members")
+    inputs, labels = [], []
+    end = 0
+    for ds in members:
+        start, end = end, end + ds.num_samples
+        if idx is None:
+            rows = slice(None)
+        else:
+            lo, hi = np.searchsorted(idx, (start, end))
+            rows = idx[lo:hi] - start
+        inputs.append(ds.inputs[rows])
+        labels.append(ds.labels[rows])
+    return Dataset("members", np.concatenate(inputs), np.concatenate(labels), num_classes)
+
+
 def membership_attack(
     arch: ArchSpec,
     models: Mapping[str, ParamSet],
@@ -264,8 +284,6 @@ def membership_attack(
     on the target client's shard against the other half.
     """
     members = [s.dataset for s in shards if s.client_id != config.target_client]
-    member_train = Dataset("members", np.concatenate([ds.inputs for ds in members]),
-                           np.concatenate([ds.labels for ds in members]), test.num_classes)
     rng = np.random.default_rng(derive_seed(config.seed, "attack-split"))
     order = rng.permutation(test.num_samples)
     half = test.num_samples // 2
@@ -273,11 +291,12 @@ def membership_attack(
     eval_holdout = test.subset(np.sort(order[half:]))
     # the member pool dwarfs the held-out one; an attack fitted on the raw
     # pools just learns the base rate and calls everything a member
-    fit_size = min(member_train.num_samples, fit_holdout.num_samples)
+    fit_size = min(sum(ds.num_samples for ds in members), fit_holdout.num_samples)
     fit_seed = derive_seed(config.seed, "attack-fit")
     attack = train_attack(
         build_membership_features(arch, models["original"],
-                                  subsample(member_train, fit_size, fit_seed)),
+                                  member_fit_sample(members, fit_size, fit_seed,
+                                                    test.num_classes)),
         build_membership_features(arch, models["original"],
                                   subsample(fit_holdout, fit_size, fit_seed)),
         seed=config.seed, hidden=config.attack_hidden, epochs=config.attack_epochs,

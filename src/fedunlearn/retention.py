@@ -317,5 +317,6 @@ class RetentionStore:
 
     def total_blob_bytes(self) -> int:
         """The bytes of every blob the manifest lists; a missing one is an error."""
-        return sum((self.root / entry["path"]).stat().st_size
+        root = self.root  # a string path per blob, as load_client opens it
+        return sum(os.stat(f"{root}/{entry['path']}").st_size
                    for clients in self._entries.values() for entry in clients.values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import replace
 from collections.abc import Callable, Sequence
@@ -41,6 +42,14 @@ def _norms(sq_norms: np.ndarray, norm_mode: str) -> np.ndarray:
     return np.sqrt(sq_norms if norm_mode == "layer" else sq_norms.sum(keepdims=True))
 
 
+def _scaled_norm(values: np.ndarray) -> float:
+    """The norm of values whose sum of squares overflows (entries above
+    about 1e154): they are divided by their largest magnitude first, so
+    that no square does."""
+    scale = np.abs(values).max()
+    return scale * np.linalg.norm(values / scale)
+
+
 def calibrate_update(
     retained: ParamSet | StoredNorms,
     fresh: ParamSet,
@@ -57,9 +66,11 @@ def calibrate_update(
     about the unlearned one, while zeroing it would discard real signal.
 
     The retained update may be given as its stored norms alone: its tensors
-    are then read only if some fresh norm is at most epsilon. `on_fallback`
-    is called once for each tensor (each update, in "global" mode) kept
-    as retained.
+    are then read only if some fresh norm is at most epsilon or some stored
+    sum of squares overflowed (entries above about 1e154 square past the
+    float range; such a norm is measured again, scaled). `on_fallback` is
+    called once for each tensor (each update, in "global" mode) kept as
+    retained.
     """
     if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
@@ -68,26 +79,37 @@ def calibrate_update(
     if isinstance(retained, ParamSet):
         if not retained.conforms_to(fresh):
             raise ValueError("retained and fresh updates have different structure")
-        retained_sq, load = retained.sq_norms(), lambda: retained
+        retained_sq, load = retained.sq_norms, lambda: retained
     else:
         if retained.sq_norms.shape != (len(fresh),):
             raise ValueError("retained and fresh updates have different structure")
-        retained_sq, load = retained.sq_norms, retained.load
+        retained_sq, load = lambda: retained.sq_norms, retained.load
 
     layout = fresh._layout
     spans = layout.spans if norm_mode == "layer" else ((0, layout.size, None),)
     stored = None
+
+    def retained_vector() -> np.ndarray:
+        nonlocal stored
+        if stored is None:
+            stored = load()
+            require_conformant(stored, fresh)
+        return stored.vector
+
+    with np.errstate(over="ignore"):  # a norm that overflowed is measured again below
+        old_norms = _norms(retained_sq(), norm_mode)
+        new_norms = _norms(fresh.sq_norms(), norm_mode)
     out = np.empty(layout.size)
-    for (start, end, _), old_norm, new_norm in zip(
-            spans, _norms(retained_sq, norm_mode), _norms(fresh.sq_norms(), norm_mode)):
+    for (start, end, _), old_norm, new_norm in zip(spans, old_norms, new_norms):
+        if not math.isfinite(new_norm):
+            new_norm = _scaled_norm(fresh.vector[start:end])
         if new_norm <= epsilon:
-            if stored is None:
-                stored = load()
-                require_conformant(stored, fresh)
-            out[start:end] = stored.vector[start:end]
+            out[start:end] = retained_vector()[start:end]
             if on_fallback is not None:
                 on_fallback()
         else:
+            if not math.isfinite(old_norm):
+                old_norm = _scaled_norm(retained_vector()[start:end])
             np.multiply(fresh.vector[start:end], old_norm / new_norm, out=out[start:end])
     return ParamSet._adopt(layout, out)
 

@@ -45,6 +45,8 @@ ENGINE = "fedunlearn/nn/engine.py"
 PARAMS = "fedunlearn/nn/params.py"
 FEDERATION = "fedunlearn/federation.py"
 UNLEARNING = "fedunlearn/unlearning.py"
+DATA = "fedunlearn/data.py"
+EVALUATION = "fedunlearn/evaluation.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -122,6 +124,41 @@ MUTANTS: tuple[Mutant, ...] = (
         "        np.maximum(view, pooled, out=pooled)\n",
         "        np.maximum(pooled, view, out=pooled)\n",
         ("tests/test_engine.py::TestKernelsBitEqualToReference::test_pooling",),
+    ),
+    # The member fit sample drawn from the shards: each shard given the
+    # indices that fall in the next shard, the shared draw left unsorted,
+    # and the draw seeded under another name. (Taking each shard's indices
+    # relative to its end instead of its start is no defect: the negative
+    # indices wrap to the same rows.)
+    Mutant(
+        "member-rows-shifted-by-a-shard", EVALUATION,
+        "            lo, hi = np.searchsorted(idx, (start, end))\n",
+        "            lo, hi = np.searchsorted(idx, (end, end + ds.num_samples))\n",
+        ("tests/test_evaluation.py::TestMemberFitSample::test_bit_equal_to_subsampling_the_pool",),
+    ),
+    Mutant(
+        "subsample-indices-unsorted", DATA,
+        "    return np.sort(rng.choice(num_samples, size=max_samples, replace=False))\n",
+        "    return rng.choice(num_samples, size=max_samples, replace=False)\n",
+        ("tests/test_data.py::TestSubsample::test_keeps_row_order_and_size",
+         "tests/test_evaluation.py::TestMemberFitSample::test_bit_equal_to_subsampling_the_pool"),
+    ),
+    Mutant(
+        "member-sample-seed-renamed", EVALUATION,
+        "size, seed, \"members\")",
+        "size, seed, \"member-pool\")",
+        ("tests/test_evaluation.py::TestMemberFitSample::test_bit_equal_to_subsampling_the_pool",),
+    ),
+    # Calibration norms: a norm whose sum of squares overflowed is measured
+    # again without the scaling.
+    Mutant(
+        "scaled-norm-fallback-removed", UNLEARNING,
+        "    return scale * np.linalg.norm(values / scale)\n",
+        "    return np.linalg.norm(values)\n",
+        ("tests/test_unlearning.py::TestCalibrateUpdate::"
+         "test_squares_past_the_float_range_give_the_exact_result",
+         "tests/test_unlearning.py::TestCalibrateUpdate::"
+         "test_an_overflowed_retained_norm_is_measured_scaled"),
     ),
 )
 

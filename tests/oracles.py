@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from fedunlearn.data import Dataset, subsample
 from fedunlearn.evaluation import batched_probs, mean_probability_distance
 from fedunlearn.federation import aggregate, local_train
 from fedunlearn.nn import (
@@ -481,6 +482,14 @@ def reference_train_attack(member_features: np.ndarray, nonmember_features: np.n
                                                Batch(standardized[idx], labels[idx]))
             params = sgd_step(params, grads, learning_rate)
     return params
+
+
+def reference_member_fit(members, size: int, seed: int, num_classes: int) -> Dataset:
+    """The membership attack's member fit sample drawn from the whole pool:
+    every member's rows concatenated into one dataset, then subsampled."""
+    pool = Dataset("members", np.concatenate([ds.inputs for ds in members]),
+                   np.concatenate([ds.labels for ds in members]), num_classes)
+    return subsample(pool, size, seed)
 
 
 def reference_calibrate(retained: ParamSet, fresh: ParamSet, norm_mode: str,

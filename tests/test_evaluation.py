@@ -2,11 +2,12 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedunlearn.data import Dataset, make_synthetic
+from fedunlearn.data import Dataset, make_synthetic, partition_iid
 from fedunlearn.evaluation import (
     METRIC_COLUMNS,
     AttackModel,
@@ -16,14 +17,16 @@ from fedunlearn.evaluation import (
     build_membership_features,
     evaluate,
     last_layer_angles,
+    member_fit_sample,
+    membership_attack,
     train_attack,
     write_metrics_csv,
     write_report_json,
 )
 from fedunlearn.nn import ArchSpec, Dense, ParamSet, build_model, forward
 
-from conftest import small_arch, tear_writes
-from oracles import prediction_difference, reference_train_attack
+from conftest import small_arch, small_config, tear_writes
+from oracles import prediction_difference, reference_member_fit, reference_train_attack
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
@@ -313,6 +316,61 @@ class TestAttackMetrics:
         assert a == b
         assert set(a) == {"precision", "recall", "f1", "accuracy"}
         assert all(0.0 <= v <= 1.0 for v in a.values())
+
+
+def ragged_members(num_clients: int, target: int) -> list[Dataset]:
+    """The datasets of every client but `target`, of 93 rows split over
+    `num_clients` clients (24, 23, 23, 23 over four)."""
+    shards = partition_iid(make_synthetic(93, 6, 3, seed=2), num_clients, seed=3)
+    return [s.dataset for s in shards if s.client_id != target]
+
+
+class TestMemberFitSample:
+    # pools of 69 or 70 rows: the larger sizes keep every row
+    @pytest.mark.parametrize("target", [1, 2, 4])
+    @pytest.mark.parametrize("size", [1, 10, 40, 69, 70, 80])
+    def test_bit_equal_to_subsampling_the_pool(self, target, size):
+        members = ragged_members(4, target)
+        fit = member_fit_sample(members, size, seed=7, num_classes=3)
+        ref = reference_member_fit(members, size, seed=7, num_classes=3)
+        assert fit.name == ref.name == "members"
+        assert fit.num_classes == ref.num_classes
+        assert fit.inputs.shape == ref.inputs.shape
+        assert fit.inputs.tobytes() == ref.inputs.tobytes()
+        assert fit.labels.tobytes() == ref.labels.tobytes()
+
+    @pytest.mark.parametrize("size", [5, 46, 50])
+    def test_one_remaining_client(self, size):
+        members = ragged_members(2, 1)
+        fit = member_fit_sample(members, size, seed=0, num_classes=3)
+        ref = reference_member_fit(members, size, seed=0, num_classes=3)
+        assert fit.inputs.tobytes() == ref.inputs.tobytes()
+        assert fit.labels.tobytes() == ref.labels.tobytes()
+
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="max_samples must be at least 1"):
+            member_fit_sample(ragged_members(4, 1), 0, seed=0, num_classes=3)
+
+
+class TestMembershipAttackMemory:
+    def test_peak_stays_below_the_member_pool(self):
+        # 9 remaining clients hold 3,600 rows of 32 features, and the fit
+        # sample is 100 rows (half the test set). Concatenating the pool
+        # alone would allocate its bytes; drawing the sample from the
+        # shards peaks at about 0.16 of them.
+        config = small_config(num_clients=10, target_client=2, attack_epochs=3)
+        arch = small_arch(features=32, classes=3, hidden=8)
+        shards = partition_iid(make_synthetic(4000, 32, 3, seed=4), 10, config.seed)
+        test = make_synthetic(200, 32, 3, seed=5)
+        pool = sum(s.dataset.inputs.nbytes + s.dataset.labels.nbytes
+                   for s in shards if s.client_id != config.target_client)
+        tracemalloc.start()
+        try:
+            membership_attack(arch, {"original": build_model(arch, 1)}, shards, test, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool / 2
 
 
 class TestReports:

@@ -5,6 +5,7 @@ import inspect
 import json
 import shutil
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,44 @@ class TestCalibrateUpdate:
         out = calibrate_update(stored, fresh, on_fallback=lambda: fallbacks.append(1))
         assert out == calibrate_update(retained, fresh)
         assert loads == [1] and fallbacks == [1]
+
+    @staticmethod
+    def retained_as(kind, retained, loads):
+        if kind == "params":
+            return retained
+        with np.errstate(over="ignore"):
+            sq_norms = retained.sq_norms()
+        return StoredNorms(3, 2, 10, sq_norms, load=lambda: loads.append(1) or retained)
+
+    @pytest.mark.parametrize("kind", ["params", "stored"])
+    @pytest.mark.parametrize("mode", ["layer", "global"])
+    def test_squares_past_the_float_range_give_the_exact_result(self, mode, kind):
+        # |a|^2 is 2e400: the plain sum of squares overflows, the norm does not
+        x = pset(a=[1e200, 1e200], b=[1.0, 1.0])
+        loads = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = calibrate_update(self.retained_as(kind, x, loads), x, norm_mode=mode)
+        assert out == x
+        assert loads == ([1] if kind == "stored" else [])
+
+    @pytest.mark.parametrize("kind", ["params", "stored"])
+    @pytest.mark.parametrize("mode", ["layer", "global"])
+    def test_an_overflowed_retained_norm_is_measured_scaled(self, mode, kind):
+        retained = pset(a=[3e200, 4e200], b=[1.0, 1.0])
+        fresh = pset(a=[0.0, 2.0], b=[2.0, 0.0])
+        loads = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = calibrate_update(self.retained_as(kind, retained, loads), fresh,
+                                   norm_mode=mode)
+        if mode == "layer":
+            expected = {"a": [0.0, 5e200], "b": [np.sqrt(2.0), 0.0]}
+        else:
+            expected = {"a": [0.0, 5e200 / np.sqrt(2.0)], "b": [5e200 / np.sqrt(2.0), 0.0]}
+        for name, values in expected.items():
+            np.testing.assert_allclose(out[name], values, rtol=1e-14)
+        assert loads == ([1] if kind == "stored" else [])
 
     def test_rejects_stored_norms_of_another_structure(self):
         stored = StoredNorms(3, 2, 10, np.array([1.0, 2.0]), load=lambda: None)
