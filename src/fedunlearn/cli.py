@@ -1,6 +1,6 @@
 """Command-line entry point: config parsing, run orchestration, artifacts.
 
-Each stage calls the package (the attack is evaluation.membership_attack)
+Each stage calls the package (the attack is evaluation.attack_and_probs)
 and reads and writes the run directory. `train`, `run` and `sweep` take a
 scenario file with --out and --seed; `unlearn RUN`, `attack RUN` and
 `report RUN` take their scenario from RUN/scenario.ini, which `train` and
@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import ClientShard, Dataset, FedConfig, prepare_data
-from .evaluation import (MethodMetrics, accuracy_and_loss, angle_deviation, batched_probs,
-                         evaluate, last_layer_angles, mean_probability_distance,
-                         membership_attack, write_csv, write_metrics_csv, write_report_json)
+from .evaluation import (MethodMetrics, angle_deviation, attack_and_probs, evaluate,
+                         last_layer_angles, method_scores, score_probs, write_csv,
+                         write_metrics_csv, write_report_json)
 from .federation import Trajectory, run_fedavg
 from .nn import (ArchSpec, ParamSet, adult_arch, array_chunks, atomic_write, build_model,
                  cifar10_arch, dense_arch, load_params, mnist_arch, purchase_arch, save_params)
@@ -323,14 +323,14 @@ def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
 _WRITES = {"train": ("data.fesp", "models/initial.fesp", "models/original.fesp", "manifest.json",
                      "retention/manifest.json"),
            **{m: (f"models/{m}.fesp", f"heads/{m}.fesp") for m in METHODS},
-           "attack": ("attack.json",), "report": ("report.json", "metrics.csv")}
+           "attack": ("attack.json", "probs.fesp"), "report": ("report.json", "metrics.csv")}
 # stage -> the (earlier stage, file) pairs it reads, of the stages that ran
 _DATA = (("train", "data.fesp"),)
 _STORED = (("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
 _SCORED = (*_DATA, ("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
 _READS = {"eraser": (*_DATA, *_STORED), "accum": _STORED, "retrain": _DATA, "attack": _SCORED,
           "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[1],
-                     ("attack", "attack.json"))}
+                     ("attack", "attack.json"), ("attack", "probs.fesp"))}
 
 
 def _is_entry(entry: object) -> bool:
@@ -551,16 +551,19 @@ def _load(run: Run, reads: dict[str, int], kind: str) -> dict[str, ParamSet]:
 
 
 def _attack(run: Run, resume: bool) -> None:
+    """Write attack.json, and to probs.fesp the class probabilities it was
+    measured on, which the report scores the models from."""
     reads = _reads(run, _READS["attack"])
     if resume and _current(run, "attack", reads):
         return
-    results = membership_attack(run.arch, _load(run, reads, "models"), run.shards, run.test,
-                                run.scenario)
+    results, probs = attack_and_probs(run.arch, _load(run, reads, "models"), run.shards,
+                                      run.test, run.scenario)
     for name, scores in results.items():
         logger.info("attack on %s: precision %.3f recall %.3f f1 %.3f",
                     name, scores["precision"], scores["recall"], scores["f1"])
-    _record(run, "attack", reads,
-            {"attack.json": write_report_json(run.out_dir / "attack.json", results)})
+    _record(run, "attack", reads, {
+        "probs.fesp": atomic_write(run.out_dir / "probs.fesp", *array_chunks(probs.items())),
+        "attack.json": write_report_json(run.out_dir / "attack.json", results)})
 
 
 def _angles(run: Run, reads: dict[str, int], retained: list[int]) -> dict[str, object]:
@@ -586,29 +589,25 @@ def _report(run: Run, resume: bool) -> dict | None:
     models = _load(run, reads, "models")
     retrain = models.get("retrain")
 
+    # the attack's probabilities when it ran, else one forward pass per model
+    # over each dataset: either serves every score but the angle
     attack_results = {}
     if "attack.json" in reads:
         data = (out_dir / "attack.json").read_bytes()
         check_crc(out_dir / "attack.json", zlib.crc32(data), reads["attack.json"])
         attack_results = json.loads(data)
-
-    # one forward pass per model over the target shard serves its accuracy,
-    # its loss and its prediction difference to retrain
-    target_probs = {name: list(batched_probs(arch, model, target, scenario.eval_batch_size))
-                    for name, model in models.items()}
+        probs = dict(load_params(out_dir / "probs.fesp", reads["probs.fesp"]).items())
+    else:
+        probs = score_probs(arch, models, run.test, target, scenario.eval_batch_size)
+    scores = method_scores(probs, run.test, target, scenario.eval_batch_size)
     metrics: list[MethodMetrics] = []
     for name, model in models.items():
-        test_acc, test_loss = evaluate(arch, model, run.test, scenario.eval_batch_size)
-        tgt_acc, tgt_loss = accuracy_and_loss(target_probs[name])
-        pdiff = angle = None
+        angle = None
         if retrain is not None and name != "retrain":
-            pdiff = mean_probability_distance(target_probs[name], target_probs["retrain"])
             angle = angle_deviation(arch.head_weight(model), arch.head_weight(retrain))
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(
-            method=name, test_accuracy=test_acc, test_loss=test_loss,
-            target_accuracy=tgt_acc, target_loss=tgt_loss,
-            prediction_difference=pdiff, angle_to_retrain_deg=angle,
+            method=name, **scores[name], angle_to_retrain_deg=angle,
             attack_precision=att.get("precision"), attack_recall=att.get("recall"),
             attack_f1=att.get("f1"),
         ))

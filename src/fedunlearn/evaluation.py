@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClientShard, Dataset, FedConfig, subsample, subsample_indices
+from .data import ClientShard, Dataset, FedConfig, subsample_indices
 from .nn import (
     ArchSpec,
     Batch,
@@ -42,10 +42,6 @@ def evaluate(
     arch: ArchSpec, params: ParamSet, ds: Dataset, batch_size: int = 256
 ) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss) over the whole dataset."""
-    if ds.num_classes != arch.num_classes:
-        raise ValueError(
-            f"dataset has {ds.num_classes} classes, model predicts {arch.num_classes}"
-        )
     return accuracy_and_loss(batched_probs(arch, params, ds, batch_size))
 
 
@@ -78,9 +74,51 @@ def batched_probs(arch: ArchSpec, params: ParamSet, ds: Dataset,
                   batch_size: int = 256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The model's class probabilities over the dataset, one forward pass per
     batch of `batch_size` rows in order, each with its labels."""
+    if ds.num_classes != arch.num_classes:
+        raise ValueError(
+            f"dataset has {ds.num_classes} classes, model predicts {arch.num_classes}"
+        )
     for start in range(0, ds.num_samples, batch_size):
         labels = ds.labels[start : start + batch_size]
         yield forward(arch, params, Batch(ds.inputs[start : start + batch_size], labels)), labels
+
+
+def class_probs(arch: ArchSpec, params: ParamSet, ds: Dataset,
+                batch_size: int = 256) -> np.ndarray:
+    """batched_probs' batches as one array, one row per sample."""
+    return np.concatenate([probs for probs, _ in batched_probs(arch, params, ds, batch_size)])
+
+
+def score_probs(arch: ArchSpec, models: Mapping[str, ParamSet], test: Dataset, target: Dataset,
+                batch_size: int) -> dict[str, np.ndarray]:
+    """Each model's class_probs over the test set and the target shard, as
+    "<model>.test" and "<model>.target": one forward pass per batch of each."""
+    return {f"{name}.{part}": class_probs(arch, model, ds, batch_size)
+            for name, model in models.items() for part, ds in (("test", test), ("target", target))}
+
+
+def method_scores(probs: Mapping[str, np.ndarray], test: Dataset, target: Dataset,
+                  batch_size: int) -> dict[str, dict[str, float]]:
+    """Each model's scores from its score_probs: accuracy and mean loss on
+    the test set and on the target shard, and, when retrain's are there too,
+    the prediction difference to retrain on the target shard. Every sum runs
+    over slices of `batch_size` rows, the batches batched_probs forwards, so
+    the scores are those of scoring each model directly, bit for bit."""
+    def batches(key: str, ds: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return ((probs[key][start : start + batch_size], ds.labels[start : start + batch_size])
+                for start in range(0, ds.num_samples, batch_size))
+
+    scores = {}
+    for name in (key.removesuffix(".test") for key in probs if key.endswith(".test")):
+        record = scores[name] = {}
+        record["test_accuracy"], record["test_loss"] = accuracy_and_loss(
+            batches(f"{name}.test", test))
+        record["target_accuracy"], record["target_loss"] = accuracy_and_loss(
+            batches(f"{name}.target", target))
+        if "retrain.target" in probs and name != "retrain":
+            record["prediction_difference"] = mean_probability_distance(
+                batches(f"{name}.target", target), batches("retrain.target", target))
+    return scores
 
 
 def angle_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -132,19 +170,24 @@ def last_layer_angles(
 # Membership inference
 
 def build_membership_features(arch: ArchSpec, params: ParamSet, ds: Dataset) -> np.ndarray:
-    """Per-sample attack features from a target model.
+    """Per-sample attack features from a target model: membership_features
+    of its class_probs over the dataset."""
+    return membership_features(class_probs(arch, params, ds), ds.labels)
 
-    Concatenates the model's class posteriors sorted descending, the one-hot
-    true class, and the sample's cross-entropy loss — 2C+1 columns.
+
+def membership_features(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample attack features from a model's class probabilities.
+
+    Concatenates the class posteriors sorted descending, the one-hot true
+    class, and the sample's cross-entropy loss — 2C+1 columns. Each row is
+    made from its own row of `probs` alone.
     """
-    rows = []
-    for probs, labels in batched_probs(arch, params, ds):
-        sorted_probs = np.sort(probs, axis=1)[:, ::-1]
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(labels)), labels] = 1.0
-        loss = -np.log(np.clip(probs[np.arange(len(labels)), labels], _LOG_FLOOR, None))
-        rows.append(np.hstack([sorted_probs, onehot, loss[:, None]]))
-    return np.vstack(rows)
+    rows = np.arange(len(labels))
+    sorted_probs = np.sort(probs, axis=1)[:, ::-1]
+    onehot = np.zeros_like(probs)
+    onehot[rows, labels] = 1.0
+    loss = -np.log(np.clip(probs[rows, labels], _LOG_FLOOR, None))
+    return np.hstack([sorted_probs, onehot, loss[:, None]])
 
 
 @dataclass(frozen=True)
@@ -212,24 +255,20 @@ def train_attack(
 
 def attack_metrics(
     attack: AttackModel,
-    arch: ArchSpec,
-    victim: ParamSet,
-    target: Dataset,
-    holdout: Dataset,
+    members: np.ndarray,
+    nonmembers: np.ndarray,
     seed: int = 0,
 ) -> dict[str, float]:
     """Member-class precision/recall/F1 of the attack against one model.
 
-    The evaluation set is the target client's data (labeled member) plus an
-    equal-size seeded sample of the holdout (labeled non-member), with
-    features built from the victim model; the larger side is subsampled so a
-    blind guesser's positive rate is exactly one half. No predicted members
-    means precision 0; precision + recall = 0 means F1 = 0.
+    The evaluation set is the model's membership features over the target
+    client's data (`members`) plus an equal-size seeded sample of its
+    features over the holdout (`nonmembers`); the larger side is subsampled
+    so a blind guesser's positive rate is exactly one half. No predicted
+    members means precision 0; precision + recall = 0 means F1 = 0.
     """
-    if target.num_samples == 0 or holdout.num_samples == 0:
+    if len(members) == 0 or len(nonmembers) == 0:
         raise ValueError("both target and holdout data are required")
-    members = build_membership_features(arch, victim, target)
-    nonmembers = build_membership_features(arch, victim, holdout)
     size = min(len(members), len(nonmembers))
     rng = np.random.default_rng(derive_seed(seed, "attack-eval"))
     if len(members) > size:
@@ -283,28 +322,55 @@ def membership_attack(
     remaining clients' records against one half, and each model is scored
     on the target client's shard against the other half.
     """
+    return attack_and_probs(arch, models, shards, test, config)[0]
+
+
+def attack_and_probs(
+    arch: ArchSpec,
+    models: Mapping[str, ParamSet],
+    shards: Sequence[ClientShard],
+    test: Dataset,
+    config: FedConfig,
+) -> tuple[dict[str, dict[str, float]], dict[str, np.ndarray]]:
+    """membership_attack's results, and the score_probs (at eval_batch_size)
+    they were measured on: each model is forwarded once over the test set
+    and once over the target shard, and the features of both halves of the
+    test set are rows of its test probabilities. Only the original model's
+    member fit sample is forwarded on its own."""
+    if test.num_samples < 2:
+        raise ValueError("the membership attack splits the test set in half and needs at least "
+                         f"2 test rows; the test set has {test.num_samples}")
+    target = next(s for s in shards if s.client_id == config.target_client).dataset
+    probs = score_probs(arch, models, test, target, config.eval_batch_size)
     members = [s.dataset for s in shards if s.client_id != config.target_client]
     rng = np.random.default_rng(derive_seed(config.seed, "attack-split"))
     order = rng.permutation(test.num_samples)
     half = test.num_samples // 2
-    fit_holdout = test.subset(np.sort(order[:half]))
-    eval_holdout = test.subset(np.sort(order[half:]))
+    fit_rows, eval_rows = np.sort(order[:half]), np.sort(order[half:])
     # the member pool dwarfs the held-out one; an attack fitted on the raw
     # pools just learns the base rate and calls everything a member
-    fit_size = min(sum(ds.num_samples for ds in members), fit_holdout.num_samples)
+    fit_size = min(sum(ds.num_samples for ds in members), half)
     fit_seed = derive_seed(config.seed, "attack-fit")
+    # the rows `subsample` keeps of the fit half, a subset of the test set
+    if (kept := subsample_indices(half, fit_size, fit_seed, test.name)) is not None:
+        fit_rows = fit_rows[kept]
+
+    def holdout_features(name: str, rows: np.ndarray) -> np.ndarray:
+        return membership_features(probs[f"{name}.test"][rows], test.labels[rows])
+
     attack = train_attack(
         build_membership_features(arch, models["original"],
                                   member_fit_sample(members, fit_size, fit_seed,
                                                     test.num_classes)),
-        build_membership_features(arch, models["original"],
-                                  subsample(fit_holdout, fit_size, fit_seed)),
+        holdout_features("original", fit_rows),
         seed=config.seed, hidden=config.attack_hidden, epochs=config.attack_epochs,
         learning_rate=config.attack_learning_rate,
     )
-    target = next(s for s in shards if s.client_id == config.target_client).dataset
-    return {name: attack_metrics(attack, arch, model, target, eval_holdout, seed=config.seed)
-            for name, model in models.items()}
+    results = {name: attack_metrics(attack,
+                                    membership_features(probs[f"{name}.target"], target.labels),
+                                    holdout_features(name, eval_rows), seed=config.seed)
+               for name in models}
+    return results, probs
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,32 @@ MUTANTS: tuple[Mutant, ...] = (
         "size, seed, \"member-pool\")",
         ("tests/test_evaluation.py::TestMemberFitSample::test_bit_equal_to_subsampling_the_pool",),
     ),
+    # The attack's probabilities shared with the report: the evaluation
+    # half's features read from the fit half's rows, and the prediction
+    # difference taken against the model's own target probabilities.
+    Mutant(
+        "eval-features-from-the-fit-rows", EVALUATION,
+        "holdout_features(name, eval_rows)",
+        "holdout_features(name, fit_rows)",
+        ("tests/test_evaluation.py::TestMembershipAttack::"
+         "test_equal_to_forwarding_each_half_on_its_own",),
+    ),
+    Mutant(
+        "prediction-difference-against-itself", EVALUATION,
+        "batches(f\"{name}.target\", target), batches(\"retrain.target\", target))",
+        "batches(f\"{name}.target\", target), batches(f\"{name}.target\", target))",
+        ("tests/test_cli.py::TestReportScoring::test_one_forward_pass_per_model_and_dataset",),
+    ),
+    # A dense layer's bias gradient scaled by 1.01 (first recorded as caught
+    # by the benchmark's seed-0 score check alone).
+    Mutant(
+        "dense-bias-gradient-scaled", ENGINE,
+        "            np.add.reduce(dx, axis=0, out=segments[p + 1])\n",
+        "            np.add.reduce(dx, axis=0, out=segments[p + 1])\n"
+        "            segments[p + 1] *= 1.01\n",
+        ("tests/test_engine.py::TestGradients::test_matches_finite_differences_dense",
+         "tests/test_engine.py::TestEquivalenceToReferenceEngine::test_dense_bit_equal"),
+    ),
     # Calibration norms: a norm whose sum of squares overflowed is measured
     # again without the scaling.
     Mutant(

@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from fedunlearn.data import Dataset, subsample
-from fedunlearn.evaluation import batched_probs, mean_probability_distance
+from fedunlearn.evaluation import (attack_metrics, batched_probs, build_membership_features,
+                                   mean_probability_distance, train_attack)
 from fedunlearn.federation import aggregate, local_train
 from fedunlearn.nn import (
     ArchSpec,
@@ -490,6 +491,34 @@ def reference_member_fit(members, size: int, seed: int, num_classes: int) -> Dat
     pool = Dataset("members", np.concatenate([ds.inputs for ds in members]),
                    np.concatenate([ds.labels for ds in members]), num_classes)
     return subsample(pool, size, seed)
+
+
+def reference_membership_attack(arch: ArchSpec, models, shards, test: Dataset,
+                                config) -> dict[str, dict[str, float]]:
+    """The membership attack with each half of the test set forwarded on its
+    own: the fit half (subsampled) and the evaluation half are datasets of
+    their own, and every model's features over them and over the target
+    shard come from build_membership_features, at batches of 256."""
+    members = [s.dataset for s in shards if s.client_id != config.target_client]
+    order = np.random.default_rng(derive_seed(config.seed, "attack-split")).permutation(
+        test.num_samples)
+    half = test.num_samples // 2
+    fit_holdout = test.subset(np.sort(order[:half]))
+    eval_holdout = test.subset(np.sort(order[half:]))
+    fit_size = min(sum(ds.num_samples for ds in members), half)
+    fit_seed = derive_seed(config.seed, "attack-fit")
+    original = models["original"]
+    attack = train_attack(
+        build_membership_features(arch, original, reference_member_fit(
+            members, fit_size, fit_seed, test.num_classes)),
+        build_membership_features(arch, original, subsample(fit_holdout, fit_size, fit_seed)),
+        seed=config.seed, hidden=config.attack_hidden, epochs=config.attack_epochs,
+        learning_rate=config.attack_learning_rate)
+    target = next(s for s in shards if s.client_id == config.target_client).dataset
+    return {name: attack_metrics(attack, build_membership_features(arch, model, target),
+                                 build_membership_features(arch, model, eval_holdout),
+                                 seed=config.seed)
+            for name, model in models.items()}
 
 
 def reference_calibrate(retained: ParamSet, fresh: ParamSet, norm_mode: str,

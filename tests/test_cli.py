@@ -369,7 +369,7 @@ class TestArtifacts:
     def test_layout(self, pipelines):
         ini, run_dir, _ = pipelines
         for rel in (
-            "scenario.ini", "manifest.json", "unlearn.json", "attack.json",
+            "scenario.ini", "manifest.json", "unlearn.json", "attack.json", "probs.fesp",
             "report.json", "metrics.csv", "profile.json",
             "retention/manifest.json",
             "models/initial.fesp", "models/original.fesp",
@@ -494,37 +494,128 @@ class TestArtifacts:
 
 
 class TestReportScoring:
+    """The attack forwards each model once over the test set and once over
+    the target shard and writes those probabilities to probs.fesp; a report
+    that follows it scores every model from that file."""
+
+    @staticmethod
+    def count_passes(monkeypatch, arch) -> list[int]:
+        """The row count of every forward pass of a model of `arch` (the
+        attack model's own passes are not counted)."""
+        passes = []
+        real = evaluation.forward
+
+        def counting(model_arch, params, batch):
+            if model_arch == arch:
+                passes.append(len(batch))
+            return real(model_arch, params, batch)
+
+        monkeypatch.setattr(evaluation, "forward", counting)
+        return passes
+
+    def test_the_attack_forwards_each_model_once_per_dataset(self, pipelines, tmp_path,
+                                                            monkeypatch):
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        run = cli.Run(parse_scenario(out / "scenario.ini"), out)
+        passes = self.count_passes(monkeypatch, run.arch)
+        assert main(["attack", str(out)]) == 0
+        # 4 models, each in one batch over the 30 test rows and one over the
+        # target's 30 rows, and the original model over its member fit
+        # sample, as many rows as half the test set
+        assert sorted(passes) == [15] + [30] * 8
+        for rel in ("attack.json", "probs.fesp"):
+            assert (out / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
+
+        # probs.fesp holds each model's probabilities over both datasets
+        monkeypatch.undo()
+        probs = load_params(out / "probs.fesp")
+        target = run.target_shard.dataset
+        assert probs.names == tuple(f"{name}.{part}" for name in ("original", *METHODS)
+                                    for part in ("test", "target"))
+        for name in ("original", *METHODS):
+            model = load_params(run.model_path(name))
+            for part, ds in (("test", run.test), ("target", target)):
+                direct = evaluation.class_probs(run.arch, model, ds, run.scenario.eval_batch_size)
+                assert probs[f"{name}.{part}"].tobytes() == direct.tobytes()
+
     def test_one_forward_pass_per_model_and_dataset(self, pipelines, tmp_path, monkeypatch):
         ini, run_dir, _ = pipelines
         out = tmp_path / "run"
         shutil.copytree(run_dir, out)
-        passes = []
-        real = evaluation.forward
-
-        def counting(arch, params, batch):
-            passes.append(len(batch))
-            return real(arch, params, batch)
-
-        monkeypatch.setattr(evaluation, "forward", counting)
+        run = cli.Run(parse_scenario(out / "scenario.ini"), out)
+        passes = self.count_passes(monkeypatch, run.arch)
+        # after the attack, the report scores every model from probs.fesp
         assert main(["report", str(out)]) == 0
-        # 4 models, each scored in one batch over the 30 test rows and one
-        # over the target's 30 rows, prediction difference included
+        assert passes == []
+        scored = json.loads((out / "report.json").read_text())["methods"]
+        assert scored == json.loads((run_dir / "report.json").read_text())["methods"]
+
+        # with no attack entry it scores them itself: 4 models, each in one
+        # batch over the 30 test rows and one over the target's 30 rows,
+        # prediction difference included
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["attack"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        assert main(["report", str(out)]) == 0
         assert passes == [30] * 8
         report = json.loads((out / "report.json").read_text())
-        assert report["methods"] == json.loads((run_dir / "report.json").read_text())["methods"]
+        assert report["attack"] == {}
+        assert report["methods"] == {
+            name: {k: v for k, v in scores.items() if not k.startswith("attack_")}
+            for name, scores in scored.items()}
 
         # the same numbers, bit for bit, as scoring each model on its own
-        monkeypatch.setattr(evaluation, "forward", real)
-        run = cli.Run(parse_scenario(out / "scenario.ini"), out)
+        monkeypatch.undo()
         target = run.target_shard.dataset
         retrain = load_params(run.model_path("retrain"))
+        batch_size = run.scenario.eval_batch_size
         for name, scores in report["methods"].items():
             model = load_params(run.model_path(name))
-            accuracy, loss = evaluation.evaluate(run.arch, model, target)
-            assert (scores["target_accuracy"], scores["target_loss"]) == (accuracy, loss)
+            assert (scores["test_accuracy"], scores["test_loss"]) == evaluation.evaluate(
+                run.arch, model, run.test, batch_size)
+            assert (scores["target_accuracy"], scores["target_loss"]) == evaluation.evaluate(
+                run.arch, model, target, batch_size)
             if name != "retrain":
                 assert scores["prediction_difference"] == prediction_difference(
-                    run.arch, model, retrain, target)
+                    run.arch, model, retrain, target, batch_size)
+
+    def test_the_report_refuses_an_attack_recorded_without_probabilities(self, pipelines,
+                                                                         tmp_path, capsys):
+        # as an attack recorded before it wrote probs.fesp
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["attack"]["writes"]["probs.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        (out / "probs.fesp").unlink()
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "FileNotFoundError"
+        assert record["message"] == f"the attack under {out} has no probs.fesp; run `attack` again"
+
+    def test_resume_redoes_an_older_attack_and_report_once(self, pipelines, tmp_path, caplog):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["attack"]["writes"]["probs.fesp"]
+        del stages["report"]["reads"]["probs.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        (out / "probs.fesp").unlink()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        redone = [r.getMessage() for r in caplog.records if r.getMessage().startswith("redoing")]
+        assert redone == ["redoing attack: its record differs (probs.fesp unrecorded)",
+                          "redoing report: its record differs (other inputs)"]
+        assert deterministic_files(out) == deterministic_files(run_dir)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert not any(r.getMessage().startswith("redoing") for r in caplog.records)
 
     def test_a_missing_blob_is_an_error(self, pipelines, tmp_path, capsys):
         _, run_dir, _ = pipelines
@@ -540,7 +631,8 @@ class TestDeterminism:
     # profile.json, run.log, and report.json (which embeds the timings and
     # the output path) are allowed to differ; everything else must match.
     PARITY_FILES = (
-        "metrics.csv", "attack.json", "stages.json", "unlearn.json", "models/initial.fesp",
+        "metrics.csv", "attack.json", "probs.fesp", "stages.json", "unlearn.json",
+        "models/initial.fesp",
         "models/original.fesp", "models/eraser.fesp",
         "models/accum.fesp", "models/retrain.fesp",
     )
@@ -1153,6 +1245,24 @@ class TestMainErrors:
             assert not (out / rel).exists(), rel
         assert not (out / "ratio_0.5").exists()
         assert not (tmp_path / "elsewhere").exists()
+
+    def test_the_attack_refuses_a_one_row_test_set(self, tmp_path, capsys):
+        # 12 samples at test_fraction 0.1 leave one test row: no half to fit on
+        ini = write_ini(tmp_path, TINY_INI.replace("test_fraction = 0.25", "test_fraction = 0.1")
+                        .replace("synthetic_samples = 120", "synthetic_samples = 12")
+                        .replace("num_clients = 3", "num_clients = 2")
+                        .replace("retain_interval = 2", "retain_interval = 1"))
+        out = tmp_path / "out"
+        assert main(["train", str(ini), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["test_samples"] == 1
+        assert main(["unlearn", str(out)]) == 0
+        assert main(["attack", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert record["message"] == ("the membership attack splits the test set in half and "
+                                     "needs at least 2 test rows; the test set has 1")
+        assert not (out / "attack.json").exists()
+        assert main(["report", str(out)]) == 0
 
     def test_seed_flag_overrides_the_file(self, tmp_path):
         ini = write_ini(tmp_path, TINY_INI)

@@ -22,6 +22,7 @@ from fedunlearn.nn import (
     adult_arch,
     build_model,
     cifar10_arch,
+    dense_arch,
     forward,
     loss_and_grad,
     mnist_arch,
@@ -491,6 +492,43 @@ class TestForwardKeepsNoCaches:
                               + 120 + 10 + 10)
         # all 64 rows of conv-1 columns at once would be 30 MB
         assert peak < 8 * _COLS_BUDGET + outputs, f"{peak / 1e6:.1f} MB"
+
+
+class TestForwardRowsIndependent:
+    """The membership attack takes the features of both halves of the test
+    set as rows of one forward over the whole set. They equal per-half
+    forwards, which is what the attack computed before, wherever a row's
+    probabilities do not depend on the rows forwarded with it, and under
+    OpenBLAS (Haswell kernels) that holds only in part:
+    - a GEMM's last (rows mod 4) rows go through an edge kernel that rounds
+      otherwise when the layer has few outputs, so in a batch of 7 rows,
+      rows 4-6 can get other low bits than inside a block of four;
+    - the kernel can change with the batch's row count, so on the store,
+      purchase and cifar10 shapes batches of 8 rows and of 160 or 48 rows
+      disagree.
+    Both halves and the whole set forwarded at one batch size, every batch a
+    multiple of four rows, agree bit for bit. So it is on the test sets of
+    the benchmark workloads and of synthetic_desk.ini (1,000, 160 and 48
+    rows) at the default evaluation batch of 256."""
+
+    @pytest.mark.parametrize("arch,rows", [
+        (dense_arch(40, 2, hidden=32), 1000), (dense_arch(600, 2, hidden=128), 160),
+        (purchase_arch(), 160), (cifar10_arch(), 48), (mnist_arch(), 48)],
+        ids=["desk", "store", "purchase", "cifar10", "mnist"])
+    @pytest.mark.parametrize("batch_size", [8, 256])
+    def test_a_half_is_bit_equal_to_its_rows_of_the_whole_set(self, arch, rows, batch_size):
+        params, batch = noisy_model(arch, 4), random_batch(arch, rows, 4)
+
+        def batched(picked):
+            return np.concatenate([
+                forward(arch, params, Batch(batch.inputs[picked[i : i + batch_size]],
+                                            batch.labels[picked[i : i + batch_size]]))
+                for i in range(0, len(picked), batch_size)])
+
+        whole = batched(np.arange(rows))
+        order = np.random.default_rng(4).permutation(rows)
+        for half in (np.sort(order[: rows // 2]), np.sort(order[rows // 2 :])):
+            assert bits(batched(half)) == bits(whole[half])
 
 
 def budget_of(name: str, arch: ArchSpec) -> int:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedunlearn import evaluation
 from fedunlearn.data import Dataset, make_synthetic, partition_iid
 from fedunlearn.evaluation import (
     METRIC_COLUMNS,
@@ -26,7 +27,8 @@ from fedunlearn.evaluation import (
 from fedunlearn.nn import ArchSpec, Dense, ParamSet, build_model, forward
 
 from conftest import small_arch, small_config, tear_writes
-from oracles import prediction_difference, reference_member_fit, reference_train_attack
+from oracles import (prediction_difference, reference_member_fit, reference_membership_attack,
+                     reference_train_attack)
 
 
 def zero_params(arch: ArchSpec) -> ParamSet:
@@ -291,28 +293,27 @@ class TestAttackMetrics:
         self.victim = build_model(self.arch, 0)
         self.target = make_synthetic(30, 6, 3, seed=10)
         self.holdout = make_synthetic(100, 6, 3, seed=11)
+        # the victim's features over the target (members) and the holdout
+        self.features = (build_membership_features(self.arch, self.victim, self.target),
+                         build_membership_features(self.arch, self.victim, self.holdout))
 
     def test_all_member_attack(self):
-        metrics = attack_metrics(fixed_attack(7), self.arch, self.victim,
-                                 self.target, self.holdout)
+        metrics = attack_metrics(fixed_attack(7), *self.features)
         assert metrics["recall"] == 1.0
         assert metrics["precision"] == 0.5
         assert metrics["f1"] == pytest.approx(2 / 3)
         assert metrics["accuracy"] == 0.5
 
     def test_all_nonmember_attack(self):
-        metrics = attack_metrics(fixed_attack(7, bias_toward="nonmember"),
-                                 self.arch, self.victim, self.target, self.holdout)
+        metrics = attack_metrics(fixed_attack(7, bias_toward="nonmember"), *self.features)
         assert metrics["recall"] == 0.0
         assert metrics["precision"] == 0.0  # no positives predicted
         assert metrics["f1"] == 0.0
         assert metrics["accuracy"] == 0.5
 
     def test_balanced_subsampling_and_determinism(self):
-        a = attack_metrics(fixed_attack(7), self.arch, self.victim,
-                           self.target, self.holdout, seed=1)
-        b = attack_metrics(fixed_attack(7), self.arch, self.victim,
-                           self.target, self.holdout, seed=1)
+        a = attack_metrics(fixed_attack(7), *self.features, seed=1)
+        b = attack_metrics(fixed_attack(7), *self.features, seed=1)
         assert a == b
         assert set(a) == {"precision", "recall", "f1", "accuracy"}
         assert all(0.0 <= v <= 1.0 for v in a.values())
@@ -371,6 +372,42 @@ class TestMembershipAttackMemory:
         finally:
             tracemalloc.stop()
         assert peak < pool / 2
+
+
+class TestMembershipAttack:
+    """The attack forwards each model once over the test set and once over
+    the target shard, and takes both halves' features as rows of the test
+    probabilities: the results of forwarding each half on its own wherever
+    those rows are bit-equal (tests/test_engine.py::TestForwardRowsIndependent),
+    as on a 200-row test set at one batch of 256."""
+
+    @staticmethod
+    def scenario():
+        config = small_config(num_clients=4, target_client=3, attack_epochs=4, attack_hidden=6,
+                              seed=13)
+        arch = small_arch(features=10, classes=2, hidden=12)
+        shards = partition_iid(make_synthetic(240, 10, 2, seed=6), 4, config.seed)
+        test = make_synthetic(200, 10, 2, seed=7)
+        models = {name: build_model(arch, seed) for seed, name in enumerate(
+            ("original", "eraser", "accum", "retrain"), start=1)}
+        return arch, models, shards, test, config
+
+    def test_equal_to_forwarding_each_half_on_its_own(self):
+        arch, models, shards, test, config = self.scenario()
+        results = membership_attack(arch, models, shards, test, config)
+        assert results == reference_membership_attack(arch, models, shards, test, config)
+        # the models are told apart: an attack that scored them all alike
+        # would not show a defect in which rows it reads
+        assert len({json.dumps(r, sort_keys=True) for r in results.values()}) > 1
+
+    def test_a_one_row_test_set_is_refused_before_any_forward_pass(self, monkeypatch):
+        arch, models, shards, test, config = self.scenario()
+        passes = []
+        monkeypatch.setattr(evaluation, "forward", lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match="membership attack .* needs at least 2 test rows; "
+                                             "the test set has 1"):
+            membership_attack(arch, models, shards, test.subset(np.array([0])), config)
+        assert passes == []
 
 
 class TestReports:

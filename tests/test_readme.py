@@ -59,3 +59,25 @@ def test_readme_commands_parse():
             parser.parse_args(words)
         except SystemExit:
             pytest.fail(f"README command does not parse: fedunlearn {shlex.join(words)}")
+
+
+def stage_table() -> dict[str, set[str]]:
+    """The files column of README's stage table, by stage: a row that names
+    several stages gives each its files, with `<method>` read as the stage."""
+    section = README.read_text().split("\n### Stage records\n", 1)[1]
+    header = "| stage | fields its entry holds | files it writes |\n|---|---|---|\n"
+    rows = section.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    table = {}
+    for row in rows:
+        stages, _, files = (cell.strip() for cell in row.strip("|").split("|"))
+        for stage in re.findall(r"`([^`]+)`", stages):
+            table[stage] = {name.replace("<method>", stage)
+                            for name in re.findall(r"`([^`]+)`", files)}
+    return table
+
+
+def test_stage_table_lists_the_files_each_stage_writes():
+    table = stage_table()
+    assert list(table) == list(cli._WRITES)
+    for stage, files in cli._WRITES.items():
+        assert table[stage] == set(files), stage
