@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClientShard, Dataset, FedConfig, prepare_data
+from .data import ClientShard, Dataset, FedConfig, class_labels, prepare_data
 from .evaluation import (MethodMetrics, angle_deviation, attack_and_probs, evaluate,
                          last_layer_angles, method_scores, score_probs, write_csv,
                          write_metrics_csv, write_report_json)
@@ -282,6 +282,19 @@ def _load_data(path: Path, crc: int, name: str) -> tuple[list[ClientShard], Data
     return [ClientShard(k, ds) for k, ds in enumerate(sets[:-1], start=1)], sets[-1]
 
 
+# RUN/labels.fesp, in the .fesp format: the labels the attack scored
+# against, `test` (the test set's) and `target` (the target shard's), as
+# float64 like data.fesp's.
+
+def _load_labels(path: Path, crc: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The test and target labels the attack wrote, checked as the data's are:
+    whole class indices below `num_classes`."""
+    labels = load_params(path, crc)
+    if labels.names != ("test", "target"):
+        raise ValueError(f"{path} holds {', '.join(labels.names)}, not test and target labels")
+    return class_labels(labels["test"], num_classes), class_labels(labels["target"], num_classes)
+
+
 def _read_json(path: Path, valid: typing.Callable[[object], bool]) -> dict:
     """The JSON object in `path`, each of whose values passes `valid`; {} if
     the file is missing. A file that does not parse, or has another shape,
@@ -323,14 +336,15 @@ def _record_timing(out_dir: Path, stage: str, walk: Trajectory) -> None:
 _WRITES = {"train": ("data.fesp", "models/initial.fesp", "models/original.fesp", "manifest.json",
                      "retention/manifest.json"),
            **{m: (f"models/{m}.fesp", f"heads/{m}.fesp") for m in METHODS},
-           "attack": ("attack.json", "probs.fesp"), "report": ("report.json", "metrics.csv")}
+           "attack": ("attack.json", "probs.fesp", "labels.fesp"),
+           "report": ("report.json", "metrics.csv")}
 # stage -> the (earlier stage, file) pairs it reads, of the stages that ran
 _DATA = (("train", "data.fesp"),)
 _STORED = (("train", "models/initial.fesp"), ("train", "retention/manifest.json"))
 _SCORED = (*_DATA, ("train", "models/original.fesp"), *((m, f"models/{m}.fesp") for m in METHODS))
 _READS = {"eraser": (*_DATA, *_STORED), "accum": _STORED, "retrain": _DATA, "attack": _SCORED,
           "report": (*_SCORED, *((m, f"heads/{m}.fesp") for m in METHODS), _STORED[1],
-                     ("attack", "attack.json"), ("attack", "probs.fesp"))}
+                     *(("attack", rel) for rel in _WRITES["attack"]))}
 
 
 def _is_entry(entry: object) -> bool:
@@ -551,8 +565,9 @@ def _load(run: Run, reads: dict[str, int], kind: str) -> dict[str, ParamSet]:
 
 
 def _attack(run: Run, resume: bool) -> None:
-    """Write attack.json, and to probs.fesp the class probabilities it was
-    measured on, which the report scores the models from."""
+    """Write attack.json, to probs.fesp the class probabilities it was
+    measured on, and to labels.fesp the labels it scored them against, from
+    which the report scores the models."""
     reads = _reads(run, _READS["attack"])
     if resume and _current(run, "attack", reads):
         return
@@ -561,50 +576,62 @@ def _attack(run: Run, resume: bool) -> None:
     for name, scores in results.items():
         logger.info("attack on %s: precision %.3f recall %.3f f1 %.3f",
                     name, scores["precision"], scores["recall"], scores["f1"])
+    labels = (("test", run.test.labels), ("target", run.target_shard.dataset.labels))
     _record(run, "attack", reads, {
         "probs.fesp": atomic_write(run.out_dir / "probs.fesp", *array_chunks(probs.items())),
+        "labels.fesp": atomic_write(run.out_dir / "labels.fesp", *array_chunks(labels)),
         "attack.json": write_report_json(run.out_dir / "attack.json", results)})
 
 
-def _angles(run: Run, reads: dict[str, int], retained: list[int]) -> dict[str, object]:
+def _angles(run: Run, heads: dict[str, tuple[np.ndarray, ...]],
+            retained: list[int]) -> dict[str, object]:
     """Eraser and accum head angles to retraining at each retained round."""
-    heads = {name: params.tensors for name, params in _load(run, reads, "heads").items()}
-    if (retrain := heads.pop("retrain", None)) is None:
+    if (retrain := heads.get("retrain")) is None:
         return {}
     angles: dict[str, object] = {}
     for name, series in heads.items():
-        angles[name] = last_layer_angles(series, retrain, retained,
-                                         per_neuron=run.scenario.per_neuron_angles)
-        angles[f"{name}_mean"] = float(np.mean(angles[name]))
+        if name != "retrain":
+            angles[name] = last_layer_angles(series, retrain, retained,
+                                             per_neuron=run.scenario.per_neuron_angles)
+            angles[f"{name}_mean"] = float(np.mean(angles[name]))
     return angles
 
 
 def _report(run: Run, resume: bool) -> dict | None:
     """Write report.json and metrics.csv; return the report (None if skipped)."""
-    scenario, out_dir, arch = run.scenario, run.out_dir, run.arch
+    scenario, out_dir = run.scenario, run.out_dir
     reads = _reads(run, _READS["report"])
     if resume and _current(run, "report", reads):
         return None
-    target = run.target_shard.dataset
-    models = _load(run, reads, "models")
-    retrain = models.get("retrain")
-
-    # the attack's probabilities when it ran, else one forward pass per model
-    # over each dataset: either serves every score but the angle
+    # the attack's probabilities and labels when it ran, else one forward
+    # pass per model over each dataset: either serves every score but the
+    # angle, so after an attack only the original model is read, for its head
+    attacked = "attack.json" in reads
+    models = (_load(run, {"models/original.fesp": reads["models/original.fesp"]}, "models")
+              if attacked else _load(run, reads, "models"))
+    arch = model_arch(scenario, models["original"])
     attack_results = {}
-    if "attack.json" in reads:
+    if attacked:
         data = (out_dir / "attack.json").read_bytes()
         check_crc(out_dir / "attack.json", zlib.crc32(data), reads["attack.json"])
         attack_results = json.loads(data)
         probs = dict(load_params(out_dir / "probs.fesp", reads["probs.fesp"]).items())
+        labels = _load_labels(out_dir / "labels.fesp", reads["labels.fesp"], arch.num_classes)
     else:
+        target = run.target_shard.dataset
         probs = score_probs(arch, models, run.test, target, scenario.eval_batch_size)
-    scores = method_scores(probs, run.test, target, scenario.eval_batch_size)
+        labels = run.test.labels, target.labels
+    scores = method_scores(probs, *labels, scenario.eval_batch_size)
+
+    # each method's final head is the last step of its trajectory
+    heads = {name: params.tensors for name, params in _load(run, reads, "heads").items()}
+    finals = {"original": arch.head_weight(models["original"]),
+              **{name: series[-1] for name, series in heads.items()}}
     metrics: list[MethodMetrics] = []
-    for name, model in models.items():
+    for name, head in finals.items():
         angle = None
-        if retrain is not None and name != "retrain":
-            angle = angle_deviation(arch.head_weight(model), arch.head_weight(retrain))
+        if "retrain" in finals and name != "retrain":
+            angle = angle_deviation(head, finals["retrain"])
         att = attack_results.get(name, {})
         metrics.append(MethodMetrics(
             method=name, **scores[name], angle_to_retrain_deg=angle,
@@ -627,7 +654,7 @@ def _report(run: Run, resume: bool) -> dict | None:
         "methods": {m.method: {k: v for k, v in dataclasses.asdict(m).items()
                                if v is not None and k != "method"}
                     for m in metrics},
-        "angles": _angles(run, reads, store.retained_rounds),
+        "angles": _angles(run, heads, store.retained_rounds),
         "attack": attack_results,
         "storage": {"retention_bytes": store.total_blob_bytes()},
         "timings": {**timings, **speedups},

@@ -33,15 +33,13 @@ class Dataset:
 
     def __post_init__(self):
         inputs = np.ascontiguousarray(np.asarray(self.inputs, dtype=np.float64))
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        labels = class_labels(self.labels, self.num_classes)
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
         if inputs.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
         if not np.isfinite(inputs).all():
             raise ValueError("dataset features contain non-finite values")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(f"labels outside [0, {self.num_classes})")
         inputs.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
@@ -62,6 +60,20 @@ class Dataset:
             labels=self.labels[indices],
             num_classes=self.num_classes,
         )
+
+
+def class_labels(labels, num_classes: int) -> np.ndarray:
+    """`labels` as a vector of int64 class indices. Labels stored as floats
+    must be whole numbers, and every label must lie in [0, num_classes)."""
+    values = np.asarray(labels)
+    if values.ndim != 1:
+        raise ValueError(f"labels must be one class index per row, not of shape {values.shape}")
+    if values.dtype.kind not in "iub" and (bad := np.flatnonzero(values != np.floor(values))).size:
+        raise ValueError(f"labels must be whole class indices; row {bad[0]} holds "
+                         f"{float(values[bad[0]])!r}")
+    if values.size and (values.min() < 0 or values.max() >= num_classes):
+        raise ValueError(f"labels outside [0, {num_classes})")
+    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)

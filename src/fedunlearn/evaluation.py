@@ -97,27 +97,30 @@ def score_probs(arch: ArchSpec, models: Mapping[str, ParamSet], test: Dataset, t
             for name, model in models.items() for part, ds in (("test", test), ("target", target))}
 
 
-def method_scores(probs: Mapping[str, np.ndarray], test: Dataset, target: Dataset,
-                  batch_size: int) -> dict[str, dict[str, float]]:
-    """Each model's scores from its score_probs: accuracy and mean loss on
-    the test set and on the target shard, and, when retrain's are there too,
-    the prediction difference to retrain on the target shard. Every sum runs
-    over slices of `batch_size` rows, the batches batched_probs forwards, so
-    the scores are those of scoring each model directly, bit for bit."""
-    def batches(key: str, ds: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return ((probs[key][start : start + batch_size], ds.labels[start : start + batch_size])
-                for start in range(0, ds.num_samples, batch_size))
+def method_scores(probs: Mapping[str, np.ndarray], test_labels: np.ndarray,
+                  target_labels: np.ndarray, batch_size: int) -> dict[str, dict[str, float]]:
+    """Each model's scores from its score_probs and the labels of the test
+    set and the target shard: accuracy and mean loss on each, and, when
+    retrain's are there too, the prediction difference to retrain on the
+    target shard. Every sum runs over slices of `batch_size` rows, the
+    batches batched_probs forwards, so the scores are those of scoring each
+    model directly, bit for bit."""
+    def batches(key: str, labels: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        if len(probs[key]) != len(labels):
+            raise ValueError(f"{key} has {len(probs[key])} rows for {len(labels)} labels")
+        return ((probs[key][start : start + batch_size], labels[start : start + batch_size])
+                for start in range(0, len(labels), batch_size))
 
     scores = {}
     for name in (key.removesuffix(".test") for key in probs if key.endswith(".test")):
         record = scores[name] = {}
         record["test_accuracy"], record["test_loss"] = accuracy_and_loss(
-            batches(f"{name}.test", test))
+            batches(f"{name}.test", test_labels))
         record["target_accuracy"], record["target_loss"] = accuracy_and_loss(
-            batches(f"{name}.target", target))
+            batches(f"{name}.target", target_labels))
         if "retrain.target" in probs and name != "retrain":
             record["prediction_difference"] = mean_probability_distance(
-                batches(f"{name}.target", target), batches("retrain.target", target))
+                batches(f"{name}.target", target_labels), batches("retrain.target", target_labels))
     return scores
 
 

@@ -47,6 +47,7 @@ FEDERATION = "fedunlearn/federation.py"
 UNLEARNING = "fedunlearn/unlearning.py"
 DATA = "fedunlearn/data.py"
 EVALUATION = "fedunlearn/evaluation.py"
+CLI = "fedunlearn/cli.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -161,8 +162,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "prediction-difference-against-itself", EVALUATION,
-        "batches(f\"{name}.target\", target), batches(\"retrain.target\", target))",
-        "batches(f\"{name}.target\", target), batches(f\"{name}.target\", target))",
+        "batches(f\"{name}.target\", target_labels), batches(\"retrain.target\", target_labels))",
+        "batches(f\"{name}.target\", target_labels), batches(f\"{name}.target\", target_labels))",
         ("tests/test_cli.py::TestReportScoring::test_one_forward_pass_per_model_and_dataset",),
     ),
     # A dense layer's bias gradient scaled by 1.01 (first recorded as caught
@@ -174,6 +175,24 @@ MUTANTS: tuple[Mutant, ...] = (
         "            segments[p + 1] *= 1.01\n",
         ("tests/test_engine.py::TestGradients::test_matches_finite_differences_dense",
          "tests/test_engine.py::TestEquivalenceToReferenceEngine::test_dense_bit_equal"),
+    ),
+    # The report's final heads: each method's first trajectory step taken
+    # for its last.
+    Mutant(
+        "report-takes-the-first-head-step", CLI,
+        "**{name: series[-1] for name, series in heads.items()}}",
+        "**{name: series[0] for name, series in heads.items()}}",
+        ("tests/test_cli.py::TestReportReads::"
+         "test_after_an_attack_it_opens_no_data_and_no_reconstruction",),
+    ),
+    # The attack records the test set's labels as the target shard's.
+    Mutant(
+        "attack-records-test-labels-as-target", CLI,
+        "(\"target\", run.target_shard.dataset.labels)",
+        "(\"target\", run.test.labels)",
+        ("tests/test_cli.py::TestReportScoring::"
+         "test_the_attack_forwards_each_model_once_per_dataset",
+         "tests/test_cli.py::TestReportScoring::test_one_forward_pass_per_model_and_dataset"),
     ),
     # Calibration norms: a norm whose sum of squares overflowed is measured
     # again without the scaling.

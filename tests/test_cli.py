@@ -370,7 +370,7 @@ class TestArtifacts:
         ini, run_dir, _ = pipelines
         for rel in (
             "scenario.ini", "manifest.json", "unlearn.json", "attack.json", "probs.fesp",
-            "report.json", "metrics.csv", "profile.json",
+            "labels.fesp", "report.json", "metrics.csv", "profile.json",
             "retention/manifest.json",
             "models/initial.fesp", "models/original.fesp",
             "models/eraser.fesp", "models/accum.fesp", "models/retrain.fesp",
@@ -525,7 +525,7 @@ class TestReportScoring:
         # target's 30 rows, and the original model over its member fit
         # sample, as many rows as half the test set
         assert sorted(passes) == [15] + [30] * 8
-        for rel in ("attack.json", "probs.fesp"):
+        for rel in ("attack.json", "probs.fesp", "labels.fesp"):
             assert (out / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
 
         # probs.fesp holds each model's probabilities over both datasets
@@ -539,6 +539,12 @@ class TestReportScoring:
             for part, ds in (("test", run.test), ("target", target)):
                 direct = evaluation.class_probs(run.arch, model, ds, run.scenario.eval_batch_size)
                 assert probs[f"{name}.{part}"].tobytes() == direct.tobytes()
+
+        # labels.fesp holds the labels those probabilities were scored against
+        labels = load_params(out / "labels.fesp")
+        assert labels.names == ("test", "target")
+        for part, ds in (("test", run.test), ("target", target)):
+            assert labels[part].tobytes() == ds.labels.astype(np.float64).tobytes()
 
     def test_one_forward_pass_per_model_and_dataset(self, pipelines, tmp_path, monkeypatch):
         ini, run_dir, _ = pipelines
@@ -617,6 +623,90 @@ class TestReportScoring:
             assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
         assert not any(r.getMessage().startswith("redoing") for r in caplog.records)
 
+    def test_the_report_refuses_an_attack_recorded_without_labels(self, pipelines, tmp_path,
+                                                                  capsys):
+        # as an attack recorded before it wrote labels.fesp
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["attack"]["writes"]["labels.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        (out / "labels.fesp").unlink()
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert record["error"] == "FileNotFoundError"
+        assert record["message"] == f"the attack under {out} has no labels.fesp; run `attack` again"
+
+    def test_resume_redoes_an_attack_without_labels_and_its_report_once(self, pipelines,
+                                                                        tmp_path, caplog):
+        ini, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        stages = json.loads((out / "stages.json").read_text())
+        del stages["attack"]["writes"]["labels.fesp"]
+        del stages["report"]["reads"]["labels.fesp"]
+        (out / "stages.json").write_text(json.dumps(stages))
+        (out / "labels.fesp").unlink()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        redone = [r.getMessage() for r in caplog.records if r.getMessage().startswith("redoing")]
+        assert redone == ["redoing attack: its record differs (labels.fesp unrecorded)",
+                          "redoing report: its record differs (other inputs)"]
+        assert deterministic_files(out) == deterministic_files(run_dir)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fedunlearn.cli"):
+            assert main(["run", str(ini), "--out", str(out), "--resume"]) == 0
+        assert not any(r.getMessage().startswith("redoing") for r in caplog.records)
+
+    @staticmethod
+    def forge_labels(out, part, row, value):
+        """labels.fesp with one label changed, recorded in the attack's entry."""
+        labels = {name: tensor.copy() for name, tensor in load_params(out / "labels.fesp").items()}
+        labels[part][row] = value
+        stages = json.loads((out / "stages.json").read_text())
+        stages["attack"]["writes"]["labels.fesp"] = save_params(ParamSet(labels.items()),
+                                                                out / "labels.fesp")
+        (out / "stages.json").write_text(json.dumps(stages))
+
+    @pytest.mark.parametrize("part,value,message", [
+        ("target", 1.5, "labels must be whole class indices; row 3 holds 1.5"),
+        ("test", 2.0, "labels outside [0, 2)"),
+        ("target", -1.0, "labels outside [0, 2)"),
+    ])
+    def test_the_report_refuses_labels_that_are_no_class(self, pipelines, tmp_path, capsys,
+                                                         part, value, message):
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        self.forge_labels(out, part, 3, value)
+        (out / "report.json").unlink()
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert (record["error"], record["message"]) == ("ValueError", message)
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("tensors,message", [
+        (lambda labels: [("test", labels["test"]), ("target", labels["target"][:-1])],
+         "original.target has 30 rows for 29 labels"),
+        (lambda labels: [("test", labels["test"])],
+         "{path} holds test, not test and target labels"),
+    ], ids=["a_short_target", "no_target"])
+    def test_the_report_refuses_labels_of_another_shape(self, pipelines, tmp_path, capsys,
+                                                        tensors, message):
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        path = out / "labels.fesp"
+        stages = json.loads((out / "stages.json").read_text())
+        stages["attack"]["writes"]["labels.fesp"] = save_params(
+            ParamSet(tensors(load_params(path))), path)
+        (out / "stages.json").write_text(json.dumps(stages))
+        assert main(["report", str(out)]) == 1
+        record = last_stderr_record(capsys)
+        assert (record["error"], record["message"]) == ("ValueError", message.format(path=path))
+
     def test_a_missing_blob_is_an_error(self, pipelines, tmp_path, capsys):
         _, run_dir, _ = pipelines
         out = tmp_path / "run"
@@ -627,12 +717,61 @@ class TestReportScoring:
         assert str(blob) in last_stderr_record(capsys)["message"]
 
 
+class TestReportReads:
+    """A report that follows an attack reads the scores' inputs from the
+    attack's probs.fesp and labels.fesp, and each reconstruction's final
+    head from the last step of its heads/<method>.fesp: of the models it
+    reads only the original, and it reads no data."""
+
+    def test_each_trajectorys_last_head_is_its_models_head(self, pipelines):
+        _, run_dir, _ = pipelines
+        arch = dense_arch(8, 2, hidden=8)
+        for method in METHODS:
+            heads = load_params(run_dir / "heads" / f"{method}.fesp")
+            head = arch.head_weight(load_params(run_dir / "models" / f"{method}.fesp"))
+            assert heads.tensors[-1].shape == head.shape
+            assert heads.tensors[-1].tobytes() == head.tobytes(), method
+
+    def test_after_an_attack_it_opens_no_data_and_no_reconstruction(self, pipelines, tmp_path,
+                                                                   monkeypatch):
+        _, run_dir, _ = pipelines
+        out = tmp_path / "run"
+        shutil.copytree(run_dir, out)
+        opened = []
+
+        def recording(real):
+            def read(path, *args):
+                opened.append(Path(path).relative_to(out).as_posix())
+                return real(path, *args)
+            return read
+
+        monkeypatch.setattr(cli, "load_params", recording(cli.load_params))
+        monkeypatch.setattr(cli, "_load_data", recording(cli._load_data))
+        assert main(["report", str(out)]) == 0
+        assert sorted(opened) == ["heads/accum.fesp", "heads/eraser.fesp", "heads/retrain.fesp",
+                                  "labels.fesp", "models/original.fesp", "probs.fesp"]
+        report = json.loads((out / "report.json").read_text())
+        fixture = json.loads((run_dir / "report.json").read_text())
+        for key in ("methods", "angles", "attack", "storage"):
+            assert report[key] == fixture[key], key
+        assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
+        # each angle is the one between the two models' own heads
+        monkeypatch.undo()
+        arch = dense_arch(8, 2, hidden=8)
+        retrain = arch.head_weight(load_params(run_dir / "models" / "retrain.fesp"))
+        for name in ("original", "eraser", "accum"):
+            head = arch.head_weight(load_params(run_dir / "models" / f"{name}.fesp"))
+            assert report["methods"][name]["angle_to_retrain_deg"] == \
+                evaluation.angle_deviation(head, retrain), name
+
+
 class TestDeterminism:
     # profile.json, run.log, and report.json (which embeds the timings and
     # the output path) are allowed to differ; everything else must match.
     PARITY_FILES = (
-        "metrics.csv", "attack.json", "probs.fesp", "stages.json", "unlearn.json",
-        "models/initial.fesp",
+        "metrics.csv", "attack.json", "probs.fesp", "labels.fesp", "stages.json",
+        "unlearn.json", "models/initial.fesp",
         "models/original.fesp", "models/eraser.fesp",
         "models/accum.fesp", "models/retrain.fesp",
     )
@@ -1403,6 +1542,21 @@ class TestDataSnapshot:
         message = last_stderr_record(capsys)["message"]
         assert message.startswith(f"{path} is not the file its record names")
 
+    def test_labels_that_are_not_whole_numbers_are_refused(self, tmp_path, capsys):
+        # a label of 1.5 was once read as class 1
+        out = tmp_path / "out"
+        assert main(["train", str(write_ini(tmp_path, TINY_INI)), "--out", str(out)]) == 0
+        arrays = {name: tensor.copy() for name, tensor in load_params(out / "data.fesp").items()}
+        arrays["client2.labels"][4] = 1.5
+        stages = json.loads((out / "stages.json").read_text())
+        stages["train"]["writes"]["data.fesp"] = save_params(ParamSet(arrays.items()),
+                                                             out / "data.fesp")
+        (out / "stages.json").write_text(json.dumps(stages))
+        assert main(["unlearn", str(out), "--method", "retrain"]) == 1
+        record = last_stderr_record(capsys)
+        assert (record["error"], record["message"]) == (
+            "ValueError", "labels must be whole class indices; row 4 holds 1.5")
+
     def test_a_training_record_without_it_is_refused(self, tmp_path, capsys):
         # as a training recorded before the data was written to the run
         out = tmp_path / "out"
@@ -1533,6 +1687,11 @@ class TestWritesDeclared:
         assert set(stages) == set(cli._WRITES)
         for stage, entry in stages.items():
             assert set(entry["writes"]) == set(cli._WRITES[stage]), stage
+
+    @pytest.mark.parametrize("stage", cli._READS)
+    def test_every_read_names_a_declared_write(self, stage):
+        for made, rel in cli._READS[stage]:
+            assert rel in cli._WRITES[made], (stage, made, rel)
 
     @pytest.mark.parametrize("which", ["combined", "staged"])
     def test_no_file_is_written_undeclared(self, pipelines, which):

@@ -72,6 +72,26 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels outside"):
             Dataset("d", np.zeros((2, 1)), [-1, 0], 2)
 
+    def test_rejects_labels_that_are_not_whole_numbers(self):
+        # float labels, as data.fesp stores them, were once cut to [0 1 1]
+        with pytest.raises(ValueError) as caught:
+            Dataset("x", np.zeros((3, 2)), np.array([0.0, 1.5, 1.9999]), 2)
+        assert str(caught.value) == "labels must be whole class indices; row 1 holds 1.5"
+        with pytest.raises(ValueError, match="row 2 holds nan"):
+            Dataset("x", np.zeros((3, 2)), np.array([0.0, 1.0, np.nan]), 2)
+
+    def test_whole_float_labels_are_class_indices(self):
+        ds = Dataset("x", np.zeros((3, 2)), np.array([0.0, 1.0, -0.0]), 2)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1, 0]
+        for label in (np.inf, -np.inf, 2.0):
+            with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
+                Dataset("x", np.zeros((2, 2)), np.array([0.0, label]), 2)
+
+    def test_rejects_labels_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"one class index per row, not of shape \(2, 1\)"):
+            Dataset("x", np.zeros((2, 2)), np.zeros((2, 1)), 2)
+
     def test_subset_picks_rows(self):
         ds = identity_dataset(10)
         sub = ds.subset(np.array([2, 5, 7]), name="picked")
