@@ -76,6 +76,8 @@ MUTANTS: tuple[Mutant, ...] = (
          "tests/test_federation.py::TestDivergence::"
          "test_delta_overflowing_from_finite_weights_names_round_and_client"),
     ),
+    # The window view's strides (in `_windows`, which every conv pass
+    # slices its im2col chunks from) taken from a C-contiguous array.
     Mutant(
         "im2col-assumes-c-contiguous-input", ENGINE,
         "    sb, sc, sh, sw = x.strides\n",
@@ -112,11 +114,12 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_unlearning.py::TestFedRetrain::test_excludes_target_and_reports_full_rounds",),
     ),
     # The channel-major conv change: col2im's kernel indices swapped
-    # (re-derived for the spatial-major col2im that replaced it).
+    # (re-derived for the spatial-major col2im, then for the offset GEMMs
+    # that replaced it: each offset's addend taken from weight [j, i]).
     Mutant(
         "col2im-kernel-indices-swapped", ENGINE,
-        "            dx[i : i + ho, j : j + wo] += d6[i, j]\n",
-        "            dx[i : i + ho, j : j + wo] += d6[j, i]\n",
+        "            np.matmul(dz_t, w_t[i, j], out=term)\n",
+        "            np.matmul(dz_t, w_t[j, i], out=term)\n",
         ("tests/test_engine.py::TestKernelsBitEqualToReference::test_col2im",),
     ),
     # The strided max-pooling change: the later position wins a tie.

@@ -241,9 +241,29 @@ def reference_col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.
     return dx
 
 
+def reference_conv_input_grad(dz_t: np.ndarray, w: np.ndarray,
+                              x_shape: tuple[int, ...]) -> np.ndarray:
+    """The convolution input gradient from the engine's per-offset products,
+    dz_t @ w[:, :, i, j] with dz_t the (Ho*Wo*B, C_out) output gradient,
+    laid out as the (B, C*k*k, Ho*Wo) column gradient and folded back by
+    reference_col2im. Returned as the engine returns it: a (B, C, H, W)
+    view of a spatial-major array."""
+    b, c = x_shape[:2]
+    k = w.shape[2]
+    p = dz_t.shape[0] // b
+    dcols = np.empty((b, c, k, k, p))
+    for i in range(k):
+        for j in range(k):
+            term = dz_t @ np.ascontiguousarray(w[:, :, i, j])
+            dcols[:, :, i, j] = term.reshape(p, b, c).transpose(1, 2, 0)
+    dx = reference_col2im(dcols.reshape(b, c * k * k, p), x_shape, k)
+    return np.ascontiguousarray(dx.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+
+
 def use_reference_kernels(monkeypatch) -> None:
-    """Route the engine's pooling and col2im through the reference kernels
-    above; everything else in loss_and_grad stays the engine's own."""
+    """Route the engine's pooling and conv input gradient through the
+    reference kernels above; everything else in loss_and_grad stays the
+    engine's own."""
     monkeypatch.setattr(engine, "_pool_forward",
                         lambda x, window: reference_pool_forward(x, window)[0])
 
@@ -254,12 +274,7 @@ def use_reference_kernels(monkeypatch) -> None:
 
     monkeypatch.setattr(engine, "_pool_backward", pool_backward)
 
-    def col2im_add(dx, dcols, k):
-        # dx is a zeroed (H, W, B, C) view: adding to 0.0 keeps every bit
-        h, w, b, c = dx.shape
-        dx += reference_col2im(dcols, (b, c, h, w), k).transpose(2, 3, 0, 1)
-
-    monkeypatch.setattr(engine, "_col2im_add", col2im_add)
+    monkeypatch.setattr(engine, "_conv_input_grad", reference_conv_input_grad)
 
 
 def whole_batch_forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs: np.ndarray,
@@ -279,7 +294,7 @@ def whole_batch_forward(arch: ArchSpec, tensors: tuple[np.ndarray, ...], inputs:
         elif isinstance(layer, Conv2d):
             k = layer.kernel_size
             b, ho, wo = x.shape[0], x.shape[2] - k + 1, x.shape[3] - k + 1
-            cols = engine._im2col(x, k)
+            cols = engine._im2col(engine._windows(x, k))
             z = tensors[p].reshape(layer.out_channels, -1) @ cols
             z += tensors[p + 1][:, None]
             x_shape, x = x.shape, z.reshape(b, layer.out_channels, ho, wo)

@@ -31,21 +31,22 @@ from fedunlearn.nn import (
 from fedunlearn.nn import engine
 from fedunlearn.nn.engine import (
     _COLS_BUDGET,
-    _col2im_add,
     _conv_backward,
+    _conv_input_grad,
     _forward,
     _im2col,
     _pool_backward,
     _pool_forward,
     _softmax,
+    _windows,
     check_conformant_with_arch,
 )
 
 from oracles import (
     max_relative_grad_error,
     random_gradient_instance,
-    reference_col2im,
     reference_conv2d,
+    reference_conv_input_grad,
     reference_forward,
     reference_im2col,
     reference_loss_and_grad,
@@ -264,8 +265,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences_stacked_conv(self, seed):
-        # the second convolution's backward pass runs col2im into the
-        # first convolution's output, on a non-square multi-channel input
+        # the second convolution's backward pass builds the input gradient
+        # of the first convolution's output, on a non-square multi-channel input
         arch, params, batch = stacked_conv_instance(seed)
         assert max_relative_grad_error(arch, params, batch) < 1e-4
 
@@ -560,15 +561,23 @@ class TestChunkedColumnsBitEqualToWholeBatch:
     @pytest.mark.parametrize("budget", ["engine", "one_sample", "ragged"])
     @pytest.mark.parametrize("need_dx", [True, False])
     @pytest.mark.parametrize("activation", ["relu", "none"])
-    def test_conv_backward(self, monkeypatch, budget, need_dx, activation):
-        # cifar10's second conv layer, on 7 rows: a ragged last chunk at
-        # the engine's budget (4 rows a chunk) and at the ragged one (3)
-        arch = ArchSpec(layers=(Conv2d(6, 16, 5, activation), Flatten(),
-                                Dense(16 * 10 * 10, 4)), input_shape=(6, 14, 14))
+    @pytest.mark.parametrize("shape", [(6, 16, 14), (4, 8, 28)], ids=["cifar10", "mnist"])
+    @pytest.mark.parametrize("rows", [1, 7, 12, 37, 64])
+    def test_conv_backward(self, monkeypatch, budget, need_dx, activation, shape, rows):
+        # the presets' second conv layers, whose input gradient the offset
+        # GEMMs round as the column gradient's GEMMs do; 7 rows leave a
+        # ragged last chunk wherever a chunk holds more than one sample
+        # (cifar10's 4 at the engine's budget, 3 at the ragged one)
+        c_in, c_out, hw = shape
+        side = hw - 4
+        arch = ArchSpec(layers=(Conv2d(c_in, c_out, 5, activation), Flatten(),
+                                Dense(c_out * side * side, 4)), input_shape=(c_in, hw, hw))
         layer = arch.layers[0]
-        params, batch = noisy_model(arch, 6), random_batch(arch, 7, 6)
+        params, batch = noisy_model(arch, 6), random_batch(arch, rows, 6)
         w = params.tensors[0]
         monkeypatch.setattr(engine, "_COLS_BUDGET", budget_of(budget, arch))
+        if rows == 7 and budget != "one_sample":
+            assert all(step == 1 or rows % step for step in chunk_rows(arch, engine._COLS_BUDGET))
         ours, ref = [], []
         _forward(arch, params.tensors, batch.inputs, ours)
         whole_batch_forward(arch, params.tensors, batch.inputs, ref)
@@ -651,8 +660,9 @@ def bits(a: np.ndarray) -> bytes:
 
 
 class TestKernelsBitEqualToReference:
-    """Pooling and col2im against the copy-and-argmax and batch-major
-    kernels of tests/oracles.py: the same bits on every input."""
+    """Pooling and the conv input gradient against the copy-and-argmax
+    and batch-major col2im kernels of tests/oracles.py: the same bits on
+    every input."""
 
     @pytest.mark.parametrize("kind", ["random", "zeros", "repeated", "signed_zeros", "nan"])
     @pytest.mark.parametrize("window", [2, 3])
@@ -675,20 +685,24 @@ class TestKernelsBitEqualToReference:
             dx = _pool_backward(MaxPool2d(window), (x, pooled), d)
             assert bits(dx) == bits(ref_dx)
 
-    @pytest.mark.parametrize("x_shape,k", [
-        ((12, 6, 14, 14), 5), ((12, 4, 28, 28), 5), ((1, 2, 9, 7), 3), ((3, 1, 4, 5), 2),
-        ((2, 3, 5, 5), 5),
+    @pytest.mark.parametrize("x_shape,k,c_out", [
+        ((12, 6, 14, 14), 5, 16), ((12, 4, 28, 28), 5, 8), ((1, 2, 9, 7), 3, 5),
+        ((3, 1, 4, 5), 2, 2), ((2, 3, 5, 5), 5, 4),
     ])
-    def test_col2im(self, x_shape, k):
-        b, c, h, w = x_shape
+    def test_col2im(self, x_shape, k, c_out):
+        # the per-offset products scattered as the column gradient and
+        # folded back batch-major: pins where each offset's addend lands
+        # and the (i, j) order each element sums them in
+        b, c, h, w_in = x_shape
         rng = np.random.default_rng(2)
-        dcols = rng.normal(size=(b, c * k * k, (h - k + 1) * (w - k + 1)))
-        dcols[rng.random(size=dcols.shape) < 0.05] = -0.0
-        # added a chunk of samples at a time, as the backward pass adds them
-        dx = np.zeros((h, w, b, c))
-        for first in range(0, b, 2):
-            _col2im_add(dx[:, :, first:first + 2], dcols[first:first + 2], k)
-        assert bits(dx.transpose(2, 3, 0, 1)) == bits(reference_col2im(dcols, x_shape, k))
+        dz_t = rng.normal(size=((h - k + 1) * (w_in - k + 1) * b, c_out))
+        dz_t[rng.random(size=dz_t.shape) < 0.05] = -0.0
+        w = rng.normal(size=(c_out, c, k, k))
+        dx = _conv_input_grad(dz_t, w, x_shape)
+        ref = reference_conv_input_grad(dz_t, w, x_shape)
+        assert dx.shape == x_shape
+        assert dx.strides == ref.strides
+        assert bits(dx) == bits(ref)
 
     @pytest.mark.parametrize("view", ["contiguous", "every-other-sample", "nhwc-memory",
                                       "reversed-rows", "one-sample-chunk"])
@@ -706,7 +720,7 @@ class TestKernelsBitEqualToReference:
             "one-sample-chunk": base[3:4],
         }[view]
         assert view in ("contiguous", "one-sample-chunk") or not x.flags.c_contiguous
-        cols = _im2col(x, k)
+        cols = _im2col(_windows(x, k))
         assert cols.shape == reference_im2col(x, k).shape
         assert bits(cols) == bits(reference_im2col(x, k))
 
